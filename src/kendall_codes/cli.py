@@ -42,8 +42,7 @@ class CliConfig:
         if self.output_format not in ("json", "csv", "text"):
             raise ValueError(f"unknown output format {self.output_format!r}")
         for p in self.prime_list:
-            if not perfect._is_prime(p):
-                raise ValueError(f"{p} in primeList is not prime")
+            perfect._check_prime(p)
 
 
 _CONFIG_KEYS = {

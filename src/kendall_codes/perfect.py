@@ -9,11 +9,25 @@ retried with the next prime from the configured list.
 
 Two matrix engines are provided.  Dense elimination (numpy, residues mod p)
 gives a deterministic determinant for dimensions up to DENSE_LIMIT.  Above
-that, elimination fill is prohibitive, so a Wiedemann-style black-box check
-is used instead: Berlekamp-Massey on a projected Krylov sequence yields a
-candidate annihilator; when its constant term is nonzero we reconstruct w
-with A w = v and verify the product, for several independent right-hand
-sides.  Every certificate records the prime and the method that produced it.
+that, elimination fill is prohibitive, so a Wiedemann black-box check is used
+instead (Wiedemann, IEEE Trans. Inf. Theory 32(1), 1986):
+
+- One Krylov sequence u . A^k v_1 of 2 B + 2 terms, where B bounds the degree
+  of the minimal polynomial of A, goes through one Berlekamp-Massey pass,
+  which returns the minimal generator g of the sequence.  For a coset matrix
+  B = sum of f^lam over the partitions lam dominating the shape (Young's
+  rule: M^mu = sum K_{lam,mu} S^lam); otherwise B = dim.
+- When g(0) != 0 the same annihilator is shared by all WIEDEMANN_SOLVES
+  right-hand sides: w_j = -g(0)^-1 (A^(d-1) v_j + ... + c_(d-1) v_j), and
+  A w_j = v_j mod p is verified exactly for every j.  A v_j that fails gets
+  a fresh sequence of its own.
+- The evidence is randomized: with independent uniform v_j (from a fixed
+  seed), a singular matrix passes only if every v_j lies in range(A), which
+  has probability at most p^-2 for two solves.  An invertible matrix can at
+  worst be reported 'singular-mod-p', which proves nothing.
+
+Every certificate records the prime and the method that produced it.  Primes
+must lie below PRIME_LIMIT so that int64 arithmetic stays exact.
 """
 
 from __future__ import annotations
@@ -41,7 +55,10 @@ CONCLUSION_INCONCLUSIVE = "inconclusive"
 DENSE_LIMIT = 4096
 #: default skip threshold for per-matrix checks in the irrep route
 IRREP_CHECK_LIMIT = 4096
-#: fixed primes just above 10^6; small enough that residue products fit int64
+#: primes must lie below this: residue products summed over a row, a
+#: Krylov projection or a Berlekamp-Massey discrepancy then stay exact in int64
+PRIME_LIMIT = 2**20
+#: fixed primes just above 10^6, below PRIME_LIMIT
 DEFAULT_PRIMES = (1000003, 1000033, 1000037)
 #: independent verified solves required by the black-box certificate
 WIEDEMANN_SOLVES = 2
@@ -160,36 +177,37 @@ def _det_mod_dense(matrix: ModPMatrix) -> int:
 def _berlekamp_massey(seq, p: int) -> list[int]:
     """Shortest LFSR c (c[0] = 1) with sum_i c[i] s[k-i] = 0 mod p.
 
-    Vectorized: the discrepancy is a dot product and the update a scaled
-    vector subtraction.  Entries stay below p < 2**20 and lengths below
-    2**18, so every int64 intermediate fits comfortably.
+    One pass over the sequence.  Each step is a dot product over the L
+    active coefficients of c and, on a nonzero discrepancy, a scaled
+    subtraction of the previous connection polynomial b shifted by m, over
+    its deg(b) + 1 coefficients only.  Entries stay below p < PRIME_LIMIT and
+    lengths below 2**18, so every int64 intermediate fits comfortably.
     """
     s = np.asarray(seq, dtype=np.int64) % p
     n = len(s)
+    rev = s[::-1].copy()  # rev[n-k:n-k+L] = s[k-1], ..., s[k-L]
     c = np.zeros(n + 1, dtype=np.int64)
     b = np.zeros(n + 1, dtype=np.int64)
     c[0] = b[0] = 1
-    L = 0
+    L = lb = 0  # lengths of c and b
     m = 1
     bb = 1
     for k in range(n):
-        if L:
-            delta = int((int(s[k]) + int(c[1:L + 1] @ s[k - L:k][::-1])) % p)
-        else:
-            delta = int(s[k])
+        delta = int((s[k] + c[1:L + 1] @ rev[n - k:n - k + L]) % p)
         if delta == 0:
             m += 1
             continue
         coef = delta * pow(bb, -1, p) % p
+        # deg(x^m b) <= max(L, k + 1 - L), so c keeps at most L + 1 terms
         if 2 * L <= k:
-            old_c = c.copy()
-            c[m:n + 1] = (c[m:n + 1] - coef * b[:n + 1 - m]) % p
-            L = k + 1 - L
-            b = old_c
+            old_c = c[:L + 1].copy()
+            c[m:m + lb + 1] = (c[m:m + lb + 1] - coef * b[:lb + 1]) % p
+            b[:L + 1] = old_c
+            lb, L = L, k + 1 - L
             bb = delta
             m = 1
         else:
-            c[m:n + 1] = (c[m:n + 1] - coef * b[:n + 1 - m]) % p
+            c[m:m + lb + 1] = (c[m:m + lb + 1] - coef * b[:lb + 1]) % p
             m += 1
     return [int(v) for v in c[:L + 1]]
 
@@ -198,56 +216,60 @@ def _matvec_mod(entries: sp.csr_matrix, x: np.ndarray, p: int) -> np.ndarray:
     return entries.dot(x) % p
 
 
-def _krylov_sequence(matrix: ModPMatrix, u, v, length: int):
-    """First `length` terms of u . A^k v mod p and the vector A^length v."""
+def _krylov_sequence(matrix: ModPMatrix, u, v, length: int) -> np.ndarray:
+    """The first `length` terms of u . A^k v mod p."""
     p = matrix.p
-    seq = []
-    w = v.copy()
-    for _ in range(length):
-        seq.append(int(u.dot(w) % p))
-        w = _matvec_mod(matrix.entries, w, p)
-    return seq, w
+    seq = np.empty(length, dtype=np.int64)
+    w = v
+    for k in range(length):
+        if k:
+            w = _matvec_mod(matrix.entries, w, p)
+        seq[k] = u.dot(w) % p
+    return seq
 
 
-def _wiedemann_solve(matrix: ModPMatrix, v: np.ndarray, rng: random.Random):
-    """Try to produce w with A w = v mod p; None when the candidate
-    annihilator has zero constant term or verification fails."""
+def _solves(matrix: ModPMatrix, c: list[int], v: np.ndarray) -> bool:
+    """Whether w = -c[d]^-1 (A^(d-1) v + c[1] A^(d-2) v + ... + c[d-1] v)
+    satisfies A w = v mod p, as it does when g(A) v = 0 for the recurrence
+    polynomial g(x) = x^d + c[1] x^(d-1) + ... + c[d] with c[d] != 0."""
     p = matrix.p
-    dim = matrix.dim
-    for _ in range(3):
-        u = np.array([rng.randrange(p) for _ in range(dim)], dtype=np.int64)
-        # adaptive sequence length: the minimal polynomial of these action /
-        # seminormal matrices is typically far shorter than 2 dim
-        length = min(2 * dim + 2, 64)
-        seq, tail = _krylov_sequence(matrix, u, v, length)
-        while True:
-            c = _berlekamp_massey(seq, p)
-            deg = len(c) - 1
-            if length >= 2 * dim + 2 or length >= 4 * max(deg, 1) + 8:
-                break
-            grow = min(2 * dim + 2 - length, length)
-            more, tail = _krylov_sequence(matrix, u, tail, grow)
-            seq.extend(more)
-            length += grow
-        # recurrence poly g(x) = x^deg + c[1] x^(deg-1) + ... + c[deg]
-        if deg == 0 or c[deg] % p == 0:
-            continue
-        w = v.copy()
-        for i in range(1, deg):
-            w = (_matvec_mod(matrix.entries, w, p) + c[i] * v) % p
-        w = (-pow(c[deg], -1, p)) % p * w % p
-        if (_matvec_mod(matrix.entries, w, p) == v % p).all():
-            return w
-    return None
+    deg = len(c) - 1
+    w = v
+    for i in range(1, deg):
+        w = (_matvec_mod(matrix.entries, w, p) + c[i] * v) % p
+    w = (-pow(c[deg], -1, p)) % p * w % p
+    return bool((_matvec_mod(matrix.entries, w, p) == v).all())
 
 
-def _certify_wiedemann(matrix: ModPMatrix) -> str:
-    rng = random.Random(WIEDEMANN_SEED * 1000003 + matrix.p * 31 + matrix.dim)
-    for _ in range(WIEDEMANN_SOLVES):
-        v = np.array([rng.randrange(matrix.p) for _ in range(matrix.dim)],
-                     dtype=np.int64)
-        if _wiedemann_solve(matrix, v, rng) is None:
+def _certify_wiedemann(matrix: ModPMatrix, bound: int | None = None) -> str:
+    """Verified black-box solves of A w = v for WIEDEMANN_SOLVES random v.
+
+    `bound` caps the degree of the minimal polynomial of A (default: dim).
+    One Krylov sequence u . A^k v of 2 bound + 2 terms and one BM pass give
+    its minimal generator g, which annihilates A for almost every u and v,
+    so g is shared by every right-hand side.  A right-hand side whose exact
+    check fails gets a fresh sequence of its own, with up to 3 projections
+    u each.  A bound below the true degree can only produce a false
+    'singular-mod-p', never a false 'invertible'.
+    """
+    p, dim = matrix.p, matrix.dim
+    length = 2 * (dim if bound is None else bound) + 2
+    rng = random.Random(WIEDEMANN_SEED * 1000003 + p * 31 + dim)
+
+    def uniform():
+        return np.array([rng.randrange(p) for _ in range(dim)], dtype=np.int64)
+
+    pending = [uniform() for _ in range(WIEDEMANN_SOLVES)]
+    tries = 0
+    while pending:
+        if tries == 3:
             return VERDICT_SINGULAR
+        tries += 1
+        c = _berlekamp_massey(_krylov_sequence(matrix, uniform(), pending[0], length), p)
+        if len(c) == 1 or c[-1] == 0 or not _solves(matrix, c, pending[0]):
+            continue
+        tries = 0
+        pending = [v for v in pending[1:] if not _solves(matrix, c, v)]
     return VERDICT_INVERTIBLE
 
 
@@ -287,19 +309,28 @@ def invertible_mod_p(matrix, p: int, n: int | None = None) -> str:
     Accepts dense rows (ints or Fractions), a sparse {(i,j): value} dict, an
     ActionMatrix, or a prepared ModPMatrix.
     """
-    if not _is_prime(p):
-        raise ValueError(f"{p} is not prime")
+    _check_prime(p)
     m = _as_modp(matrix, p, n=n)
     verdict, _method = _certify(m)
     return verdict
 
 
-def _certify(matrix: ModPMatrix) -> tuple[str, str]:
+def _certify(matrix: ModPMatrix, bound: int | None = None) -> tuple[str, str]:
+    """Verdict and method; `bound` caps the degree of the minimal polynomial
+    (see _certify_wiedemann)."""
     if matrix.dim <= DENSE_LIMIT:
         det = _det_mod_dense(matrix)
         return (VERDICT_INVERTIBLE if det else VERDICT_SINGULAR,
                 "dense-elimination")
-    return _certify_wiedemann(matrix), "wiedemann"
+    return _certify_wiedemann(matrix, bound), "wiedemann"
+
+
+def _check_prime(p: int) -> None:
+    if p >= PRIME_LIMIT:
+        raise ValueError(f"prime {p} is not below {PRIME_LIMIT}: the mod-p "
+                         "engines keep int64 intermediates exact only below it")
+    if not _is_prime(p):
+        raise ValueError(f"{p} is not prime")
 
 
 def _is_prime(p: int) -> bool:
@@ -350,13 +381,14 @@ def perfect_counting_condition(n: int, r: int) -> bool:
     return factorial(n) % size == 0
 
 
-def _check_one(label: str, build, dim: int, primes, n: int | None = None):
+def _check_one(label: str, build, dim: int, primes, n: int | None = None,
+               bound: int | None = None):
     """Run the certificate at successive primes; one MatrixCheck plus notes."""
     notes = []
     matrix = build()
     for p in primes:
         m = _as_modp(matrix, p, n=n)
-        verdict, method = _certify(m)
+        verdict, method = _certify(m, bound)
         if verdict == VERDICT_INVERTIBLE:
             return MatrixCheck(label, dim, p, verdict, method), notes
         notes.append(f"{label}: singular mod {p}, retrying")
@@ -379,7 +411,12 @@ def obstruction_coset(n: int, shape, primes=DEFAULT_PRIMES,
                                  matrices=(), conclusion=CONCLUSION_INCONCLUSIVE,
                                  notes=tuple(notes))
     action = young.build_action_matrix(n, shape, limit)
-    check, more = _check_one(f"action{shape}", lambda: action, dim, primes)
+    # Young's rule: the minimal polynomial of T on M^shape is the lcm of those
+    # of T on the constituents S^lam, lam dominating shape
+    bound = sum(young.hook_length_dimension(lam)
+                for lam in young.constituents_dominating(shape))
+    check, more = _check_one(f"action{shape}", lambda: action, dim, primes,
+                             bound=bound)
     notes.extend(more)
     ok = check.verdict == VERDICT_INVERTIBLE
     return ObstructionReport(
@@ -448,6 +485,5 @@ def _checked_primes(primes):
     if not primes:
         raise ValueError("empty prime list")
     for p in primes:
-        if not _is_prime(p):
-            raise ValueError(f"{p} is not prime")
+        _check_prime(p)
     return primes

@@ -102,28 +102,35 @@ def enumerate_tabloids(shape, limit: int = SPARSE_TABLOID_LIMIT) -> list[Tabloid
     if count > limit:
         raise DimensionLimitError(f"{count} tabloids exceeds limit {limit}")
     n = partition_n(shape)
-    m = len(shape)
-
     out: list[Tabloid] = []
-
-    def fill(block: int, remaining: tuple[int, ...], assignment: dict[int, int]):
-        if block > m:
-            out.append(tuple(assignment[x] for x in range(1, n + 1)))
-            return
-        if block == m:
-            for x in remaining:
-                assignment[x] = block
-            fill(m + 1, (), assignment)
-            return
-        for chosen in combinations(remaining, shape[block - 1]):
-            for x in chosen:
-                assignment[x] = block
-            rest = tuple(x for x in remaining if x not in set(chosen))
-            fill(block + 1, rest, assignment)
-
-    fill(1, tuple(range(1, n + 1)), {})
+    _fill_tabloids(shape, n, 1, tuple(range(1, n + 1)), {}, out)
     out.sort()
     return out
+
+
+def _fill_tabloids(shape, n: int, block: int, remaining: tuple[int, ...],
+                   assignment: dict[int, int], out: list[Tabloid]) -> None:
+    """Append to out every tabloid that extends assignment by placing the
+    elements of remaining into blocks block, block + 1, ...
+
+    A module-level function rather than a recursive closure: a closure that
+    calls itself forms a reference cycle with its cell, which would keep out
+    alive until the cyclic garbage collector runs.
+    """
+    m = len(shape)
+    if block > m:
+        out.append(tuple(assignment[x] for x in range(1, n + 1)))
+        return
+    if block == m:
+        for x in remaining:
+            assignment[x] = block
+        _fill_tabloids(shape, n, m + 1, (), assignment, out)
+        return
+    for chosen in combinations(remaining, shape[block - 1]):
+        for x in chosen:
+            assignment[x] = block
+        rest = tuple(x for x in remaining if x not in set(chosen))
+        _fill_tabloids(shape, n, block + 1, rest, assignment, out)
 
 
 def act(t: Tabloid, sigma: Permutation) -> Tabloid:

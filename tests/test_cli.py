@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from kendall_codes import cli
+from kendall_codes import cli, young
 
 
 def run(capsys, *argv):
@@ -117,6 +117,18 @@ def test_config_rejects_bad_prime(tmp_path, capsys):
     code, _, err = run(capsys, "--config", str(cfg), "distance", "1,2", "1,2")
     assert code == 2
     assert "not prime" in err
+
+
+def test_config_rejects_prime_above_limit(tmp_path, capsys, monkeypatch):
+    def no_matrix_work(*args, **kwargs):
+        raise AssertionError("matrix work started")
+
+    monkeypatch.setattr(young, "build_action_matrix", no_matrix_work)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"primeList": [2147483647]}))
+    code, _, err = run(capsys, "--config", str(cfg), "perfect", "coset", "11", "6,3,2")
+    assert code == 2
+    assert "not below" in err
 
 
 def test_json_output_is_byte_stable(capsys):

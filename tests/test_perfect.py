@@ -1,12 +1,17 @@
+import functools
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kendall_codes import perfect, young
 from kendall_codes.perfect import (
     CONCLUSION_INCONCLUSIVE,
     CONCLUSION_NO_CODE,
     DEFAULT_PRIMES,
+    PRIME_LIMIT,
     VERDICT_INVERTIBLE,
     VERDICT_SINGULAR,
     conjecture_check,
@@ -58,6 +63,30 @@ def test_invertible_mod_p_rejects_composite():
         invertible_mod_p([[1]], 100)
 
 
+def _no_matrix_work(*args, **kwargs):
+    raise AssertionError("matrix work started")
+
+
+def test_primes_at_or_above_limit_are_rejected(monkeypatch):
+    for name in ("build_action_matrix", "irrep_T_matrix"):
+        monkeypatch.setattr(young, name, _no_matrix_work)
+    monkeypatch.setattr(perfect, "_as_modp", _no_matrix_work)
+    for p in (1048583, 2147483647):  # the first prime >= 2**20, and 2**31 - 1
+        assert p >= PRIME_LIMIT and perfect._is_prime(p)
+        with pytest.raises(ValueError, match="not below"):
+            obstruction_coset(11, (6, 3, 2), primes=(p,))
+        with pytest.raises(ValueError, match="not below"):
+            obstruction_irreps(11, (6, 3, 2), primes=(DEFAULT_PRIMES[0], p))
+        with pytest.raises(ValueError, match="not below"):
+            conjecture_check(7, primes=(p,))
+        with pytest.raises(ValueError, match="not below"):
+            invertible_mod_p([[1]], p)
+
+
+def test_largest_prime_below_limit_is_accepted():
+    assert invertible_mod_p([[2, 1], [7, 4]], 1048573) == VERDICT_INVERTIBLE
+
+
 def test_fraction_entries_and_bad_denominator():
     assert invertible_mod_p([[Fraction(1, 2)]], 101) == VERDICT_INVERTIBLE
     with pytest.raises(ValueError):
@@ -78,6 +107,124 @@ def test_wiedemann_agrees_with_dense_verdict():
     assert perfect._certify_wiedemann(inv) == VERDICT_INVERTIBLE
     sing = perfect.modp_from_rows([[1, 1, 0], [1, 1, 0], [0, 0, 1]], p)
     assert perfect._certify_wiedemann(sing) == VERDICT_SINGULAR
+
+
+def test_wiedemann_gives_a_failed_right_hand_side_its_own_sequence(monkeypatch):
+    m = perfect.modp_from_action(young.tridiagonal_reference(9), DEFAULT_PRIMES[0])
+    real_solves, real_krylov = perfect._solves, perfect._krylov_sequence
+    checked, sequences = [], []
+
+    def solves_unless_second(matrix, c, v):
+        # v_2 fails with v_1's annihilator and with two sequences of its own
+        checked.append(v)
+        return len(checked) not in (2, 3, 4) and real_solves(matrix, c, v)
+
+    def krylov(matrix, u, v, length):
+        sequences.append(v)
+        return real_krylov(matrix, u, v, length)
+
+    monkeypatch.setattr(perfect, "_solves", solves_unless_second)
+    monkeypatch.setattr(perfect, "_krylov_sequence", krylov)
+    assert perfect._certify_wiedemann(m) == VERDICT_INVERTIBLE
+    # v_2 still gets 3 projections u of its own after v_1 is solved
+    assert len(sequences) == 4 and all(v is checked[1] for v in sequences[1:])
+    assert len(checked) == 5
+
+
+SMALL_COSET_SHAPES = [shape for n in range(2, 8) for shape in young.all_partitions(n)]
+#: integer_determinant takes about a second at this dimension
+EXACT_DET_DIM = 210
+
+
+def _young_bound(shape) -> int:
+    return sum(young.hook_length_dimension(lam)
+               for lam in young.constituents_dominating(shape))
+
+
+@functools.cache
+def _action_determinant(shape) -> int:
+    """Exact determinant of the action matrix on tabloids of shape.
+
+    Above EXACT_DET_DIM, integer_determinant is too slow; there the
+    determinant is 0 when that of a dominating shape nu is 0.  By Young's
+    rule every constituent S^lam of M^nu (lam dominating nu) is one of M^mu
+    when nu dominates mu, so a singular block of M^nu is a block of M^mu.
+    """
+    n = sum(shape)
+    if young.tabloid_count(shape) <= EXACT_DET_DIM:
+        return integer_determinant(young.build_action_matrix(n, shape).to_dense())
+    witnesses = [nu for nu in young.all_partitions(n)
+                 if nu != shape and young.dominance_geq(nu, shape)
+                 and young.tabloid_count(nu) <= EXACT_DET_DIM
+                 and _action_determinant(nu) == 0]
+    assert witnesses, f"no exact determinant for {shape}"
+    return 0
+
+
+@pytest.mark.parametrize("shape", SMALL_COSET_SHAPES, ids=str)
+def test_wiedemann_matches_integer_determinant_on_action_matrices(shape):
+    p = DEFAULT_PRIMES[0]
+    m = perfect.modp_from_action(young.build_action_matrix(sum(shape), shape), p)
+    expected = VERDICT_INVERTIBLE if _action_determinant(shape) % p else VERDICT_SINGULAR
+    assert perfect._certify_wiedemann(m, _young_bound(shape)) == expected
+
+
+@pytest.mark.parametrize("shape", SMALL_COSET_SHAPES, ids=str)
+def test_krylov_degree_within_young_bound(shape):
+    p = DEFAULT_PRIMES[0]
+    m = perfect.modp_from_action(young.build_action_matrix(sum(shape), shape), p)
+    rng = np.random.default_rng(sum(shape) * 1000 + m.dim)
+    u, v = rng.integers(0, p, (2, m.dim), dtype=np.int64)
+    seq = perfect._krylov_sequence(m, u, v, 2 * m.dim + 2)
+    assert len(perfect._berlekamp_massey(seq, p)) - 1 <= _young_bound(shape)
+
+
+def _reference_lfsr_length(seq, p: int) -> int:
+    """Length of the shortest LFSR generating seq mod p: Massey's algorithm
+    over Python lists, updating every coefficient."""
+    c, b = [1], [1]
+    L, m, bb = 0, 1, 1
+    for k, s in enumerate(seq):
+        delta = (s + sum(c[i] * seq[k - i] for i in range(1, L + 1))) % p
+        if delta == 0:
+            m += 1
+            continue
+        coef = delta * pow(bb, -1, p) % p
+        old = list(c)
+        c += [0] * max(0, len(b) + m - len(c))
+        for i, bi in enumerate(b):
+            c[i + m] = (c[i + m] - coef * bi) % p
+        if 2 * L <= k:
+            L, b, bb, m = k + 1 - L, old, delta, 1
+        else:
+            m += 1
+    return L
+
+
+@st.composite
+def _sequences(draw):
+    p = draw(st.sampled_from((2, 7, DEFAULT_PRIMES[0])))
+    chunk = st.one_of(st.lists(st.integers(0, p - 1), min_size=1, max_size=6),
+                      st.integers(1, 12).map(lambda k: [0] * k))
+    seq = [s for part in draw(st.lists(chunk, max_size=12)) for s in part]
+    if draw(st.booleans()):
+        # continue the sequence by a random recurrence: low linear complexity
+        taps = draw(st.lists(st.integers(0, p - 1), min_size=1, max_size=5))
+        for _ in range(draw(st.integers(0, 40))):
+            seq.append(sum(t * s for t, s in zip(taps, reversed(seq))) % p)
+    return p, seq
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_sequences())
+def test_berlekamp_massey_generates_shortest_lfsr(case):
+    p, seq = case
+    c = perfect._berlekamp_massey(seq, p)
+    L = len(c) - 1
+    assert c[0] == 1 and all(0 <= x < p for x in c)
+    assert L == _reference_lfsr_length(seq, p)
+    for k in range(L, len(seq)):
+        assert sum(c[i] * seq[k - i] for i in range(L + 1)) % p == 0
 
 
 # -- preconditions ----------------------------------------------------------------

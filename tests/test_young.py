@@ -1,3 +1,4 @@
+import gc
 from fractions import Fraction
 from math import factorial
 
@@ -67,6 +68,18 @@ def test_enumerate_tabloids_matches_count():
         assert len(ts) == tabloid_count(shape)
         assert len(set(ts)) == len(ts)
         assert ts[0] == reference_tabloid(shape)
+
+
+def test_enumerate_tabloids_leaves_no_reference_cycle():
+    # a cycle would keep the tabloid list alive until the cyclic collector
+    # runs, so repeated calls would grow the process's memory
+    gc.collect()
+    gc.disable()
+    try:
+        enumerate_tabloids((4, 2, 1))
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_act_is_a_right_action():
