@@ -14,7 +14,6 @@ import argparse
 import json
 import sys
 from dataclasses import dataclass, replace
-from fractions import Fraction
 
 from kendall_codes import ilp, perfect, perms, young
 
@@ -26,16 +25,14 @@ EXIT_RESOURCE = 4
 
 @dataclass(frozen=True)
 class CliConfig:
-    threads: int = 1
     time_limit: float | None = None
-    seed: int = 0
     enumeration_limit: int = perms.ENUMERATION_LIMIT
     dimension_limit: int = perfect.IRREP_CHECK_LIMIT
     prime_list: tuple[int, ...] = perfect.DEFAULT_PRIMES
     output_format: str = "text"
 
     def validate(self) -> None:
-        if self.threads < 1 or self.enumeration_limit < 1 or self.dimension_limit < 1:
+        if self.enumeration_limit < 1 or self.dimension_limit < 1:
             raise ValueError("limits must be positive")
         if self.time_limit is not None and self.time_limit <= 0:
             raise ValueError("time limit must be positive")
@@ -46,9 +43,7 @@ class CliConfig:
 
 
 _CONFIG_KEYS = {
-    "threads": "threads",
     "timeLimit": "time_limit",
-    "seed": "seed",
     "enumerationLimit": "enumeration_limit",
     "dimensionLimit": "dimension_limit",
     "primeList": "prime_list",
@@ -68,7 +63,7 @@ def load_config(path: str | None, args) -> CliConfig:
                   for k, v in raw.items()}
         cfg = replace(cfg, **fields)
     overrides = {}
-    for attr in ("threads", "time_limit", "seed", "output_format"):
+    for attr in ("time_limit", "output_format"):
         v = getattr(args, attr, None)
         if v is not None:
             overrides[attr] = v
@@ -180,9 +175,7 @@ def cmd_ilp(args, cfg: CliConfig) -> int:
             raise ValueError("ilp export needs --out")
         ilp.export_lp(model, args.out)
         return EXIT_OK
-    config = ilp.SolveConfig(time_limit=cfg.time_limit, threads=cfg.threads,
-                             cut_rounds=args.cut_rounds)
-    result = ilp.ilp_solve(model, config)
+    result = ilp.ilp_solve(model, ilp.SolveConfig(time_limit=cfg.time_limit))
     payload = _ilp_result_payload(model, result)
     _emit(payload, cfg,
           [f"optimum {result.optimum} ({result.status}), "
@@ -192,8 +185,8 @@ def cmd_ilp(args, cfg: CliConfig) -> int:
 
 def cmd_bound(args, cfg: CliConfig) -> int:
     shapes = [parse_shape(s) for s in args.shape or []]
-    config = ilp.SolveConfig(time_limit=cfg.time_limit, threads=cfg.threads)
-    report = ilp.bound_report(args.n, shapes, config)
+    report = ilp.bound_report(args.n, shapes,
+                              ilp.SolveConfig(time_limit=cfg.time_limit))
     payload = report.to_json_dict()
     lines = [f"P({report.n},{report.d}) upper bounds:"]
     for e in report.entries:
@@ -240,9 +233,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="kendall-codes",
         description="Certified upper bounds for Kendall tau permutation codes")
     ap.add_argument("--config", help="JSON CliConfig file")
-    ap.add_argument("--threads", type=int)
     ap.add_argument("--time-limit", dest="time_limit", type=float)
-    ap.add_argument("--seed", type=int)
     ap.add_argument("--format", dest="output_format",
                     choices=["json", "csv", "text"])
     sub = ap.add_subparsers(dest="command", required=True)
@@ -282,7 +273,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("n", type=int)
     p.add_argument("shape")
     p.add_argument("--out", help="destination for export")
-    p.add_argument("--cut-rounds", dest="cut_rounds", type=int, default=5)
     p.set_defaults(func=cmd_ilp)
 
     p = sub.add_parser("bound", help="aggregate upper bounds on P(n,3)")

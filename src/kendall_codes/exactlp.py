@@ -108,6 +108,12 @@ class ExactSimplex:
                     T[i] = [v * pval // q for v in row]
             else:
                 T[i] = [(v * pval - f * pv) // q for v, pv in zip(row, prow)]
+        if pval < 0:
+            # only pivoting an artificial out of the basis picks a negative
+            # element; negate everything so that the sign tests stay valid
+            for i, row in enumerate(T):
+                T[i] = [-v for v in row]
+            pval = -pval
         self.q = pval
         self.basis[r - 1] = c
         self.pivots += 1

@@ -7,28 +7,28 @@ a feasible point (coordinate i = codewords in coset i), so the optimum is a
 certified upper bound on the code size.
 
 Everything in the certified path is arbitrary-precision integer / rational
-arithmetic.  The root relaxation and its Gomory cut rounds run on the exact
-simplex of :mod:`kendall_codes.exactlp`; the branch-and-bound descent uses a
-fast float LP (:mod:`kendall_codes.boxlp`) only as a guide, converting its
-duals into integer multipliers whose weak-duality bound is evaluated
-exactly, so no pruning decision ever rests on floating point.  Models whose
-right-hand side is too large for that conversion fall back to exact simplex
-node relaxations.  All node and branching rules are deterministic, so
-results are reproducible.
+arithmetic.  The root relaxation runs once on the exact simplex of
+:mod:`kendall_codes.exactlp`; the branch-and-bound descent uses a fast float
+LP (:mod:`kendall_codes.boxlp`) only as a guide, converting its duals into
+integer multipliers whose weak-duality bound is evaluated exactly, so no
+pruning decision ever rests on floating point.  Models whose right-hand
+side is too large for that conversion fall back to exact simplex node
+relaxations.  All node and branching rules are deterministic, so results
+are reproducible.
 """
 
 from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
 import numpy as np
 
 from kendall_codes import young
-from kendall_codes.exactlp import ExactSimplex, INFEASIBLE, OPTIMAL
+from kendall_codes.exactlp import ExactSimplex, OPTIMAL
 from kendall_codes.perms import Code, inverse, sphere_packing_bound
 from kendall_codes.young import ActionMatrix, build_action_matrix, check_partition
 
@@ -36,18 +36,25 @@ PROVEN_OPTIMAL = "proven-optimal"
 INCUMBENT_ONLY = "incumbent-only"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class IlpModel:
-    """max 1.x  s.t.  matrix x <= rhs * 1,  x >= 0 integer."""
+    """max 1.x  s.t.  matrix x <= rhs * 1,  x >= 0 integer.
+
+    ``matrix`` is a read-only int64 array, nonnegative with a positive
+    diagonal.
+    """
 
     n: int
     shape: tuple[int, ...]
     dim: int
-    matrix: tuple[tuple[int, ...], ...]
+    matrix: np.ndarray
     rhs: int
 
-    def rows(self) -> list[list[int]]:
-        return [list(r) for r in self.matrix]
+
+def _model(n: int, shape: tuple[int, ...], rows, rhs: int) -> IlpModel:
+    matrix = np.array(rows, dtype=np.int64)
+    matrix.setflags(write=False)
+    return IlpModel(n=n, shape=shape, dim=len(matrix), matrix=matrix, rhs=rhs)
 
 
 @dataclass(frozen=True)
@@ -69,125 +76,66 @@ class IlpResult:
 @dataclass
 class SolveConfig:
     time_limit: float | None = None  # seconds
-    threads: int = 1  # accepted for interface compatibility; solve is serial
-    cut_rounds: int = 5
-    cuts_per_round: int = 8
-    #: largest integer coefficient a root cut may have before it is discarded
-    cut_coefficient_cap: int = 10**6
     #: seed the incumbent with a float MILP heuristic (verified exactly)
     float_heuristic: bool = True
-    heuristic_node_limit: int = 100_000
-    #: force exact-simplex node bounds (auto-selected from magnitudes if None)
-    exact_nodes: bool | None = None
+
+
+#: HiGHS branch-and-bound nodes allowed to the incumbent heuristic
+_HEURISTIC_NODE_LIMIT = 100_000
 
 
 def build_coset_ilp(n: int, shape,
                     limit: int = young.DENSE_TABLOID_LIMIT) -> IlpModel:
     shape = check_partition(shape)
-    action = build_action_matrix(n, shape, limit)
-    return IlpModel(
-        n=n,
-        shape=shape,
-        dim=action.dim,
-        matrix=tuple(tuple(row) for row in action.to_dense()),
-        rhs=young.young_subgroup_order(shape),
-    )
+    return model_from_action(build_action_matrix(n, shape, limit),
+                             young.young_subgroup_order(shape))
 
 
 def model_from_action(action: ActionMatrix, rhs: int) -> IlpModel:
-    return IlpModel(n=action.n, shape=action.shape, dim=action.dim,
-                    matrix=tuple(tuple(row) for row in action.to_dense()),
-                    rhs=rhs)
+    return _model(action.n, action.shape, action.entries.toarray(), rhs)
 
 
 def feasible(model: IlpModel, x) -> bool:
-    """True iff x >= 0 and M x <= rhs componentwise."""
+    """True iff x >= 0 and M x <= rhs componentwise.
+
+    Exact for any input: a coordinate above rhs already breaks its own row
+    (M >= 0 and M_jj >= 1), and the product runs on Python integers.
+    """
     x = list(x)
     if len(x) != model.dim:
         raise ValueError(f"expected {model.dim} coordinates, got {len(x)}")
-    if any(v < 0 for v in x):
+    if any(v < 0 or v > model.rhs for v in x):
         return False
-    for row in model.matrix:
-        if sum(a * v for a, v in zip(row, x)) > model.rhs:
-            return False
-    return True
+    return bool((model.matrix @ np.array(x, dtype=object) <= model.rhs).all())
 
 
-def lp_relax(model: IlpModel,
-             extra_rows: list[tuple[list[Fraction], Fraction]] | None = None) -> LpSolution:
+def lp_relax(model: IlpModel) -> LpSolution:
     """Exact rational optimum of the LP relaxation."""
-    a_rows = model.rows()
-    b = [model.rhs] * model.dim
-    for coeffs, rhs in extra_rows or []:
-        a_rows.append(list(coeffs))
-        b.append(rhs)
-    sx = ExactSimplex(a_rows, b, [1] * model.dim)
+    sx = ExactSimplex(model.matrix.tolist(), [model.rhs] * model.dim,
+                      [1] * model.dim)
     status = sx.solve()
     if status != OPTIMAL:
         return LpSolution(status=status, value=None, point=None)
     return LpSolution(status=OPTIMAL, value=sx.value(), point=tuple(sx.point()))
 
 
-def _greedy_ascent(model: IlpModel, x: list[int],
-                   extra_rows=None) -> list[int]:
-    """Round up coordinates as far as feasibility allows, lowest index first."""
-    rows = model.rows()
-    rhs = [model.rhs] * model.dim
-    for coeffs, beta in extra_rows or []:
-        rows.append(list(coeffs))
-        rhs.append(beta)
-    slack = [rhs[i] - sum(a * v for a, v in zip(rows[i], x))
-             for i in range(len(rows))]
-    if any(s < 0 for s in slack):
-        return x
-    improved = True
-    while improved:
-        improved = False
-        for j in range(model.dim):
-            inc = None
+def _heuristic_incumbent(model: IlpModel, lp_point) -> list[int]:
+    """Floor the LP point (feasible, since M >= 0), then raise coordinates
+    as far as feasibility allows, lowest index first.
+
+    One pass reaches the fixpoint: after x_j is raised some row through j
+    has slack below its coefficient, and slacks only shrink afterwards.
+    """
+    rows = model.matrix.tolist()
+    x = [v.numerator // v.denominator for v in lp_point]
+    slack = [model.rhs - sum(a * v for a, v in zip(row, x)) for row in rows]
+    for j in range(model.dim):
+        inc = min(s // row[j] for s, row in zip(slack, rows) if row[j] > 0)
+        if inc > 0:
+            x[j] += inc
             for i, row in enumerate(rows):
-                a = row[j]
-                if a > 0:
-                    cap = Fraction(slack[i]) / Fraction(a)
-                    room = cap.numerator // cap.denominator
-                    inc = room if inc is None else min(inc, room)
-            if inc is not None and inc > 0:
-                x[j] += inc
-                for i, row in enumerate(rows):
-                    slack[i] -= row[j] * inc
-                improved = True
+                slack[i] -= row[j] * inc
     return x
-
-
-def _heuristic_incumbent(model: IlpModel, lp_point, extra_rows=None) -> list[int]:
-    x = [int(v.numerator // v.denominator) if isinstance(v, Fraction) else int(v)
-         for v in lp_point]
-    # flooring stays feasible for the base model (M >= 0) but extra rows may
-    # have negative coefficients; _greedy_ascent bails out if infeasible
-    rows = model.rows()
-    rhs = [model.rhs] * model.dim
-    for coeffs, beta in extra_rows or []:
-        rows.append(list(coeffs))
-        rhs.append(beta)
-    for row, beta in zip(rows, rhs):
-        if sum(a * v for a, v in zip(row, x)) > beta:
-            return [0] * model.dim
-    return _greedy_ascent(model, x, extra_rows)
-
-
-def _solve_node(model: IlpModel, cut_rows, bound_rows):
-    a_rows = model.rows()
-    b = [model.rhs] * model.dim
-    for coeffs, beta in cut_rows:
-        a_rows.append(list(coeffs))
-        b.append(beta)
-    for coeffs, beta in bound_rows:
-        a_rows.append(list(coeffs))
-        b.append(beta)
-    sx = ExactSimplex(a_rows, b, [1] * model.dim)
-    sx.set_original(a_rows, b)
-    status = sx.solve()
-    return sx, status
 
 
 #: scaling factor turning float duals into certified integer multipliers
@@ -236,37 +184,34 @@ def _certified_bound(y, mat: np.ndarray, rhs: int, l, u):
     return bound, coef
 
 
-def _verify_integer(model: IlpModel, x) -> bool:
-    return all(v >= 0 for v in x) and all(
-        sum(a * v for a, v in zip(row, x)) <= model.rhs
-        for row in model.matrix)
-
-
-def _milp_heuristic(model: IlpModel, u0, node_limit: int):
+def _milp_heuristic(model: IlpModel, u0, time_limit: float | None):
     """Float MILP as an incumbent heuristic; the candidate is only adopted
     after an exact feasibility check, so this stays outside the certified
     path."""
     from scipy.optimize import Bounds, LinearConstraint, milp
-    mat = np.array(model.matrix, dtype=float)
+    options = {"node_limit": _HEURISTIC_NODE_LIMIT}
+    if time_limit is not None:
+        options["time_limit"] = time_limit
     try:
         res = milp(-np.ones(model.dim),
-                   constraints=LinearConstraint(mat, ub=np.full(model.dim,
-                                                                float(model.rhs))),
+                   constraints=LinearConstraint(model.matrix,
+                                                ub=np.full(model.dim,
+                                                           float(model.rhs))),
                    integrality=np.ones(model.dim),
                    bounds=Bounds(0.0, np.asarray(u0, dtype=float)),
-                   options={"node_limit": node_limit})
+                   options=options)
     except Exception:
         return None
     if res.x is None:
         return None
     cand = [int(round(v)) for v in res.x]
-    if _verify_integer(model, cand):
+    if feasible(model, cand):
         return cand
     return None
 
 
-def _bb_float(model: IlpModel, l0, u0, best_value: int, best_point,
-              deadline: float | None):
+def _bb_float(model: IlpModel, u0, root_bound: int, best_value: int,
+              best_point, deadline: float | None):
     """Depth-first branch and bound: float LPs for guidance, exact integer
     arithmetic for every pruning decision.
 
@@ -281,7 +226,7 @@ def _bb_float(model: IlpModel, l0, u0, best_value: int, best_point,
     from kendall_codes.boxlp import BoxSimplex
     from scipy.optimize import linprog
 
-    mat = np.array(model.matrix, dtype=np.int64)
+    mat = model.matrix
     dim = model.dim
     b = np.full(dim, model.rhs, dtype=np.int64)
     box = BoxSimplex(mat, b, np.ones(dim))
@@ -293,20 +238,17 @@ def _bb_float(model: IlpModel, l0, u0, best_value: int, best_point,
     pcu = np.zeros(dim)
     pcu_n = np.zeros(dim)
     sb_budget = 3000  # strong-branch probe pairs across the whole tree
-    # stack entries: bounds, warm basis, exact scaled estimate, and the
+    # stack entries: bounds, warm basis, exact scaled upper bound, and the
     # branch that created the node (variable, direction, parent LP value,
     # fractional part) for pseudocost updates
-    stack = [(np.asarray(l0, dtype=np.int64), np.asarray(u0, dtype=np.int64),
-              None, None, None)]
+    stack = [(np.zeros(dim, dtype=np.int64), np.asarray(u0, dtype=np.int64),
+              None, root_bound * _DUAL_SCALE, None)]
     while stack:
         l, u, warm, est, pinfo = stack.pop()
-        if est is not None and est < bounds_T:
+        if est < bounds_T:
             continue
         if deadline is not None and time.monotonic() > deadline:
-            open_scaled = [e for _l, _u, _w, e, _p in stack if e is not None]
-            if est is not None:
-                open_scaled.append(est)
-            top = max(open_scaled, default=bounds_T)
+            top = max([est] + [e for _l, _u, _w, e, _p in stack])
             return best_value, best_point, nodes, Fraction(top, _DUAL_SCALE)
         prop = _propagate(mat, b, l, u)
         if prop is None:
@@ -429,49 +371,54 @@ def _bb_float(model: IlpModel, l0, u0, best_value: int, best_point,
     return best_value, best_point, nodes, None
 
 
-def _bb_exact(model: IlpModel, l0, u0, best_value: int, best_point,
-              deadline: float | None):
+def _box_simplex(a_rows: list[list[int]], rhs: int, l, u, u_root) -> ExactSimplex:
+    """Exact simplex for max 1.x, a_rows x <= rhs, l <= x <= u, x >= 0.
+
+    Bound rows are added only where the box is tighter than [0, u_root].
+    """
+    dim = len(a_rows)
+    rows = list(a_rows)
+    b = [rhs] * dim
+    for j in range(dim):
+        if u[j] < u_root[j]:
+            row = [0] * dim
+            row[j] = 1
+            rows.append(row)
+            b.append(int(u[j]))
+        if l[j] > 0:
+            row = [0] * dim
+            row[j] = -1
+            rows.append(row)
+            b.append(-int(l[j]))
+    return ExactSimplex(rows, b, [1] * dim)
+
+
+def _bb_exact(model: IlpModel, u0, root_bound: int, best_value: int,
+              best_point, deadline: float | None):
     """Depth-first branch and bound with exact simplex node relaxations.
 
     Used when the right-hand side is so large that scaled float duals lose
     more than a unit of objective.  Same tree rules as _bb_float, minus the
     reduced-cost fixing (no duals are extracted from the exact solver)."""
-    mat = np.array(model.matrix, dtype=np.int64)
+    mat = model.matrix
     dim = model.dim
     b = np.full(dim, model.rhs, dtype=np.int64)
-    a_rows = model.rows()
+    a_rows = mat.tolist()
     nodes = 0
-    stack = [(np.asarray(l0, dtype=np.int64), np.asarray(u0, dtype=np.int64),
-              None)]
     u_root = np.asarray(u0, dtype=np.int64)
+    stack = [(np.zeros(dim, dtype=np.int64), u_root, root_bound)]
     while stack:
         l, u, est = stack.pop()
-        if est is not None and est <= best_value:
+        if est <= best_value:
             continue
         if deadline is not None and time.monotonic() > deadline:
-            tops = [e for *_rest, e in stack if e is not None]
-            if est is not None:
-                tops.append(est)
-            top = max(tops, default=best_value)
+            top = max([est] + [e for _l, _u, e in stack])
             return best_value, best_point, nodes, Fraction(top)
         prop = _propagate(mat, b, l, u)
         if prop is None:
             continue
         l, u = prop
-        rows = list(a_rows)
-        rhs = [model.rhs] * dim
-        for j in range(dim):
-            if u[j] < u_root[j]:
-                row = [0] * dim
-                row[j] = 1
-                rows.append(row)
-                rhs.append(int(u[j]))
-            if l[j] > 0:
-                row = [0] * dim
-                row[j] = -1
-                rows.append(row)
-                rhs.append(-int(l[j]))
-        sx = ExactSimplex(rows, rhs, [1] * dim)
+        sx = _box_simplex(a_rows, model.rhs, l, u, u_root)
         if sx.solve() != OPTIMAL:
             continue
         value = sx.value()
@@ -507,78 +454,53 @@ def _bb_exact(model: IlpModel, l0, u0, best_value: int, best_point,
 def ilp_solve(model: IlpModel, config: SolveConfig | None = None) -> IlpResult:
     """Certified branch-and-bound for the coset integer program.
 
-    The root relaxation (plus optional Gomory cut rounds) runs on the exact
-    rational simplex.  The descent solves a float LP per node for speed, but
-    converts its duals into integer multipliers whose weak-duality bound is
-    evaluated in exact arithmetic; all pruning, bound fixing, and incumbent
-    updates are exact, so the result is a proof.  Deterministic: depth-first
-    with fixed child order, most-fractional branching (lowest index on
-    ties).  On time limit the result carries status ``incumbent-only`` and a
-    valid dual bound instead of failing.
+    The root relaxation is solved once on the exact rational simplex.  The
+    descent solves a float LP per node for speed, but converts its duals
+    into integer multipliers whose weak-duality bound is evaluated in exact
+    arithmetic; all pruning, bound fixing, and incumbent updates are exact,
+    so the result is a proof.  Deterministic: depth-first with fixed child
+    order, branching by reliability pseudocosts (lowest index on ties).  The
+    time limit counts from the call: the heuristic gets the time left after
+    the root and the tree stops at the deadline, returning status
+    ``incumbent-only`` and a valid dual bound instead of failing.
     """
     config = config or SolveConfig()
-    start = time.monotonic()
-    deadline = None if config.time_limit is None else start + config.time_limit
+    deadline = (None if config.time_limit is None
+                else time.monotonic() + config.time_limit)
 
-    def timed_out() -> bool:
-        return deadline is not None and time.monotonic() > deadline
-
-    # root relaxation and cut rounds, exact
-    cut_rows: list[tuple[list[Fraction], Fraction]] = []
-    sx, status = _solve_node(model, cut_rows, [])
-    if status != OPTIMAL:
-        raise ValueError(f"root LP unexpectedly {status}")
-    for _ in range(config.cut_rounds):
-        if all(v.denominator == 1 for v in sx.point()) or timed_out():
-            break
-        new_cuts = [
-            (coeffs, rhs) for coeffs, rhs in sx.gomory_cuts(config.cuts_per_round)
-            if max(abs(v) for v in _scaled_ints(coeffs, rhs)) <= config.cut_coefficient_cap
-        ]
-        if not new_cuts:
-            break
-        cut_rows.extend(new_cuts)
-        sx, status = _solve_node(model, cut_rows, [])
-        if status != OPTIMAL:  # cuts keep the zero vector feasible
-            raise AssertionError("cut LP became infeasible")
-    root_dual = sx.value()
+    root = lp_relax(model)
+    if root.status != OPTIMAL:
+        raise ValueError(f"root LP unexpectedly {root.status}")
+    root_bound = root.value.numerator // root.value.denominator
 
     # incumbents: exact rounding ascent, then the float MILP heuristic
-    incumbent = _heuristic_incumbent(model, sx.point())
-    best_value = sum(incumbent)
-    best_point = list(incumbent)
-    u0 = [model.rhs // model.matrix[j][j] for j in range(model.dim)]
-    if config.float_heuristic:
-        cand = _milp_heuristic(model, u0, config.heuristic_node_limit)
+    best_point = _heuristic_incumbent(model, root.point)
+    best_value = sum(best_point)
+    u0 = (model.rhs // model.matrix.diagonal()).tolist()
+    remaining = None if deadline is None else deadline - time.monotonic()
+    if config.float_heuristic and (remaining is None or remaining > 0):
+        cand = _milp_heuristic(model, u0, remaining)
         if cand is not None and sum(cand) > best_value:
             best_value = sum(cand)
             best_point = cand
 
-    if root_dual.numerator // root_dual.denominator <= best_value:
+    if root_bound <= best_value:
         return IlpResult(optimum=best_value, argmax=tuple(best_point),
                          nodes_explored=0, status=PROVEN_OPTIMAL,
                          dual_bound=Fraction(best_value))
 
-    use_exact = (config.exact_nodes if config.exact_nodes is not None
-                 else model.rhs > _FLOAT_SAFE_RHS)
-    descend = _bb_exact if use_exact else _bb_float
+    descend = _bb_exact if model.rhs > _FLOAT_SAFE_RHS else _bb_float
     best_value, best_point, nodes, open_bound = descend(
-        model, [0] * model.dim, u0, best_value, best_point, deadline)
+        model, u0, root_bound, best_value, best_point, deadline)
 
     if open_bound is None:
         return IlpResult(optimum=best_value, argmax=tuple(best_point),
                          nodes_explored=nodes, status=PROVEN_OPTIMAL,
                          dual_bound=Fraction(best_value))
-    dual = min(root_dual, max(open_bound, Fraction(best_value)))
+    dual = min(root.value, max(open_bound, Fraction(best_value)))
     return IlpResult(optimum=best_value, argmax=tuple(best_point),
                      nodes_explored=nodes, status=INCUMBENT_ONLY,
                      dual_bound=dual)
-
-
-def _scaled_ints(coeffs, rhs) -> list[int]:
-    from math import lcm
-    den = lcm(*(Fraction(v).denominator for v in list(coeffs) + [rhs]))
-    return [int(Fraction(v) * den) for v in list(coeffs) + [rhs]]
 
 
 # ---------------------------------------------------------------------------
@@ -654,7 +576,7 @@ def random_feasible(p: int, seed: int, rounds: int = 200) -> list[int]:
     """Random coordinate ascent from 0 inside the tridiagonal polytope."""
     rng = random.Random(seed)
     model = model_from_action(young.tridiagonal_reference(p), factorial(p - 1))
-    rows = model.rows()
+    rows = model.matrix.tolist()
     x = [0] * p
     slack = [model.rhs] * p
     for _ in range(rounds):
@@ -727,12 +649,10 @@ def parse_lp(lines, n: int | None = None, shape=None) -> IlpModel:
             rows[idx] = row
     if len(rhs_values) != 1:
         raise ValueError("expected a single common right-hand side")
-    matrix = tuple(
-        tuple(rows.get(i, {}).get(j, 0) for j in range(dim))
-        for i in range(len(rows))
-    )
-    return IlpModel(n=n or dim, shape=tuple(shape) if shape else (dim - 1, 1),
-                    dim=dim, matrix=matrix, rhs=rhs_values.pop())
+    matrix = [[rows.get(i, {}).get(j, 0) for j in range(dim)]
+              for i in range(len(rows))]
+    return _model(n or dim, tuple(shape) if shape else (dim - 1, 1), matrix,
+                  rhs_values.pop())
 
 
 def export_matrix(action: ActionMatrix, destination, fmt: str = "matrixmarket") -> None:

@@ -14,6 +14,8 @@ import pytest
 
 from kendall_codes import ilp, perfect, perms, young
 
+from exact_sparse import identity, matmul, sparse
+
 extended = pytest.mark.extended
 needs_extended = pytest.mark.skipif(
     os.environ.get("KENDALL_EXTENDED") != "1",
@@ -168,29 +170,15 @@ def test_criterion_06_metric_suite():
 
 
 def test_criterion_07_representation_suite():
-    from fractions import Fraction
-
-    def dense(entries, dim):
-        rows = [[Fraction(0)] * dim for _ in range(dim)]
-        for (i, j), v in entries.items():
-            rows[i][j] = v
-        return rows
-
-    def matmul(a, b):
-        dim = len(a)
-        return [[sum(a[i][k] * b[k][j] for k in range(dim))
-                 for j in range(dim)] for i in range(dim)]
-
     for n in range(2, 8):
         total = 0
         for lam in young.all_partitions(n):
             dim = young.hook_length_dimension(lam)
             assert dim == len(young.enumerate_syt(lam))
             total += dim * dim
-            gens = [dense(young.seminormal_generator(lam, i).entries, dim)
+            gens = [sparse(young.seminormal_generator(lam, i).entries)
                     for i in range(1, n)]
-            ident = [[Fraction(int(i == j)) for j in range(dim)]
-                     for i in range(dim)]
+            ident = identity(dim)
             for g in gens:
                 assert matmul(g, g) == ident
             for i in range(len(gens) - 1):

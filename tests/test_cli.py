@@ -111,6 +111,21 @@ def test_config_file_overrides(tmp_path, capsys):
     assert json.loads(out)["matrices"][0]["prime"] == 101
 
 
+def test_removed_knobs_are_rejected(tmp_path, capsys):
+    for key in ("threads", "seed"):
+        cfg = tmp_path / f"{key}.json"
+        cfg.write_text(json.dumps({key: 1}))
+        code, _, err = run(capsys, "--config", str(cfg), "distance", "1,2", "1,2")
+        assert code == 2
+        assert "unknown config keys" in err
+    for argv in (["--threads", "2", "distance", "1,2", "1,2"],
+                 ["--seed", "1", "distance", "1,2", "1,2"],
+                 ["ilp", "solve", "4", "3,1", "--cut-rounds", "0"]):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+
+
 def test_config_rejects_bad_prime(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"primeList": [100]}))

@@ -45,6 +45,16 @@ def test_phase_one_with_lower_bound_row():
     assert point == [5]
 
 
+def test_artificial_pivoted_out_on_a_negative_element():
+    # max x0+x1+x2 over a coset matrix with x0 <= 0, x1 <= 0, x2 >= 1: phase
+    # one leaves an artificial basic whose row has only negative entries
+    rows = [[2, 1, 0], [1, 1, 1], [0, 1, 2], [1, 0, 0], [0, 1, 0], [0, 0, -1]]
+    status, value, point = solve_lp(rows, [2, 2, 2, 0, 0, -1], [1, 1, 1])
+    assert status == OPTIMAL
+    assert value == 1
+    assert point == [0, 0, 1]
+
+
 def test_degenerate_does_not_cycle():
     # classic degenerate corner
     rows = [[1, 1, 0], [1, 0, 1], [0, 1, 1], [1, 1, 1]]

@@ -1,9 +1,13 @@
+import time
 from fractions import Fraction
 from math import factorial
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from kendall_codes import ilp, young
+from kendall_codes.exactlp import OPTIMAL
 from kendall_codes.ilp import (
     INCUMBENT_ONLY,
     PROVEN_OPTIMAL,
@@ -29,6 +33,8 @@ def test_model_construction():
     assert m.dim == 4
     assert m.rhs == 6
     assert m.matrix[0][0] == 3
+    assert m.matrix.dtype == np.int64
+    assert not m.matrix.flags.writeable
 
 
 def test_feasible_trivial_cases():
@@ -38,6 +44,12 @@ def test_feasible_trivial_cases():
     assert not feasible(m, [-1, 0, 0, 0])
     with pytest.raises(ValueError):
         feasible(m, [0, 0])
+
+
+def test_feasible_rejects_huge_coordinates_without_overflow():
+    m = build_coset_ilp(5, (3, 2))
+    assert not feasible(m, [2**70] + [0] * (m.dim - 1))
+    assert not feasible(m, [0] * (m.dim - 1) + [2**63 - 1])
 
 
 @pytest.mark.parametrize("n", [4, 5, 6, 7])
@@ -64,30 +76,77 @@ def test_ilp_small_values(n, shape, want):
     assert r.dual_bound == want
 
 
-def test_ilp_exact_node_path_agrees():
+def test_ilp_exact_node_path_agrees(monkeypatch):
     m = build_coset_ilp(4, (2, 2))
-    a = ilp_solve(m, SolveConfig(exact_nodes=True, float_heuristic=False))
-    b = ilp_solve(m, SolveConfig(exact_nodes=False))
+    b = ilp_solve(m)
+    monkeypatch.setattr(ilp, "_FLOAT_SAFE_RHS", 0)  # selects _bb_exact
+    a = ilp_solve(m, SolveConfig(float_heuristic=False))
     assert a.status == b.status == PROVEN_OPTIMAL
     assert a.optimum == b.optimum
 
 
 def test_ilp_determinism():
     m = build_coset_ilp(5, (3, 2))
-    a = ilp_solve(m, SolveConfig(threads=1))
-    b = ilp_solve(m, SolveConfig(threads=4))
+    a = ilp_solve(m)
+    b = ilp_solve(m)
     assert (a.optimum, a.argmax, a.nodes_explored) == \
         (b.optimum, b.argmax, b.nodes_explored)
 
 
 def test_ilp_time_limit_returns_valid_incumbent():
     m = build_coset_ilp(6, (2, 2, 2))
-    r = ilp_solve(m, SolveConfig(time_limit=3.0, float_heuristic=False,
-                                 cut_rounds=0))
+    r = ilp_solve(m, SolveConfig(time_limit=3.0, float_heuristic=False))
     assert feasible(m, r.argmax)
     assert Fraction(r.optimum) <= r.dual_bound <= 120
     if r.status == PROVEN_OPTIMAL:  # a very fast box, unlikely but legal
         assert r.optimum == r.dual_bound
+
+
+@pytest.mark.parametrize("limit,heuristic", [(3.0, True), (1e-3, False)])
+def test_ilp_time_limit_bounds_every_phase(limit, heuristic):
+    # with the heuristic on, HiGHS alone takes tens of seconds on this model
+    # and the deadline must reach it; a limit that passes during the exact
+    # root solve stops the tree at its root, whose bound must still hold
+    m = build_coset_ilp(6, (2, 2, 2))
+    t0 = time.monotonic()
+    r = ilp_solve(m, SolveConfig(time_limit=limit, float_heuristic=heuristic))
+    assert time.monotonic() - t0 <= limit + 3.0
+    assert r.status in (INCUMBENT_ONLY, PROVEN_OPTIMAL)
+    assert feasible(m, r.argmax)
+    assert sum(r.argmax) == r.optimum
+    # 116 is the proven optimum (acceptance criterion 2)
+    assert r.optimum <= 116 <= r.dual_bound <= 120
+
+
+_SMALL_MODELS = [build_coset_ilp(n, shape) for n, shape in [
+    (3, (2, 1)), (4, (3, 1)), (4, (2, 2)), (4, (2, 1, 1)), (5, (4, 1)),
+    (5, (3, 2)), (5, (3, 1, 1)), (5, (2, 2, 1))]]
+
+
+@st.composite
+def _boxes_and_duals(draw):
+    model = draw(st.sampled_from(_SMALL_MODELS))
+    u0 = (model.rhs // model.matrix.diagonal()).tolist()
+    u = [draw(st.integers(0, cap)) for cap in u0]
+    l = [draw(st.integers(0, hi)) for hi in u]
+    base = draw(st.sampled_from([0.0, 1.0 / model.n]))
+    noise = st.one_of(st.just(0.0), st.floats(-1e-6, 1e-6),
+                      st.floats(-500.0, 500.0))
+    y = [base + draw(noise) for _ in range(model.dim)]
+    return model, np.array(l, dtype=np.int64), np.array(u, dtype=np.int64), \
+        np.array(y)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_boxes_and_duals())
+def test_certified_bound_never_below_the_box_lp_optimum(case):
+    model, l, u, y = case
+    bound, _coef = ilp._certified_bound(y, model.matrix, model.rhs, l, u)
+    # a root box above u makes every upper bound a row: the tree itself
+    # leaves x_j <= u0_j to row j, a looser relaxation than the box LP
+    sx = ilp._box_simplex(model.matrix.tolist(), model.rhs, l, u, u + 1)
+    if sx.solve() == OPTIMAL:  # otherwise the box holds no LP point at all
+        assert bound >= ilp._DUAL_SCALE * sx.value()
 
 
 def test_exhaustive_oracle_below_ilp_bound():
@@ -161,7 +220,7 @@ def test_lp_roundtrip(tmp_path):
     text = dest.read_text()
     assert text.startswith("Maximize")
     again = parse_lp(text.splitlines(), n=4, shape=(3, 1))
-    assert again.matrix == m.matrix
+    assert np.array_equal(again.matrix, m.matrix)
     assert again.rhs == m.rhs
 
 

@@ -27,22 +27,7 @@ from kendall_codes.young import (
     young_subgroup_order,
 )
 
-
-def dense(gen_entries, dim):
-    rows = [[Fraction(0)] * dim for _ in range(dim)]
-    for (i, j), v in gen_entries.items():
-        rows[i][j] = v
-    return rows
-
-
-def matmul(a, b):
-    dim = len(a)
-    return [[sum(a[i][k] * b[k][j] for k in range(dim)) for j in range(dim)]
-            for i in range(dim)]
-
-
-def eye(dim):
-    return [[Fraction(int(i == j)) for j in range(dim)] for i in range(dim)]
+from exact_sparse import identity, matmul, sparse
 
 
 # -- partitions and tabloids -------------------------------------------------
@@ -200,9 +185,9 @@ def test_syt_enumeration_matches_hooks():
 def test_seminormal_relations(n):
     for lam in all_partitions(n):
         dim = hook_length_dimension(lam)
-        gens = [dense(seminormal_generator(lam, i).entries, dim)
+        gens = [sparse(seminormal_generator(lam, i).entries)
                 for i in range(1, n)]
-        ident = eye(dim)
+        ident = identity(dim)
         for g in gens:
             assert matmul(g, g) == ident  # involutions
         for i in range(len(gens) - 1):
