@@ -34,7 +34,6 @@ from kendall_codes.young import (
 from kendall_codes.ilp import (
     IlpModel,
     IlpResult,
-    SolveConfig,
     analytic_prime_bound,
     bound_report,
     build_coset_ilp,

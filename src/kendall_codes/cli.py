@@ -175,7 +175,7 @@ def cmd_ilp(args, cfg: CliConfig) -> int:
             raise ValueError("ilp export needs --out")
         ilp.export_lp(model, args.out)
         return EXIT_OK
-    result = ilp.ilp_solve(model, ilp.SolveConfig(time_limit=cfg.time_limit))
+    result = ilp.ilp_solve(model, time_limit=cfg.time_limit)
     payload = _ilp_result_payload(model, result)
     _emit(payload, cfg,
           [f"optimum {result.optimum} ({result.status}), "
@@ -185,8 +185,7 @@ def cmd_ilp(args, cfg: CliConfig) -> int:
 
 def cmd_bound(args, cfg: CliConfig) -> int:
     shapes = [parse_shape(s) for s in args.shape or []]
-    report = ilp.bound_report(args.n, shapes,
-                              ilp.SolveConfig(time_limit=cfg.time_limit))
+    report = ilp.bound_report(args.n, shapes, time_limit=cfg.time_limit)
     payload = report.to_json_dict()
     lines = [f"P({report.n},{report.d}) upper bounds:"]
     for e in report.entries:

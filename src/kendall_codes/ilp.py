@@ -10,11 +10,11 @@ Everything in the certified path is arbitrary-precision integer / rational
 arithmetic.  The root relaxation runs once on the exact simplex of
 :mod:`kendall_codes.exactlp`; the branch-and-bound descent uses a fast float
 LP (:mod:`kendall_codes.boxlp`) only as a guide, converting its duals into
-integer multipliers whose weak-duality bound is evaluated exactly, so no
-pruning decision ever rests on floating point.  Models whose right-hand
-side is too large for that conversion fall back to exact simplex node
-relaxations.  All node and branching rules are deterministic, so results
-are reproducible.
+integer multipliers (scaled with the right-hand side) whose weak-duality
+bound is evaluated exactly, so no pruning decision ever rests on floating
+point.  One tree serves every right-hand side that fits its int64 bounds.
+All node and branching rules are deterministic, so results are
+reproducible.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ import numpy as np
 
 from kendall_codes import young
 from kendall_codes.exactlp import ExactSimplex, OPTIMAL
+from kendall_codes.perfect import _is_prime
 from kendall_codes.perms import Code, inverse, sphere_packing_bound
 from kendall_codes.young import ActionMatrix, build_action_matrix, check_partition
 
@@ -71,13 +72,6 @@ class IlpResult:
     nodes_explored: int
     status: str  # proven-optimal | incumbent-only
     dual_bound: Fraction
-
-
-@dataclass
-class SolveConfig:
-    time_limit: float | None = None  # seconds
-    #: seed the incumbent with a float MILP heuristic (verified exactly)
-    float_heuristic: bool = True
 
 
 #: HiGHS branch-and-bound nodes allowed to the incumbent heuristic
@@ -138,11 +132,19 @@ def _heuristic_incumbent(model: IlpModel, lp_point) -> list[int]:
     return x
 
 
-#: scaling factor turning float duals into certified integer multipliers
-_DUAL_SCALE = 1 << 36
-#: above this right-hand side, float duals are too lossy; nodes switch to
-#: the exact simplex (correctness never depends on this, only pruning power)
-_FLOAT_SAFE_RHS = 10**9
+def _dual_scale(rhs: int) -> int:
+    """Scale S turning float duals y into integer multipliers rint(S y).
+
+    A power of two above 2**10 * rhs (and at least 2**36), so rounding the
+    multipliers moves Y'b by less than dim / 2**11 objective units at any
+    right-hand side.
+    """
+    return 1 << max(36, rhs.bit_length() + 10)
+
+
+def _columns(mat: np.ndarray) -> list[list[tuple[int, int]]]:
+    """The nonzeros (i, mat_ij) of each column j, as Python ints."""
+    return [[(i, a) for i, a in enumerate(col) if a] for col in mat.T.tolist()]
 
 
 def _propagate(mat: np.ndarray, b: np.ndarray, l: np.ndarray, u: np.ndarray):
@@ -155,32 +157,30 @@ def _propagate(mat: np.ndarray, b: np.ndarray, l: np.ndarray, u: np.ndarray):
     tot = mat @ l
     if (tot > b).any():
         return None
-    big = np.int64(1) << 55
     caps = np.where(mat > 0,
                     (b[:, None] - tot[:, None] + mat * l[None, :])
-                    // np.maximum(mat, 1), big)
+                    // np.maximum(mat, 1), u[None, :])
     newu = np.minimum(u, caps.min(axis=0))
     if (newu < l).any():
         return None
     return l, newu
 
 
-def _certified_bound(y, mat: np.ndarray, rhs: int, l, u):
+def _certified_bound(y, cols, rhs: int, scale: int, l, u):
     """Exact scaled upper bound from (possibly sloppy) float duals.
 
     For any integer Y >= 0, S.1'x <= Y'b + sum_j max over [l_j, u_j] of
-    (S - Y'M)_j x_j with S the scale; only integer arithmetic touches the
-    result, so the bound is valid no matter how bad y is.  Returns
-    (scaled bound, coefficient list).
+    (S - Y'M)_j x_j with S the scale and cols the columns of M.  Everything
+    after the rounding of y runs on Python integers, so the bound is valid
+    no matter how bad y is or how large S gets.  Returns (scaled bound,
+    coefficient list).
     """
-    Y = np.rint(np.clip(y, 0.0, 100.0) * _DUAL_SCALE).astype(np.int64)
-    # column sums of mat are n, so the matvec stays far below 2**63
-    coef = (_DUAL_SCALE - Y @ mat).tolist()
-    lo = l.tolist()
-    hi = u.tolist()
-    bound = int(Y.sum()) * rhs
+    Y = [int(v) for v in
+         np.rint(np.clip(y, 0.0, 100.0) * float(scale)).tolist()]
+    coef = [scale - sum(a * Y[i] for i, a in col) for col in cols]
+    bound = sum(Y) * rhs
     bound += sum(c * h if c > 0 else c * lo_j
-                 for c, lo_j, h in zip(coef, lo, hi))
+                 for c, lo_j, h in zip(coef, l.tolist(), u.tolist()))
     return bound, coef
 
 
@@ -216,12 +216,15 @@ def _bb_float(model: IlpModel, u0, root_bound: int, best_value: int,
     arithmetic for every pruning decision.
 
     Per node: propagate bounds, solve the box LP warm-started from the
-    parent basis, certify the dual bound exactly, apply exact reduced-cost
-    fixing against the incumbent, branch by reliability pseudocosts (the
-    first evaluations of a variable are strong-branch probes, later ones use
-    the learned per-unit objective degradation; lowest index on ties).
-    Returns (best, point, nodes, open_bound) where open_bound is None iff
-    the tree was exhausted.
+    parent basis (scipy's LP if that fails), certify the dual bound exactly,
+    apply exact reduced-cost fixing against the incumbent, branch by
+    reliability pseudocosts (the first evaluations of a variable are
+    strong-branch probes, later ones use the learned per-unit objective
+    degradation; lowest index on ties).  A node whose float LPs both fail
+    is certified with its parent's duals and split at the box midpoint.  A
+    feasible node is closed only by its certified bound, or when its box is
+    a single point.  Returns (best, point, nodes, open_bound) where
+    open_bound is None iff the tree was exhausted.
     """
     from kendall_codes.boxlp import BoxSimplex
     from scipy.optimize import linprog
@@ -230,7 +233,9 @@ def _bb_float(model: IlpModel, u0, root_bound: int, best_value: int,
     dim = model.dim
     b = np.full(dim, model.rhs, dtype=np.int64)
     box = BoxSimplex(mat, b, np.ones(dim))
-    bounds_T = (best_value + 1) * _DUAL_SCALE
+    cols = _columns(mat)
+    scale = _dual_scale(model.rhs)
+    bounds_T = (best_value + 1) * scale
     nodes = 0
     # pseudocost accumulators: per-unit LP objective drop, down and up
     pcd = np.zeros(dim)
@@ -238,32 +243,35 @@ def _bb_float(model: IlpModel, u0, root_bound: int, best_value: int,
     pcu = np.zeros(dim)
     pcu_n = np.zeros(dim)
     sb_budget = 3000  # strong-branch probe pairs across the whole tree
-    # stack entries: bounds, warm basis, exact scaled upper bound, and the
-    # branch that created the node (variable, direction, parent LP value,
-    # fractional part) for pseudocost updates
+    # stack entries: bounds, warm basis, the parent's duals, exact scaled
+    # upper bound, and the branch that created the node (variable,
+    # direction, parent LP value, fractional part) for pseudocost updates;
+    # the root's "parent" duals are 1/n, optimal for the root LP of a coset
+    # model (rows sum to n), though any y >= 0 would be sound
     stack = [(np.zeros(dim, dtype=np.int64), np.asarray(u0, dtype=np.int64),
-              None, root_bound * _DUAL_SCALE, None)]
+              None, np.full(dim, 1.0 / model.n), root_bound * scale, None)]
     while stack:
-        l, u, warm, est, pinfo = stack.pop()
+        l, u, warm, y, est, pinfo = stack.pop()
         if est < bounds_T:
             continue
         if deadline is not None and time.monotonic() > deadline:
-            top = max([est] + [e for _l, _u, _w, e, _p in stack])
-            return best_value, best_point, nodes, Fraction(top, _DUAL_SCALE)
+            top = max([est] + [entry[4] for entry in stack])
+            return best_value, best_point, nodes, Fraction(top, scale)
         prop = _propagate(mat, b, l, u)
         if prop is None:
             continue
         l, u = prop
         sol = box.solve(l, u, warm=warm)
+        x = warm_out = None
         if sol is not None:
-            x, y = sol[0], sol[1]
-            warm_out = sol[3]
+            x, y, warm_out = sol[0], sol[1], sol[3]
         else:
             res = linprog(-np.ones(dim), A_ub=mat, b_ub=b,
                           bounds=np.column_stack([l, u]), method="highs")
-            x, y = res.x, np.maximum(-res.ineqlin.marginals, 0.0)
-            warm_out = None
-        obj = float(x.sum())
+            if res.status == 0:
+                x, y = res.x, np.maximum(-res.ineqlin.marginals, 0.0)
+        bound, coef = _certified_bound(y, cols, model.rhs, scale, l, u)
+        obj = bound / scale if x is None else float(x.sum())
         if pinfo is not None:
             pj, went_up, pobj, f = pinfo
             gain = max(pobj - obj, 0.0)
@@ -273,7 +281,6 @@ def _bb_float(model: IlpModel, u0, root_bound: int, best_value: int,
             else:
                 pcd[pj] += gain / max(f, 1e-6)
                 pcd_n[pj] += 1.0
-        bound, coef = _certified_bound(y, mat, model.rhs, l, u)
         if bound < bounds_T:
             continue
         # exact reduced-cost fixing: shrinking variable j's box costs |coef_j|
@@ -293,26 +300,29 @@ def _bb_float(model: IlpModel, u0, root_bound: int, best_value: int,
             continue
         l, u = prop
         nodes += 1
+        if x is None:  # no LP point: aim at the box midpoint
+            x = (l + u) / 2.0
         xc = np.clip(x, l, u)
         frac = np.abs(xc - np.rint(xc))
         frac[l == u] = 0.0
         if float(frac.max()) < 1e-7:
             cand = np.rint(xc).astype(np.int64)
-            if (cand >= l).all() and (cand <= u).all() and (mat @ cand <= b).all():
-                value = int(cand.sum())
-                if value > best_value:
-                    best_value = value
-                    best_point = [int(v) for v in cand]
-                    bounds_T = (best_value + 1) * _DUAL_SCALE
-                continue
-            # clamping broke feasibility; fall back to the raw LP point
+            if (mat @ cand <= b).all():
+                point = cand.tolist()
+                if sum(point) > best_value:
+                    best_value = sum(point)
+                    best_point = point
+                    bounds_T = (best_value + 1) * scale
+                if bound < bounds_T:
+                    continue  # the certified bound proves cand best here
+            # no proven integral optimum: branch on the raw LP point's
+            # fractional part, else on the widest variable
             frac = np.abs(x - np.rint(x))
             frac[l == u] = 0.0
             if float(frac.max()) < 1e-7:
                 j = int(np.argmax(u - l))
                 if u[j] == l[j]:
-                    continue
-                frac = frac.copy()
+                    continue  # a single point, feasible, recorded above
                 frac[j] = 0.5
         cands = [int(j) for j in np.where(frac > 1e-7)[0]]
 
@@ -366,107 +376,36 @@ def _bb_float(model: IlpModel, u0, root_bound: int, best_value: int,
         ud[j] = split
         lu = l.copy()
         lu[j] = split + 1
-        stack.append((l, ud, warm_out, down_est, (j, False, obj, fpart)))
-        stack.append((lu, u, warm_out, up_est, (j, True, obj, fpart)))
+        stack.append((l, ud, warm_out, y, down_est, (j, False, obj, fpart)))
+        stack.append((lu, u, warm_out, y, up_est, (j, True, obj, fpart)))
     return best_value, best_point, nodes, None
 
 
-def _box_simplex(a_rows: list[list[int]], rhs: int, l, u, u_root) -> ExactSimplex:
-    """Exact simplex for max 1.x, a_rows x <= rhs, l <= x <= u, x >= 0.
-
-    Bound rows are added only where the box is tighter than [0, u_root].
-    """
-    dim = len(a_rows)
-    rows = list(a_rows)
-    b = [rhs] * dim
-    for j in range(dim):
-        if u[j] < u_root[j]:
-            row = [0] * dim
-            row[j] = 1
-            rows.append(row)
-            b.append(int(u[j]))
-        if l[j] > 0:
-            row = [0] * dim
-            row[j] = -1
-            rows.append(row)
-            b.append(-int(l[j]))
-    return ExactSimplex(rows, b, [1] * dim)
-
-
-def _bb_exact(model: IlpModel, u0, root_bound: int, best_value: int,
-              best_point, deadline: float | None):
-    """Depth-first branch and bound with exact simplex node relaxations.
-
-    Used when the right-hand side is so large that scaled float duals lose
-    more than a unit of objective.  Same tree rules as _bb_float, minus the
-    reduced-cost fixing (no duals are extracted from the exact solver)."""
-    mat = model.matrix
-    dim = model.dim
-    b = np.full(dim, model.rhs, dtype=np.int64)
-    a_rows = mat.tolist()
-    nodes = 0
-    u_root = np.asarray(u0, dtype=np.int64)
-    stack = [(np.zeros(dim, dtype=np.int64), u_root, root_bound)]
-    while stack:
-        l, u, est = stack.pop()
-        if est <= best_value:
-            continue
-        if deadline is not None and time.monotonic() > deadline:
-            top = max([est] + [e for _l, _u, e in stack])
-            return best_value, best_point, nodes, Fraction(top)
-        prop = _propagate(mat, b, l, u)
-        if prop is None:
-            continue
-        l, u = prop
-        sx = _box_simplex(a_rows, model.rhs, l, u, u_root)
-        if sx.solve() != OPTIMAL:
-            continue
-        value = sx.value()
-        if value.numerator // value.denominator <= best_value:
-            continue
-        nodes += 1
-        point = sx.point()
-        j_frac = None
-        f_best = Fraction(0)
-        for j, v in enumerate(point):
-            f = v - (v.numerator // v.denominator)
-            if f > f_best:
-                f_best = f
-                j_frac = j
-        if j_frac is None:
-            cand = [int(v) for v in point]
-            cand_val = sum(cand)
-            if cand_val > best_value:
-                best_value = cand_val
-                best_point = cand
-            continue
-        split = point[j_frac].numerator // point[j_frac].denominator
-        floor_bound = value.numerator // value.denominator
-        ud = u.copy()
-        ud[j_frac] = split
-        lu = l.copy()
-        lu[j_frac] = split + 1
-        stack.append((l, ud, floor_bound))
-        stack.append((lu, u, floor_bound))
-    return best_value, best_point, nodes, None
-
-
-def ilp_solve(model: IlpModel, config: SolveConfig | None = None) -> IlpResult:
+def ilp_solve(model: IlpModel, *, time_limit: float | None = None) -> IlpResult:
     """Certified branch-and-bound for the coset integer program.
 
     The root relaxation is solved once on the exact rational simplex.  The
-    descent solves a float LP per node for speed, but converts its duals
-    into integer multipliers whose weak-duality bound is evaluated in exact
-    arithmetic; all pruning, bound fixing, and incumbent updates are exact,
-    so the result is a proof.  Deterministic: depth-first with fixed child
-    order, branching by reliability pseudocosts (lowest index on ties).  The
-    time limit counts from the call: the heuristic gets the time left after
-    the root and the tree stops at the deadline, returning status
-    ``incumbent-only`` and a valid dual bound instead of failing.
+    descent solves a float LP per node for guidance only: its duals become
+    integer multipliers, scaled with the right-hand side, whose weak-duality
+    bound is evaluated in exact arithmetic; all pruning, bound fixing, and
+    incumbent updates are exact, so the result is a proof at any rhs that
+    fits the tree's int64 bounds (larger models raise
+    ``young.DimensionLimitError`` before any solve).  Deterministic:
+    depth-first with fixed child order, branching by reliability pseudocosts
+    (lowest index on ties).  ``time_limit`` (seconds) counts from the call:
+    the heuristic gets the time left after the root and the tree stops at
+    the deadline, returning status ``incumbent-only`` and a valid dual bound
+    instead of failing.
     """
-    config = config or SolveConfig()
-    deadline = (None if config.time_limit is None
-                else time.monotonic() + config.time_limit)
+    deadline = None if time_limit is None else time.monotonic() + time_limit
+    u0 = [model.rhs // d for d in model.matrix.diagonal().tolist()]
+    # the tree's largest int64 intermediate is a row activity at the root
+    # box plus rhs (in _propagate); refuse the model if it would overflow
+    peak = model.rhs + max(model.matrix @ np.array(u0, dtype=object))
+    if peak >= 1 << 63:
+        raise young.DimensionLimitError(
+            f"the coset ILP of {model.shape} at n={model.n} needs integers "
+            f"up to {peak}, beyond int64")
 
     root = lp_relax(model)
     if root.status != OPTIMAL:
@@ -476,9 +415,8 @@ def ilp_solve(model: IlpModel, config: SolveConfig | None = None) -> IlpResult:
     # incumbents: exact rounding ascent, then the float MILP heuristic
     best_point = _heuristic_incumbent(model, root.point)
     best_value = sum(best_point)
-    u0 = (model.rhs // model.matrix.diagonal()).tolist()
     remaining = None if deadline is None else deadline - time.monotonic()
-    if config.float_heuristic and (remaining is None or remaining > 0):
+    if remaining is None or remaining > 0:
         cand = _milp_heuristic(model, u0, remaining)
         if cand is not None and sum(cand) > best_value:
             best_value = sum(cand)
@@ -489,8 +427,7 @@ def ilp_solve(model: IlpModel, config: SolveConfig | None = None) -> IlpResult:
                          nodes_explored=0, status=PROVEN_OPTIMAL,
                          dual_bound=Fraction(best_value))
 
-    descend = _bb_exact if model.rhs > _FLOAT_SAFE_RHS else _bb_float
-    best_value, best_point, nodes, open_bound = descend(
+    best_value, best_point, nodes, open_bound = _bb_float(
         model, u0, root_bound, best_value, best_point, deadline)
 
     if open_bound is None:
@@ -536,17 +473,6 @@ def analytic_prime_bound(p: int) -> int:
 
 def _ceil_div(a: int, b: int) -> int:
     return -(-a // b)
-
-
-def _is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
-            return False
-        d += 1
-    return True
 
 
 def systemineq_check(x, p: int) -> tuple[bool, bool, bool]:
@@ -748,7 +674,8 @@ def literature_upper_bounds(n: int) -> list[tuple[int, str]]:
     return out
 
 
-def bound_report(n: int, shapes=None, config: SolveConfig | None = None) -> BoundReport:
+def bound_report(n: int, shapes=None, *,
+                 time_limit: float | None = None) -> BoundReport:
     """Aggregate sphere-packing, analytic, ILP and literature bounds on P(n,3)."""
     if n < 3:
         raise ValueError("bound reports need n >= 3")
@@ -760,7 +687,7 @@ def bound_report(n: int, shapes=None, config: SolveConfig | None = None) -> Boun
                                   provenance="(p-1)! - ceil(p/3) + 2"))
     for shape in shapes or []:
         model = build_coset_ilp(n, shape)
-        result = ilp_solve(model, config)
+        result = ilp_solve(model, time_limit=time_limit)
         if result.status == PROVEN_OPTIMAL:
             entries.append(BoundEntry(method="ilp", shape=tuple(shape),
                                       value=result.optimum,

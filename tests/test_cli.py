@@ -126,6 +126,12 @@ def test_removed_knobs_are_rejected(tmp_path, capsys):
         assert exc.value.code == 2
 
 
+def test_ilp_beyond_int64_exits_4(capsys):
+    code, _, err = run(capsys, "ilp", "solve", "22", "21,1")
+    assert code == 4
+    assert "int64" in err
+
+
 def test_config_rejects_bad_prime(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"primeList": [100]}))

@@ -7,11 +7,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from kendall_codes import ilp, young
-from kendall_codes.exactlp import OPTIMAL
+from kendall_codes.boxlp import BoxSimplex
+from kendall_codes.exactlp import ExactSimplex, OPTIMAL
 from kendall_codes.ilp import (
     INCUMBENT_ONLY,
     PROVEN_OPTIMAL,
-    SolveConfig,
     analytic_prime_bound,
     bound_report,
     build_coset_ilp,
@@ -76,15 +76,6 @@ def test_ilp_small_values(n, shape, want):
     assert r.dual_bound == want
 
 
-def test_ilp_exact_node_path_agrees(monkeypatch):
-    m = build_coset_ilp(4, (2, 2))
-    b = ilp_solve(m)
-    monkeypatch.setattr(ilp, "_FLOAT_SAFE_RHS", 0)  # selects _bb_exact
-    a = ilp_solve(m, SolveConfig(float_heuristic=False))
-    assert a.status == b.status == PROVEN_OPTIMAL
-    assert a.optimum == b.optimum
-
-
 def test_ilp_determinism():
     m = build_coset_ilp(5, (3, 2))
     a = ilp_solve(m)
@@ -93,9 +84,27 @@ def test_ilp_determinism():
         (b.optimum, b.argmax, b.nodes_explored)
 
 
-def test_ilp_time_limit_returns_valid_incumbent():
+def _no_milp_heuristic(monkeypatch):
+    monkeypatch.setattr(ilp, "_milp_heuristic", lambda *args: None)
+
+
+def _fail_first_call(monkeypatch, owner, name, failure):
+    """Make the first call of owner.name return failure."""
+    real = getattr(owner, name)
+    calls = []
+
+    def fake(*args, **kwargs):
+        calls.append(None)
+        return failure if len(calls) == 1 else real(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, fake)
+    return calls
+
+
+def test_ilp_time_limit_returns_valid_incumbent(monkeypatch):
+    _no_milp_heuristic(monkeypatch)
     m = build_coset_ilp(6, (2, 2, 2))
-    r = ilp_solve(m, SolveConfig(time_limit=3.0, float_heuristic=False))
+    r = ilp_solve(m, time_limit=3.0)
     assert feasible(m, r.argmax)
     assert Fraction(r.optimum) <= r.dual_bound <= 120
     if r.status == PROVEN_OPTIMAL:  # a very fast box, unlikely but legal
@@ -103,13 +112,15 @@ def test_ilp_time_limit_returns_valid_incumbent():
 
 
 @pytest.mark.parametrize("limit,heuristic", [(3.0, True), (1e-3, False)])
-def test_ilp_time_limit_bounds_every_phase(limit, heuristic):
+def test_ilp_time_limit_bounds_every_phase(limit, heuristic, monkeypatch):
     # with the heuristic on, HiGHS alone takes tens of seconds on this model
     # and the deadline must reach it; a limit that passes during the exact
     # root solve stops the tree at its root, whose bound must still hold
+    if not heuristic:
+        _no_milp_heuristic(monkeypatch)
     m = build_coset_ilp(6, (2, 2, 2))
     t0 = time.monotonic()
-    r = ilp_solve(m, SolveConfig(time_limit=limit, float_heuristic=heuristic))
+    r = ilp_solve(m, time_limit=limit)
     assert time.monotonic() - t0 <= limit + 3.0
     assert r.status in (INCUMBENT_ONLY, PROVEN_OPTIMAL)
     assert feasible(m, r.argmax)
@@ -118,14 +129,95 @@ def test_ilp_time_limit_bounds_every_phase(limit, heuristic):
     assert r.optimum <= 116 <= r.dual_bound <= 120
 
 
-_SMALL_MODELS = [build_coset_ilp(n, shape) for n, shape in [
+def test_node_whose_float_lps_both_fail_is_still_certified(monkeypatch):
+    # the rounding incumbent of (2,2,1)@5 is 21, so the tree must find 22;
+    # its root node gets neither a box-LP nor a HiGHS solution
+    _no_milp_heuristic(monkeypatch)
+    from scipy import optimize
+    failed = optimize.OptimizeResult(status=4, x=None,
+                                     ineqlin=optimize.OptimizeResult(marginals=None))
+    box_calls = _fail_first_call(monkeypatch, BoxSimplex, "solve", None)
+    lp_calls = _fail_first_call(monkeypatch, optimize, "linprog", failed)
+    m = build_coset_ilp(5, (2, 2, 1))
+    r = ilp_solve(m)
+    assert len(box_calls) > 1 and len(lp_calls) >= 1
+    assert r.status == PROVEN_OPTIMAL
+    assert r.optimum == 22
+    assert feasible(m, r.argmax)
+
+
+def test_integral_lp_point_closes_a_node_only_with_a_certified_bound(monkeypatch):
+    # the root's float LP returns the integral, feasible but far from
+    # optimal point 0; the node may not be closed on it, since the duals
+    # 1/n certify only the root bound 24 and the incumbent is 21
+    _no_milp_heuristic(monkeypatch)
+    m = build_coset_ilp(5, (2, 2, 1))
+    fake = (np.zeros(m.dim), np.full(m.dim, 1.0 / m.n), 0.0, None, 0)
+    _fail_first_call(monkeypatch, BoxSimplex, "solve", fake)
+    r = ilp_solve(m)
+    assert r.status == PROVEN_OPTIMAL
+    assert r.optimum == 22
+
+
+def test_propagate_keeps_the_root_box_when_no_row_is_tight():
+    # u0 is about 1.28e17 here, above any fixed sentinel of int64 size
+    m = build_coset_ilp(21, (20, 1))
+    u0 = m.rhs // m.matrix.diagonal()
+    b = np.full(m.dim, m.rhs, dtype=np.int64)
+    _l, u = ilp._propagate(m.matrix, b, np.zeros(m.dim, dtype=np.int64), u0)
+    assert np.array_equal(u, u0)
+
+
+def test_models_beyond_int64_are_refused_before_solving(monkeypatch):
+    def no_root(model):
+        raise AssertionError("the root LP must not run")
+
+    m = build_coset_ilp(22, (21, 1))
+    monkeypatch.setattr(ilp, "lp_relax", no_root)
+    with pytest.raises(young.DimensionLimitError, match="int64"):
+        ilp_solve(m)
+
+
+def test_largest_int64_model_still_solves():
+    m = build_coset_ilp(21, (20, 1))
+    r = ilp_solve(m)
+    assert r.status == PROVEN_OPTIMAL
+    assert r.optimum == factorial(20)  # 21 divides 20!, so x = 20!/21 . 1
+    assert feasible(m, r.argmax)
+
+
+def _box_simplex(a_rows: list[list[int]], rhs: int, l, u, u_root) -> ExactSimplex:
+    """Exact simplex for max 1.x, a_rows x <= rhs, l <= x <= u, x >= 0.
+
+    Bound rows are added only where the box is tighter than [0, u_root].
+    """
+    dim = len(a_rows)
+    rows = list(a_rows)
+    b = [rhs] * dim
+    for j in range(dim):
+        if u[j] < u_root[j]:
+            row = [0] * dim
+            row[j] = 1
+            rows.append(row)
+            b.append(int(u[j]))
+        if l[j] > 0:
+            row = [0] * dim
+            row[j] = -1
+            rows.append(row)
+            b.append(-int(l[j]))
+    return ExactSimplex(rows, b, [1] * dim)
+
+
+# small models, plus the tridiagonal (16,1)@17 and (18,1)@19 whose rhs 16!
+# and 18! need a dual scale far above 2**36
+_BOUND_MODELS = [build_coset_ilp(n, shape) for n, shape in [
     (3, (2, 1)), (4, (3, 1)), (4, (2, 2)), (4, (2, 1, 1)), (5, (4, 1)),
-    (5, (3, 2)), (5, (3, 1, 1)), (5, (2, 2, 1))]]
+    (5, (3, 2)), (5, (3, 1, 1)), (5, (2, 2, 1)), (17, (16, 1)), (19, (18, 1))]]
 
 
 @st.composite
 def _boxes_and_duals(draw):
-    model = draw(st.sampled_from(_SMALL_MODELS))
+    model = draw(st.sampled_from(_BOUND_MODELS))
     u0 = (model.rhs // model.matrix.diagonal()).tolist()
     u = [draw(st.integers(0, cap)) for cap in u0]
     l = [draw(st.integers(0, hi)) for hi in u]
@@ -141,12 +233,14 @@ def _boxes_and_duals(draw):
 @given(_boxes_and_duals())
 def test_certified_bound_never_below_the_box_lp_optimum(case):
     model, l, u, y = case
-    bound, _coef = ilp._certified_bound(y, model.matrix, model.rhs, l, u)
+    scale = ilp._dual_scale(model.rhs)
+    bound, _coef = ilp._certified_bound(y, ilp._columns(model.matrix),
+                                        model.rhs, scale, l, u)
     # a root box above u makes every upper bound a row: the tree itself
     # leaves x_j <= u0_j to row j, a looser relaxation than the box LP
-    sx = ilp._box_simplex(model.matrix.tolist(), model.rhs, l, u, u + 1)
+    sx = _box_simplex(model.matrix.tolist(), model.rhs, l, u, u + 1)
     if sx.solve() == OPTIMAL:  # otherwise the box holds no LP point at all
-        assert bound >= ilp._DUAL_SCALE * sx.value()
+        assert bound >= scale * sx.value()
 
 
 def test_exhaustive_oracle_below_ilp_bound():
