@@ -88,9 +88,6 @@ class ExactSimplex:
                 x[var] = Fraction(self.T[i + 1][-1], self.q)
         return x
 
-    def basic_value(self, row_index: int) -> Fraction:
-        return Fraction(self.T[row_index + 1][-1], self.q)
-
     # -- pivoting ----------------------------------------------------------
 
     def _pivot(self, r: int, c: int):

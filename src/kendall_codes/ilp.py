@@ -77,11 +77,20 @@ class IlpResult:
 #: HiGHS branch-and-bound nodes allowed to the incumbent heuristic
 _HEURISTIC_NODE_LIMIT = 100_000
 
+#: largest coset ILP (number of tabloids) that build_coset_ilp accepts.  The
+#: model and the tree hold dense dim x dim arrays of 8-byte entries at once:
+#: the int64 model matrix, BoxSimplex's float G = [M | I] (two) and B^-1
+#: with its rank-one update (two), four _propagate temporaries and HiGHS's
+#: float copy of the matrix, about 80 bytes per entry.  2500 tabloids keep
+#: them under 512 MiB; the shape is refused before it is enumerated.
+ILP_DIMENSION_LIMIT = 2500
 
-def build_coset_ilp(n: int, shape,
-                    limit: int = young.DENSE_TABLOID_LIMIT) -> IlpModel:
+
+def build_coset_ilp(n: int, shape) -> IlpModel:
+    """The coset ILP of shape; raises young.DimensionLimitError before any
+    enumeration when the shape has more than ILP_DIMENSION_LIMIT tabloids."""
     shape = check_partition(shape)
-    return model_from_action(build_action_matrix(n, shape, limit),
+    return model_from_action(build_action_matrix(n, shape, ILP_DIMENSION_LIMIT),
                              young.young_subgroup_order(shape))
 
 
@@ -392,10 +401,11 @@ def ilp_solve(model: IlpModel, *, time_limit: float | None = None) -> IlpResult:
     fits the tree's int64 bounds (larger models raise
     ``young.DimensionLimitError`` before any solve).  Deterministic:
     depth-first with fixed child order, branching by reliability pseudocosts
-    (lowest index on ties).  ``time_limit`` (seconds) counts from the call:
-    the heuristic gets the time left after the root and the tree stops at
-    the deadline, returning status ``incumbent-only`` and a valid dual bound
-    instead of failing.
+    (lowest index on ties).  The HiGHS incumbent heuristic runs only while
+    rhs < 2**53, where float64 is exact.  ``time_limit`` (seconds) counts
+    from the call: the heuristic gets the time left after the root and the
+    tree stops at the deadline, returning status ``incumbent-only`` and a
+    valid dual bound instead of failing.
     """
     deadline = None if time_limit is None else time.monotonic() + time_limit
     u0 = [model.rhs // d for d in model.matrix.diagonal().tolist()]
@@ -416,7 +426,9 @@ def ilp_solve(model: IlpModel, *, time_limit: float | None = None) -> IlpResult:
     best_point = _heuristic_incumbent(model, root.point)
     best_value = sum(best_point)
     remaining = None if deadline is None else deadline - time.monotonic()
-    if remaining is None or remaining > 0:
+    # from 2**53 on float64 holds neither rhs nor the coordinates exactly,
+    # and HiGHS writes diagnostics straight to file descriptor 1
+    if (remaining is None or remaining > 0) and model.rhs < 1 << 53:
         cand = _milp_heuristic(model, u0, remaining)
         if cand is not None and sum(cand) > best_value:
             best_value = sum(cand)
@@ -651,17 +663,6 @@ _LITERATURE_UB = {
          (factorial(14) - 1, "14!-1, no 1-perfect code (irreducible constituents invertible)")],
     17: [(factorial(16) - 1, "16!-1, ball-intersection bound"),
          (factorial(16) - 5, "16!-5, coset integer program, shape (16,1)")],
-}
-
-#: published lower bounds on P(n,3) (context only; constructions out of scope)
-_LITERATURE_LB = {
-    6: 102,
-    7: 588,
-    11: factorial(11) // 20,
-    13: factorial(13) // 24,
-    14: 2 * factorial(12),
-    15: factorial(15) // 28,
-    17: 2 * factorial(15),
 }
 
 

@@ -7,6 +7,12 @@ certified by modular arithmetic: a nonzero determinant mod p is already a
 proof of rational invertibility, while singularity mod p says nothing and is
 retried with the next prime from the configured list.
 
+Each matrix is reduced mod p at its known dimension: a coset matrix from its
+sparse action matrix (one row per tabloid), an irreducible block T-hat_lam
+from its exact rational entries at dimension f^lam (hook length formula).
+An all-zero block is therefore a singular f^lam x f^lam matrix, never an
+empty one.
+
 Two matrix engines are provided.  Dense elimination (numpy, residues mod p)
 gives a deterministic determinant for dimensions up to DENSE_LIMIT.  Above
 that, elimination fill is prohibitive, so a Wiedemann black-box check is used
@@ -33,7 +39,7 @@ must lie below PRIME_LIMIT so that int64 arithmetic stays exact.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
@@ -289,29 +295,15 @@ class MatrixCheck:
                 "verdict": self.verdict, "method": self.method}
 
 
-def _as_modp(matrix, p: int, n: int | None = None) -> ModPMatrix:
-    if isinstance(matrix, ModPMatrix):
-        if matrix.p != p:
-            raise ValueError("matrix already reduced at a different prime")
-        return matrix
-    if isinstance(matrix, ActionMatrix):
-        return modp_from_action(matrix, p)
-    if isinstance(matrix, dict):
-        dim = max(max(i, j) for i, j in matrix) + 1 if matrix else 0
-        return modp_from_entries(dim, matrix, p, n=n)
-    return modp_from_rows(matrix, p)
-
-
-def invertible_mod_p(matrix, p: int, n: int | None = None) -> str:
+def invertible_mod_p(matrix, p: int) -> str:
     """'invertible' proves rational invertibility; 'singular-mod-p' proves
     nothing and should be retried at another prime.
 
-    Accepts dense rows (ints or Fractions), a sparse {(i,j): value} dict, an
-    ActionMatrix, or a prepared ModPMatrix.
+    Accepts dense square rows (ints or Fractions) or an ActionMatrix.
     """
     _check_prime(p)
-    m = _as_modp(matrix, p, n=n)
-    verdict, _method = _certify(m)
+    reduce = modp_from_action if isinstance(matrix, ActionMatrix) else modp_from_rows
+    verdict, _method = _certify(reduce(matrix, p))
     return verdict
 
 
@@ -381,22 +373,21 @@ def perfect_counting_condition(n: int, r: int) -> bool:
     return factorial(n) % size == 0
 
 
-def _check_one(label: str, build, dim: int, primes, n: int | None = None,
-               bound: int | None = None):
-    """Run the certificate at successive primes; one MatrixCheck plus notes."""
+def _check_one(label: str, dim: int, reduce, primes, bound: int | None = None):
+    """Run the certificate at successive primes; one MatrixCheck plus notes.
+
+    reduce(p) returns the dim x dim matrix as a ModPMatrix at the prime p.
+    """
     notes = []
-    matrix = build()
     for p in primes:
-        m = _as_modp(matrix, p, n=n)
-        verdict, method = _certify(m, bound)
+        verdict, method = _certify(reduce(p), bound)
         if verdict == VERDICT_INVERTIBLE:
             return MatrixCheck(label, dim, p, verdict, method), notes
         notes.append(f"{label}: singular mod {p}, retrying")
     return MatrixCheck(label, dim, primes[-1], VERDICT_SINGULAR, method), notes
 
 
-def obstruction_coset(n: int, shape, primes=DEFAULT_PRIMES,
-                      limit: int = young.SPARSE_TABLOID_LIMIT) -> ObstructionReport:
+def obstruction_coset(n: int, shape, primes=DEFAULT_PRIMES) -> ObstructionReport:
     """Coset route: invertibility of the action matrix on tabloids of shape."""
     shape = check_partition(shape)
     primes = _checked_primes(primes)
@@ -410,12 +401,13 @@ def obstruction_coset(n: int, shape, primes=DEFAULT_PRIMES,
         return ObstructionReport(n=n, route=f"coset{shape}", divisibility_ok=False,
                                  matrices=(), conclusion=CONCLUSION_INCONCLUSIVE,
                                  notes=tuple(notes))
-    action = young.build_action_matrix(n, shape, limit)
+    action = young.build_action_matrix(n, shape)
     # Young's rule: the minimal polynomial of T on M^shape is the lcm of those
     # of T on the constituents S^lam, lam dominating shape
     bound = sum(young.hook_length_dimension(lam)
                 for lam in young.constituents_dominating(shape))
-    check, more = _check_one(f"action{shape}", lambda: action, dim, primes,
+    check, more = _check_one(f"action{shape}", dim,
+                             lambda p: modp_from_action(action, p), primes,
                              bound=bound)
     notes.extend(more)
     ok = check.verdict == VERDICT_INVERTIBLE
@@ -453,8 +445,9 @@ def obstruction_irreps(n: int, mu, use_list: str = "computed",
             checks.append(MatrixCheck(label, dim, None, VERDICT_SKIPPED, "skipped"))
             skipped += 1
             continue
+        t_hat = young.irrep_T_matrix(lam)
         check, more = _check_one(
-            label, lambda lam=lam: young.irrep_T_matrix(lam), dim, primes, n=n)
+            label, dim, lambda p: modp_from_entries(dim, t_hat, p, n=n), primes)
         checks.append(check)
         notes.extend(more)
     all_inv = all(c.verdict == VERDICT_INVERTIBLE for c in checks)
@@ -472,12 +465,11 @@ def obstruction_irreps(n: int, mu, use_list: str = "computed",
         notes=tuple(notes))
 
 
-def conjecture_check(p: int, primes=DEFAULT_PRIMES,
-                     limit: int = young.SPARSE_TABLOID_LIMIT) -> ObstructionReport:
+def conjecture_check(p: int, primes=DEFAULT_PRIMES) -> ObstructionReport:
     """Instance check of the (p-1, p-1, 2) family in S_2p for prime p >= 3."""
     if p < 3 or not _is_prime(p):
         raise ValueError(f"need a prime p >= 3, got {p}")
-    return obstruction_coset(2 * p, (p - 1, p - 1, 2), primes, limit)
+    return obstruction_coset(2 * p, (p - 1, p - 1, 2), primes)
 
 
 def _checked_primes(primes):

@@ -14,7 +14,8 @@ codes.
 
 Irreducible representations are realized in Young's seminormal form with
 exact rational entries (the orthogonal form needs square roots, which would
-break mod-p reduction).
+break mod-p reduction).  T-hat, the identity plus every generator matrix, is
+built from a single enumeration of the standard tableaux.
 """
 
 from __future__ import annotations
@@ -37,8 +38,6 @@ from kendall_codes.perms import inverse as perm_inverse
 
 NumberPartition = tuple[int, ...]
 
-#: default ceiling on the number of tabloids for dense matrix construction
-DENSE_TABLOID_LIMIT = 100_000
 #: absolute ceiling on the number of tabloids (sparse construction)
 SPARSE_TABLOID_LIMIT = 10_000_000
 #: default ceiling on irreducible dimensions
@@ -85,14 +84,6 @@ def reference_tabloid(shape) -> Tabloid:
     for block, size in enumerate(shape, start=1):
         assignment.extend([block] * size)
     return tuple(assignment)
-
-
-def tabloid_blocks(t: Tabloid, shape) -> tuple[frozenset[int], ...]:
-    shape = check_partition(shape)
-    blocks = [set() for _ in shape]
-    for x, block in enumerate(t, start=1):
-        blocks[block - 1].add(x)
-    return tuple(frozenset(b) for b in blocks)
 
 
 def enumerate_tabloids(shape, limit: int = SPARSE_TABLOID_LIMIT) -> list[Tabloid]:
@@ -426,40 +417,35 @@ def _swap_entries(t: StandardYoungTableau, i: int) -> StandardYoungTableau:
     return tuple(cells)
 
 
-def _is_standard(t: StandardYoungTableau, shape: NumberPartition) -> bool:
-    grid: dict[tuple[int, int], int] = {cell: k + 1 for k, cell in enumerate(t)}
-    for (r, c), v in grid.items():
-        if c + 1 < shape[r] and grid[(r, c + 1)] < v:
-            return False
-        below = grid.get((r + 1, c))
-        if below is not None and below < v:
-            return False
-    return True
-
-
-@dataclass(frozen=True)
-class SeminormalGenerator:
-    """Matrix of the adjacent transposition (i, i+1) on the SYT basis.
-
-    Entries are exact rationals; at most two nonzeros per row; the matrix
-    squares to the identity.
-    """
-
-    shape: NumberPartition
-    index: int
-    dim: int
-    entries: dict[tuple[int, int], Fraction]
-
-
-def seminormal_generator(shape, i: int,
-                         limit: int = IRREP_DIMENSION_LIMIT) -> SeminormalGenerator:
-    """Young's seminormal matrix for the generator (i, i+1) on shape.
+def _seminormal_entries(tableaux: list[StandardYoungTableau],
+                        index: dict[StandardYoungTableau, int], i: int):
+    """Yield ((row, col), value) for Young's seminormal matrix of (i, i+1).
 
     On a basis tableau t: entries i, i+1 in the same row give a +1 diagonal,
     same column -1; otherwise t pairs with t' = t with i, i+1 swapped and the
     2x2 block is determined by the axial distance d:
     (taking d > 0 on t) M[t][t] = 1/d, M[t][t'] = 1 - 1/d^2, M[t'][t] = 1,
-    M[t'][t'] = -1/d.
+    M[t'][t'] = -1/d.  Every position is yielded at most once.
+    """
+    for k, t in enumerate(tableaux):
+        d = _axial_distance(t, i)
+        if abs(d) == 1:
+            # same row (+1) or same column (-1); partner is not standard
+            yield (k, k), Fraction(d)
+        elif d > 0:  # d < 0 is handled from the other member of the pair
+            kp = index[_swap_entries(t, i)]
+            yield (k, k), Fraction(1, d)
+            yield (k, kp), 1 - Fraction(1, d * d)
+            yield (kp, k), Fraction(1)
+            yield (kp, kp), Fraction(-1, d)
+
+
+def seminormal_generator(shape, i: int,
+                         limit: int = IRREP_DIMENSION_LIMIT) -> dict[tuple[int, int], Fraction]:
+    """Young's seminormal matrix for the generator (i, i+1) on shape.
+
+    Sparse dict of exact rationals on the SYT basis in last-letter order; at
+    most two nonzeros per row; the matrix squares to the identity.
     """
     shape = check_partition(shape)
     n = partition_n(shape)
@@ -467,39 +453,22 @@ def seminormal_generator(shape, i: int,
         raise ValueError(f"generator index must be in 1..{n - 1}, got {i}")
     tableaux = enumerate_syt(shape, limit)
     index = {t: k for k, t in enumerate(tableaux)}
-    entries: dict[tuple[int, int], Fraction] = {}
-    for k, t in enumerate(tableaux):
-        d = _axial_distance(t, i)
-        if abs(d) == 1:
-            # same row (+1) or same column (-1); partner is not standard
-            entries[(k, k)] = Fraction(d)
-            continue
-        if d < 0:
-            continue  # handled from the positive-distance member of the pair
-        partner = _swap_entries(t, i)
-        kp = index[partner]
-        entries[(k, k)] = Fraction(1, d)
-        entries[(k, kp)] = 1 - Fraction(1, d * d)
-        entries[(kp, k)] = Fraction(1)
-        entries[(kp, kp)] = Fraction(-1, d)
-    return SeminormalGenerator(shape=shape, index=i, dim=len(tableaux),
-                               entries=entries)
+    return dict(_seminormal_entries(tableaux, index, i))
 
 
 def irrep_T_matrix(shape, limit: int = IRREP_DIMENSION_LIMIT) -> dict[tuple[int, int], Fraction]:
     """Identity plus the sum of all seminormal generator matrices.
 
-    Sparse dict of exact rationals; at most 2(n-1)+1 nonzeros per row.
+    Sparse dict of exact rationals; at most 2(n-1)+1 nonzeros per row.  The
+    tableaux are enumerated once and every generator is added in one pass.
     """
     shape = check_partition(shape)
-    n = partition_n(shape)
-    dim = hook_length_dimension(shape)
-    if dim > limit:
-        raise DimensionLimitError(f"dimension {dim} exceeds limit {limit}")
-    total: dict[tuple[int, int], Fraction] = {(k, k): Fraction(1) for k in range(dim)}
-    for i in range(1, n):
-        gen = seminormal_generator(shape, i, limit)
-        for key, value in gen.entries.items():
+    tableaux = enumerate_syt(shape, limit)
+    index = {t: k for k, t in enumerate(tableaux)}
+    total: dict[tuple[int, int], Fraction] = {
+        (k, k): Fraction(1) for k in range(len(tableaux))}
+    for i in range(1, partition_n(shape)):
+        for key, value in _seminormal_entries(tableaux, index, i):
             total[key] = total.get(key, Fraction(0)) + value
     return {key: value for key, value in total.items() if value != 0}
 

@@ -1,4 +1,4 @@
-"""Exact sparse matrix products for the seminormal relation checks.
+"""Exact sparse matrix sums and products for the seminormal checks.
 
 A matrix is a dict of rows {i: {j: value}} holding only nonzero entries, so
 two matrices are equal exactly when their dicts are.  A seminormal generator
@@ -18,6 +18,15 @@ def sparse(entries) -> dict:
 
 def identity(dim: int) -> dict:
     return {i: {i: 1} for i in range(dim)}
+
+
+def add(a: dict, b: dict) -> dict:
+    out = {i: dict(row) for i, row in a.items()}
+    for i, brow in b.items():
+        acc = out.setdefault(i, {})
+        for j, w in brow.items():
+            acc[j] = acc.get(j, 0) + w
+    return sparse({(i, j): v for i, row in out.items() for j, v in row.items()})
 
 
 def matmul(a: dict, b: dict) -> dict:

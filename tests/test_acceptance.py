@@ -165,7 +165,7 @@ def test_criterion_07_representation_suite():
             dim = young.hook_length_dimension(lam)
             assert dim == len(young.enumerate_syt(lam))
             total += dim * dim
-            gens = [sparse(young.seminormal_generator(lam, i).entries)
+            gens = [sparse(young.seminormal_generator(lam, i))
                     for i in range(1, n)]
             ident = identity(dim)
             for g in gens:

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from kendall_codes import cli, young
+from kendall_codes import cli, ilp, young
 
 
 def run(capsys, *argv):
@@ -100,6 +100,11 @@ def test_perfect_irreps_json(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["conclusion"] == "no-1-perfect-code"
+    # T-hat(1,1) is the 1 x 1 zero matrix: {12} is a 1-perfect code of S_2
+    code, out, _ = run(capsys, "--format", "json", "perfect", "irreps",
+                       "2", "1,1")
+    assert code == 3
+    assert json.loads(out)["conclusion"] == "inconclusive"
 
 
 def test_config_file_overrides(tmp_path, capsys):
@@ -130,6 +135,26 @@ def test_ilp_beyond_int64_exits_4(capsys):
     code, _, err = run(capsys, "ilp", "solve", "22", "21,1")
     assert code == 4
     assert "int64" in err
+
+
+def test_ilp_above_dimension_limit_exits_4(tmp_path, capsys, monkeypatch):
+    def no_allocation(*args, **kwargs):
+        raise AssertionError("the shape must be refused before allocation")
+
+    monkeypatch.setattr(young, "_fill_tabloids", no_allocation)
+    monkeypatch.setattr(ilp, "model_from_action", no_allocation)
+    for mode in ("solve", "export"):
+        code, _, err = run(capsys, "ilp", mode, "12", "4,4,4",
+                           "--out", str(tmp_path / "m.lp"))
+        assert code == 4
+        assert "exceeds limit" in err
+
+
+def test_ilp_json_at_huge_rhs_is_one_document(capfd):
+    # HiGHS writes diagnostics straight to file descriptor 1 at rhs 20!
+    code = cli.main(["--format", "json", "ilp", "solve", "21", "20,1"])
+    assert code == 0
+    assert json.loads(capfd.readouterr().out)["status"] == "proven-optimal"
 
 
 def test_config_rejects_bad_prime(tmp_path, capsys):

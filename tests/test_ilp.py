@@ -178,6 +178,17 @@ def test_models_beyond_int64_are_refused_before_solving(monkeypatch):
         ilp_solve(m)
 
 
+def test_ilp_dimension_limit_is_checked_before_allocation(monkeypatch):
+    def no_allocation(*args, **kwargs):
+        raise AssertionError("the shape must be refused before allocation")
+
+    monkeypatch.setattr(young, "_fill_tabloids", no_allocation)
+    monkeypatch.setattr(ilp, "model_from_action", no_allocation)
+    assert young.tabloid_count((4, 4, 4)) > ilp.ILP_DIMENSION_LIMIT
+    with pytest.raises(young.DimensionLimitError, match="exceeds limit"):
+        build_coset_ilp(12, (4, 4, 4))
+
+
 def test_largest_int64_model_still_solves():
     m = build_coset_ilp(21, (20, 1))
     r = ilp_solve(m)

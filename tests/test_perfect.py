@@ -70,7 +70,8 @@ def _no_matrix_work(*args, **kwargs):
 def test_primes_at_or_above_limit_are_rejected(monkeypatch):
     for name in ("build_action_matrix", "irrep_T_matrix"):
         monkeypatch.setattr(young, name, _no_matrix_work)
-    monkeypatch.setattr(perfect, "_as_modp", _no_matrix_work)
+    for name in ("modp_from_action", "modp_from_entries", "modp_from_rows"):
+        monkeypatch.setattr(perfect, name, _no_matrix_work)
     for p in (1048583, 2147483647):  # the first prime >= 2**20, and 2**31 - 1
         assert p >= PRIME_LIMIT and perfect._is_prime(p)
         with pytest.raises(ValueError, match="not below"):
@@ -275,6 +276,25 @@ def test_obstruction_irreps_small():
     # (2,1) is the n=3 tridiagonal, determinant 0), so no conclusion here
     assert labels["T-hat(2, 1)"] == VERDICT_SINGULAR
     assert r.conclusion == CONCLUSION_INCONCLUSIVE
+
+
+def test_zero_irrep_block_is_a_singular_matrix():
+    # T-hat on the sign irrep of S_2 is the 1 x 1 zero matrix, stored as {};
+    # {12} is a 1-perfect code of S_2, so the route must stay inconclusive
+    assert young.irrep_T_matrix((1, 1)) == {}
+    r = obstruction_irreps(2, (1, 1))
+    checks = {c.label: (c.dim, c.verdict) for c in r.matrices}
+    assert checks["T-hat(1, 1)"] == (1, VERDICT_SINGULAR)
+    assert r.conclusion == CONCLUSION_INCONCLUSIVE
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_coset_and_irrep_routes_agree(n):
+    # Young's rule: M^mu = sum K_{lam,mu} S^lam over lam dominating mu, so
+    # the coset matrix is invertible iff every block T-hat_lam is
+    for mu in young.all_partitions(n):
+        assert (obstruction_coset(n, mu).conclusion
+                == obstruction_irreps(n, mu).conclusion), mu
 
 
 def test_obstruction_irreps_conclusive_case():

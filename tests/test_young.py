@@ -27,7 +27,7 @@ from kendall_codes.young import (
     young_subgroup_order,
 )
 
-from exact_sparse import identity, matmul, sparse
+from exact_sparse import add, identity, matmul, sparse
 
 
 # -- partitions and tabloids -------------------------------------------------
@@ -185,7 +185,7 @@ def test_syt_enumeration_matches_hooks():
 def test_seminormal_relations(n):
     for lam in all_partitions(n):
         dim = hook_length_dimension(lam)
-        gens = [sparse(seminormal_generator(lam, i).entries)
+        gens = [sparse(seminormal_generator(lam, i))
                 for i in range(1, n)]
         ident = identity(dim)
         for g in gens:
@@ -196,6 +196,17 @@ def test_seminormal_relations(n):
         for i in range(len(gens)):
             for j in range(i + 2, len(gens)):
                 assert matmul(gens[i], gens[j]) == matmul(gens[j], gens[i])
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_irrep_T_matrix_is_identity_plus_generators(n):
+    for lam in all_partitions(n):
+        expected = identity(hook_length_dimension(lam))
+        for i in range(1, n):
+            expected = add(expected, sparse(seminormal_generator(lam, i)))
+        t_hat = irrep_T_matrix(lam)
+        assert all(isinstance(v, Fraction) and v != 0 for v in t_hat.values())
+        assert sparse(t_hat) == expected
 
 
 def test_trivial_and_sign_t_matrices():
