@@ -8,8 +8,9 @@ sloppy solve here can only weaken pruning, never correctness.
 
 The solver is warm-startable: after variable bound changes a parent-optimal
 basis stays dual feasible, so a handful of dual simplex pivots restore
-optimality at a child node.  On any numerical trouble it returns None and
-the caller falls back to scipy's LP.
+optimality at a child node.  Both phases pick by largest violation, with
+no anti-cycling rule: on numerical trouble, or after MAX_ITER iterations,
+it returns None and the caller falls back to scipy's LP.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 TOL = 1e-9
+MAX_ITER = 600  # per solve, both phases together
 
 
 class BoxSimplex:
@@ -29,7 +31,7 @@ class BoxSimplex:
         self.b = np.asarray(b, dtype=float)
         self.N = n + m
 
-    def solve(self, l, u, warm=None, max_iter=600):
+    def solve(self, l, u, warm=None):
         """Returns (x, y, value, (basis, at_upper), iters) or None on failure."""
         m, n, N = self.m, self.n, self.N
         L = np.concatenate([np.asarray(l, float), np.zeros(m)])
@@ -73,7 +75,7 @@ class BoxSimplex:
         xB, y, d = state()
         iters = 0
         # --- dual phase: restore primal feasibility -------------------------
-        while iters < max_iter:
+        while iters < MAX_ITER:
             LB = L[basis]
             UB = U[basis]
             viol_low = LB - xB
@@ -105,18 +107,11 @@ class BoxSimplex:
             return None
 
         # --- primal phase: restore dual feasibility (usually no-op) ---------
-        stall = 0
-        while iters < max_iter:
+        while iters < MAX_ITER:
             dd = np.where(is_basic, 0.0, np.where(at_upper, -d, d))
-            if stall < 120:
-                q = int(np.argmax(dd))
-                if dd[q] <= 1e-7:
-                    break
-            else:  # Bland
-                cand = np.where(dd > 1e-7)[0]
-                if cand.size == 0:
-                    break
-                q = int(cand[0])
+            q = int(np.argmax(dd))
+            if dd[q] <= 1e-7:
+                break
             sign = -1.0 if at_upper[q] else 1.0
             s = sign * (Binv @ self.G[:, q])
             LB = L[basis]
@@ -129,18 +124,12 @@ class BoxSimplex:
             t_flip = U[q] - L[q]
             if t_flip <= t_basic[r]:
                 at_upper[q] = not at_upper[q]
-                xB, y, d = state()
             else:
-                prev = xB[r] - t_basic[r] * s[r]
                 leaving = pivot(r, q)
                 if leaving is False:
                     return None
                 at_upper[leaving] = s[r] < 0
-                xB, y, d = state()
-                if t_basic[r] <= 1e-12:
-                    stall += 1
-                else:
-                    stall = 0
+            xB, y, d = state()
             iters += 1
         else:
             return None

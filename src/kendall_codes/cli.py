@@ -74,12 +74,7 @@ def load_config(path: str | None, args) -> CliConfig:
 
 
 def parse_shape(text: str) -> tuple[int, ...]:
-    parts = tuple(int(tok) for tok in text.split(","))
-    if any(p <= 0 for p in parts):
-        raise ValueError(f"shape parts must be positive: {text}")
-    if list(parts) != sorted(parts, reverse=True):
-        raise ValueError(f"shape must be non-increasing: {text}")
-    return parts
+    return young.check_partition(int(tok) for tok in text.split(","))
 
 
 def _emit(payload: dict, cfg: CliConfig, text_lines, csv_rows=None) -> None:

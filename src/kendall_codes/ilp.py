@@ -229,14 +229,15 @@ def _bb_float(model: IlpModel, u0, root_bound: int, best_value: int,
     apply exact reduced-cost fixing against the incumbent, branch by
     reliability pseudocosts (the first evaluations of a variable are
     strong-branch probes, later ones use the learned per-unit objective
-    degradation; lowest index on ties).  A node whose float LPs both fail
-    is certified with its parent's duals and split at the box midpoint.  A
-    feasible node is closed only by its certified bound, or when its box is
-    a single point.  Returns (best, point, nodes, open_bound) where
-    open_bound is None iff the tree was exhausted.
+    degradation; lowest index on ties).  Both children carry the parent's
+    certified bound and are dropped unopened once the incumbent reaches it.
+    A node whose float LPs both fail is certified with its parent's duals
+    and split at the box midpoint.  A feasible node is closed only by its
+    certified bound, or when its box is a single point.  Returns (best,
+    point, nodes, open_bound) where open_bound is None iff the tree was
+    exhausted.
     """
     from kendall_codes.boxlp import BoxSimplex
-    from scipy.optimize import linprog
 
     mat = model.matrix
     dim = model.dim
@@ -251,20 +252,20 @@ def _bb_float(model: IlpModel, u0, root_bound: int, best_value: int,
     pcd_n = np.zeros(dim)
     pcu = np.zeros(dim)
     pcu_n = np.zeros(dim)
-    sb_budget = 3000  # strong-branch probe pairs across the whole tree
-    # stack entries: bounds, warm basis, the parent's duals, exact scaled
-    # upper bound, and the branch that created the node (variable,
-    # direction, parent LP value, fractional part) for pseudocost updates;
-    # the root's "parent" duals are 1/n, optimal for the root LP of a coset
-    # model (rows sum to n), though any y >= 0 would be sound
+    # stack entries: bounds, warm basis, the parent's duals, the parent's
+    # certified scaled bound, and the branch that created the node
+    # (variable, direction, parent LP value, fractional part) for
+    # pseudocost updates; the root carries the root LP bound and the duals
+    # 1/n, optimal for the root LP of a coset model (rows sum to n), though
+    # any y >= 0 would be sound
     stack = [(np.zeros(dim, dtype=np.int64), np.asarray(u0, dtype=np.int64),
               None, np.full(dim, 1.0 / model.n), root_bound * scale, None)]
     while stack:
-        l, u, warm, y, est, pinfo = stack.pop()
-        if est < bounds_T:
+        l, u, warm, y, parent_bound, pinfo = stack.pop()
+        if parent_bound < bounds_T:
             continue
         if deadline is not None and time.monotonic() > deadline:
-            top = max([est] + [entry[4] for entry in stack])
+            top = max([parent_bound] + [entry[4] for entry in stack])
             return best_value, best_point, nodes, Fraction(top, scale)
         prop = _propagate(mat, b, l, u)
         if prop is None:
@@ -275,6 +276,7 @@ def _bb_float(model: IlpModel, u0, root_bound: int, best_value: int,
         if sol is not None:
             x, y, warm_out = sol[0], sol[1], sol[3]
         else:
+            from scipy.optimize import linprog
             res = linprog(-np.ones(dim), A_ub=mat, b_ub=b,
                           bounds=np.column_stack([l, u]), method="highs")
             if res.status == 0:
@@ -335,58 +337,46 @@ def _bb_float(model: IlpModel, u0, root_bound: int, best_value: int,
                 frac[j] = 0.5
         cands = [int(j) for j in np.where(frac > 1e-7)[0]]
 
+        def children(j):
+            """The down and up boxes of a split of x_j at its LP value, and
+            the fractional part of that value."""
+            sp = min(max(int(np.floor(xc[j])), int(l[j])), int(u[j]) - 1)
+            ud = u.copy()
+            ud[j] = sp
+            lu = l.copy()
+            lu[j] = sp + 1
+            return ud, lu, min(max(float(xc[j]) - sp, 1e-6), 1.0 - 1e-6)
+
         def probe(lc, uc):
             pr = _propagate(mat, b, lc, uc)
             if pr is None:
                 return obj  # the child is infeasible, full objective drop
-            s = box.solve(pr[0], pr[1], warm=warm_out, max_iter=150)
-            if s is None:
-                return 0.0
-            return max(obj - s[2], 0.0)
+            s = box.solve(pr[0], pr[1], warm=warm_out)
+            return 0.0 if s is None else max(obj - s[2], 0.0)
 
-        if sb_budget > 0:
-            shortlist = sorted(cands, key=lambda j: (-frac[j], j))[:8]
-            for j in shortlist:
-                if sb_budget <= 0:
-                    break
-                if pcd_n[j] > 0.0 and pcu_n[j] > 0.0:
-                    continue
-                sp = min(max(int(np.floor(xc[j])), int(l[j])), int(u[j]) - 1)
-                f = min(max(float(xc[j]) - sp, 1e-6), 1.0 - 1e-6)
-                ud = u.copy()
-                ud[j] = sp
-                lu = l.copy()
-                lu[j] = sp + 1
-                pcd[j] += probe(l, ud) / f
-                pcd_n[j] += 1.0
-                pcu[j] += probe(lu, u) / (1.0 - f)
-                pcu_n[j] += 1.0
-                sb_budget -= 1
+        # no probe budget: a probe makes j reliable for good, so at most dim pairs
+        shortlist = sorted(cands, key=lambda j: (-frac[j], j))[:8]
+        for j in shortlist:
+            if pcd_n[j] > 0.0 and pcu_n[j] > 0.0:
+                continue
+            ud, lu, f = children(j)
+            pcd[j] += probe(l, ud) / f
+            pcd_n[j] += 1.0
+            pcu[j] += probe(lu, u) / (1.0 - f)
+            pcu_n[j] += 1.0
         avg_d = float(pcd.sum() / pcd_n.sum()) if pcd_n.sum() > 0 else 1.0
         avg_u = float(pcu.sum() / pcu_n.sum()) if pcu_n.sum() > 0 else 1.0
-        best_score = -1.0
-        j = cands[0]
-        for k in cands:
+
+        def score(k):
             f = float(xc[k] - np.floor(xc[k]))
             rate_d = pcd[k] / pcd_n[k] if pcd_n[k] > 0 else avg_d
             rate_u = pcu[k] / pcu_n[k] if pcu_n[k] > 0 else avg_u
-            score = max(rate_d * f, 1e-9) * max(rate_u * (1.0 - f), 1e-9)
-            if score > best_score:
-                best_score = score
-                j = k
-        split = int(np.floor(xc[j]))
-        split = min(max(split, int(l[j])), int(u[j]) - 1)
-        fpart = min(max(float(xc[j]) - split, 1e-6), 1.0 - 1e-6)
-        base = bound - (coef[j] * int(u[j]) if coef[j] > 0 else coef[j] * int(l[j]))
-        down_est = base + (coef[j] * split if coef[j] > 0 else coef[j] * int(l[j]))
-        up_est = base + (coef[j] * int(u[j]) if coef[j] > 0
-                         else coef[j] * (split + 1))
-        ud = u.copy()
-        ud[j] = split
-        lu = l.copy()
-        lu[j] = split + 1
-        stack.append((l, ud, warm_out, y, down_est, (j, False, obj, fpart)))
-        stack.append((lu, u, warm_out, y, up_est, (j, True, obj, fpart)))
+            return max(rate_d * f, 1e-9) * max(rate_u * (1.0 - f), 1e-9)
+
+        j = max(cands, key=score)  # the first, so the lowest index, on ties
+        ud, lu, fpart = children(j)
+        stack.append((l, ud, warm_out, y, bound, (j, False, obj, fpart)))
+        stack.append((lu, u, warm_out, y, bound, (j, True, obj, fpart)))
     return best_value, best_point, nodes, None
 
 
@@ -433,11 +423,6 @@ def ilp_solve(model: IlpModel, *, time_limit: float | None = None) -> IlpResult:
         if cand is not None and sum(cand) > best_value:
             best_value = sum(cand)
             best_point = cand
-
-    if root_bound <= best_value:
-        return IlpResult(optimum=best_value, argmax=tuple(best_point),
-                         nodes_explored=0, status=PROVEN_OPTIMAL,
-                         dual_bound=Fraction(best_value))
 
     best_value, best_point, nodes, open_bound = _bb_float(
         model, u0, root_bound, best_value, best_point, deadline)

@@ -47,7 +47,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from kendall_codes import young
-from kendall_codes.perms import ball, identity
+from kendall_codes.perms import ball_size
 from kendall_codes.young import ActionMatrix, check_partition
 
 VERDICT_INVERTIBLE = "invertible"
@@ -369,8 +369,7 @@ def divisibility_precondition(n: int, shape) -> bool:
 
 def perfect_counting_condition(n: int, r: int) -> bool:
     """Necessary counting condition for an r-perfect code: |B_r| divides n!."""
-    size = len(ball(n, identity(n), r))
-    return factorial(n) % size == 0
+    return factorial(n) % ball_size(n, r) == 0
 
 
 def _check_one(label: str, dim: int, reduce, primes, bound: int | None = None):
@@ -435,11 +434,16 @@ def obstruction_irreps(n: int, mu, use_list: str = "computed",
     else:
         raise ValueError(f"use_list must be 'computed' or 'published', got {use_list!r}")
     div_ok = divisibility_precondition(n, mu)
+    dims = [young.hook_length_dimension(lam) for lam in lams]
+    # a block too large to build is refused before any block is built
+    too_large = [d for d in dims if young.IRREP_DIMENSION_LIMIT < d <= check_limit]
+    if too_large:
+        raise young.DimensionLimitError(f"dimension {max(too_large)} exceeds "
+                                        f"limit {young.IRREP_DIMENSION_LIMIT}")
     checks = []
     notes = []
     skipped = 0
-    for lam in lams:
-        dim = young.hook_length_dimension(lam)
+    for lam, dim in zip(lams, dims):
         label = f"T-hat{lam}"
         if dim > check_limit:
             checks.append(MatrixCheck(label, dim, None, VERDICT_SKIPPED, "skipped"))

@@ -166,6 +166,18 @@ def ball(n: int, center: Permutation, r: int,
     return members
 
 
+def ball_size(n: int, r: int) -> int:
+    """|B_r| without enumeration: the permutations of [n] with at most r
+    inversions, a sum of the Mahonian numbers I(n, k), k <= r, where
+    I(m, k) = sum over j <= min(k, m-1) of I(m-1, k-j)."""
+    if r < 0:
+        raise ValueError("radius must be >= 0")
+    counts = [1] + [0] * r  # I(1, k) for k <= r
+    for m in range(2, n + 1):
+        counts = [sum(counts[max(k - m + 1, 0):k + 1]) for k in range(r + 1)]
+    return sum(counts)
+
+
 def all_perms(n: int, enumeration_limit: int = ENUMERATION_LIMIT) -> list[Permutation]:
     if n > enumeration_limit:
         raise EnumerationLimitError(f"n={n} exceeds enumeration limit {enumeration_limit}")

@@ -40,7 +40,7 @@ NumberPartition = tuple[int, ...]
 
 #: absolute ceiling on the number of tabloids (sparse construction)
 SPARSE_TABLOID_LIMIT = 10_000_000
-#: default ceiling on irreducible dimensions
+#: ceiling on irreducible dimensions, read at each call
 IRREP_DIMENSION_LIMIT = 100_000
 
 
@@ -55,7 +55,7 @@ def check_partition(shape) -> NumberPartition:
     if any(x < 1 for x in parts):
         raise ValueError(f"partition parts must be positive: {parts}")
     if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
-        raise ValueError(f"partition parts must be weakly decreasing: {parts}")
+        raise ValueError(f"partition parts must be non-increasing: {parts}")
     return parts
 
 
@@ -373,12 +373,12 @@ def hook_length_dimension(shape) -> int:
     return factorial(n) // hooks
 
 
-def enumerate_syt(shape, limit: int = IRREP_DIMENSION_LIMIT) -> list[StandardYoungTableau]:
+def enumerate_syt(shape) -> list[StandardYoungTableau]:
     """All standard Young tableaux of the shape, in last-letter order."""
     shape = check_partition(shape)
     dim = hook_length_dimension(shape)
-    if dim > limit:
-        raise DimensionLimitError(f"dimension {dim} exceeds limit {limit}")
+    if dim > IRREP_DIMENSION_LIMIT:
+        raise DimensionLimitError(f"dimension {dim} exceeds limit {IRREP_DIMENSION_LIMIT}")
     n = partition_n(shape)
     m = len(shape)
     out: list[StandardYoungTableau] = []
@@ -440,8 +440,7 @@ def _seminormal_entries(tableaux: list[StandardYoungTableau],
             yield (kp, kp), Fraction(-1, d)
 
 
-def seminormal_generator(shape, i: int,
-                         limit: int = IRREP_DIMENSION_LIMIT) -> dict[tuple[int, int], Fraction]:
+def seminormal_generator(shape, i: int) -> dict[tuple[int, int], Fraction]:
     """Young's seminormal matrix for the generator (i, i+1) on shape.
 
     Sparse dict of exact rationals on the SYT basis in last-letter order; at
@@ -451,19 +450,19 @@ def seminormal_generator(shape, i: int,
     n = partition_n(shape)
     if not 1 <= i <= n - 1:
         raise ValueError(f"generator index must be in 1..{n - 1}, got {i}")
-    tableaux = enumerate_syt(shape, limit)
+    tableaux = enumerate_syt(shape)
     index = {t: k for k, t in enumerate(tableaux)}
     return dict(_seminormal_entries(tableaux, index, i))
 
 
-def irrep_T_matrix(shape, limit: int = IRREP_DIMENSION_LIMIT) -> dict[tuple[int, int], Fraction]:
+def irrep_T_matrix(shape) -> dict[tuple[int, int], Fraction]:
     """Identity plus the sum of all seminormal generator matrices.
 
     Sparse dict of exact rationals; at most 2(n-1)+1 nonzeros per row.  The
     tableaux are enumerated once and every generator is added in one pass.
     """
     shape = check_partition(shape)
-    tableaux = enumerate_syt(shape, limit)
+    tableaux = enumerate_syt(shape)
     index = {t: k for k, t in enumerate(tableaux)}
     total: dict[tuple[int, int], Fraction] = {
         (k, k): Fraction(1) for k in range(len(tableaux))}

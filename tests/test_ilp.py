@@ -76,6 +76,14 @@ def test_ilp_small_values(n, shape, want):
     assert r.dual_bound == want
 
 
+@pytest.mark.parametrize("n,shape,want,nodes", [(7, (5, 2), 718, 10),
+                                                (5, (2, 2, 1), 22, 45),
+                                                (5, (3, 1, 1), 22, 39)])
+def test_tree_node_counts_are_pinned(n, shape, want, nodes):
+    r = ilp_solve(build_coset_ilp(n, shape))
+    assert (r.status, r.optimum, r.nodes_explored) == (PROVEN_OPTIMAL, want, nodes)
+
+
 def test_ilp_determinism():
     m = build_coset_ilp(5, (3, 2))
     a = ilp_solve(m)
@@ -195,6 +203,7 @@ def test_largest_int64_model_still_solves():
     assert r.status == PROVEN_OPTIMAL
     assert r.optimum == factorial(20)  # 21 divides 20!, so x = 20!/21 . 1
     assert feasible(m, r.argmax)
+    assert r.nodes_explored == 0  # the incumbent meets the root bound
 
 
 def _box_simplex(a_rows: list[list[int]], rhs: int, l, u, u_root) -> ExactSimplex:

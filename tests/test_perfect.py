@@ -244,6 +244,12 @@ def test_perfect_counting_condition():
     assert not perfect_counting_condition(4, 2)  # |B_2| = 9 does not divide 24
 
 
+def test_perfect_counting_condition_beyond_the_enumeration_limit():
+    assert perfect_counting_condition(9, 1)
+    assert perfect_counting_condition(14, 2)  # |B_2| = 104 = 8 * 13
+    assert not perfect_counting_condition(14, 3)  # |B_3| = 545 = 5 * 109
+
+
 # -- pipelines ---------------------------------------------------------------------
 
 def test_obstruction_coset_certified_small_cases():
@@ -303,6 +309,19 @@ def test_obstruction_irreps_conclusive_case():
     assert r.divisibility_ok  # 4 does not divide 3! = 6
     assert all(c.verdict == VERDICT_INVERTIBLE for c in r.matrices)
     assert r.conclusion == CONCLUSION_NO_CODE
+
+
+def test_irrep_limit_is_checked_before_any_block_is_built(monkeypatch):
+    # (2,2,2,2) has constituents of dimension 1..90; with the irrep limit at
+    # 50 and the default check limit (4096) some block is too large to build
+    monkeypatch.setattr(young, "IRREP_DIMENSION_LIMIT", 50)
+
+    def no_build(shape):
+        raise AssertionError(f"block {shape} built before the limit check")
+
+    monkeypatch.setattr(young, "irrep_T_matrix", no_build)
+    with pytest.raises(young.DimensionLimitError):
+        obstruction_irreps(8, (2, 2, 2, 2))
 
 
 def test_obstruction_irreps_skip_reporting():

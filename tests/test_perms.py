@@ -86,6 +86,15 @@ def test_ball_sizes():
         assert len(ball(n, identity(n), 1)) == n
 
 
+def test_ball_size_closed_form():
+    for n in range(1, 8):
+        for r in range(6):
+            assert perms.ball_size(n, r) == len(ball(n, identity(n), r)), (n, r)
+    assert [perms.ball_size(14, r) for r in (1, 2, 3)] == [14, 104, 545]
+    with pytest.raises(ValueError):
+        perms.ball_size(5, -1)
+
+
 def test_ball_size_is_center_independent():
     for n in range(3, 7):
         base = {r: len(ball(n, identity(n), r)) for r in range(1, 4)}

@@ -216,9 +216,10 @@ def test_trivial_and_sign_t_matrices():
         assert sign.get((0, 0), Fraction(0)) == Fraction(2 - n)
 
 
-def test_irrep_dimension_limit():
+def test_irrep_dimension_limit(monkeypatch):
+    monkeypatch.setattr(young, "IRREP_DIMENSION_LIMIT", 10)
     with pytest.raises(DimensionLimitError):
-        young.enumerate_syt((10, 9, 8, 7, 6), limit=10)
+        young.enumerate_syt((10, 9, 8, 7, 6))
 
 
 # -- serialization -------------------------------------------------------------
