@@ -102,17 +102,23 @@ def cmd_distance(args, cfg: CliConfig) -> int:
 
 
 def cmd_ball(args, cfg: CliConfig) -> int:
+    """The size is the same around every center and has a closed form, so
+    only --members enumerates the ball."""
     center = (perms.parse_permutation(args.center) if args.center
               else perms.identity(args.n))
+    if args.n < 1:
+        raise ValueError("n must be >= 1")
+    if len(center) != args.n:
+        raise ValueError("center has wrong length")
+    if not args.members:
+        size = perms.ball_size(args.n, args.r)
+        _emit({"n": args.n, "r": args.r, "size": size}, cfg, [str(size)])
+        return EXIT_OK
     members = perms.ball(args.n, center, args.r,
                          enumeration_limit=cfg.enumeration_limit)
-    payload = {"n": args.n, "r": args.r, "size": len(members)}
-    lines = [str(len(members))]
-    if args.members:
-        listed = sorted(perms.format_permutation(m) for m in members)
-        payload["members"] = listed
-        lines = listed
-    _emit(payload, cfg, lines)
+    listed = sorted(perms.format_permutation(m) for m in members)
+    _emit({"n": args.n, "r": args.r, "size": len(members), "members": listed},
+          cfg, listed)
     return EXIT_OK
 
 

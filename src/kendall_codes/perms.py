@@ -172,6 +172,7 @@ def ball_size(n: int, r: int) -> int:
     I(m, k) = sum over j <= min(k, m-1) of I(m-1, k-j)."""
     if r < 0:
         raise ValueError("radius must be >= 0")
+    r = min(r, n * (n - 1) // 2)  # no permutation has more inversions
     counts = [1] + [0] * r  # I(1, k) for k <= r
     for m in range(2, n + 1):
         counts = [sum(counts[max(k - m + 1, 0):k + 1]) for k in range(r + 1)]

@@ -30,8 +30,17 @@ def test_ball_json(capsys):
 
 
 def test_ball_resource_limit(capsys):
-    code, _, err = run(capsys, "ball", "12", "1")
+    code, _, err = run(capsys, "ball", "12", "1", "--members")
     assert code == 4
+
+
+def test_ball_size_needs_no_enumeration(capsys):
+    code, out, _ = run(capsys, "ball", "9", "1")
+    assert code == 0
+    assert out.strip() == "9"
+    code, out, _ = run(capsys, "ball", "9", str(10**12))  # the whole of S_9
+    assert code == 0
+    assert out.strip() == "362880"
 
 
 def test_verify(tmp_path, capsys):
@@ -100,6 +109,7 @@ def test_perfect_irreps_json(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["conclusion"] == "no-1-perfect-code"
+    assert {m["evidence"] for m in payload["matrices"]} == {"deterministic"}
     # T-hat(1,1) is the 1 x 1 zero matrix: {12} is a 1-perfect code of S_2
     code, out, _ = run(capsys, "--format", "json", "perfect", "irreps",
                        "2", "1,1")

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -98,6 +99,77 @@ def test_seminormal_prime_gate():
     m = young.irrep_T_matrix((2, 1))
     with pytest.raises(ValueError):
         modp_from_entries(2, m, 3, n=3)
+
+
+# -- dense engine -----------------------------------------------------------------
+
+def test_dense_engine_sums_stay_exact_in_float64():
+    # a residue plus _BLOCK residue products, the largest sum between two
+    # reductions, for the largest admissible prime
+    assert perfect._BLOCK * (PRIME_LIMIT - 1)**2 + PRIME_LIMIT < 2**47 < 2**53
+
+
+def test_reduce_is_exact_at_the_largest_sums():
+    p = 1048573
+    top = p - 1 + perfect._BLOCK * (p - 1)**2
+    q = top // p
+    values = [0, 1, p - 1, p, top, -top, q * p, q * p - 1, q * p + 1,
+              -q * p, -q * p - 1, -q * p + 1]
+    got = perfect._reduce(np.array(values, dtype=np.float64), p)
+    assert [int(v) for v in got] == [v % p for v in values]
+
+
+def test_dense_engine_at_worst_magnitude_over_two_panels():
+    # every entry p - 1 except a zero shifted diagonal: (p - 1)(J - P) with P
+    # the cyclic shift, determinant (p - 1)^d (d - 1)
+    p, d = 1048573, perfect._BLOCK + 32
+    rows = [[0 if j == (i + 1) % d else p - 1 for j in range(d)] for i in range(d)]
+    m = perfect.modp_from_rows(rows, p)
+    assert perfect._det_mod_dense(m) == integer_determinant(rows) % p != 0
+
+
+def test_dense_engine_on_a_multi_panel_coset_matrix():
+    # (10,2,1)@13 has 858 tabloids: 7 panels of at most 128 columns
+    p = DEFAULT_PRIMES[0]
+    m = perfect.modp_from_action(young.build_action_matrix(13, (10, 2, 1)), p)
+    assert m.dim == 858 > 6 * perfect._BLOCK
+    assert perfect._certify(m) == (VERDICT_INVERTIBLE, "dense-elimination")
+    dense = m.entries.toarray()
+    dense[400] = (dense[10] + dense[800]) % p  # rows of panels 0 and 6
+    singular = perfect.ModPMatrix(m.dim, p, sp.csr_matrix(dense))
+    assert perfect._certify(singular) == (VERDICT_SINGULAR, "dense-elimination")
+
+
+@st.composite
+def _small_matrices(draw):
+    """A small integer matrix, sometimes made singular by a repeated row or a
+    combination of two rows; a prime; panel and sub-panel widths."""
+    p = draw(st.sampled_from((2, 3, 1000003, 1048573)))
+    d = draw(st.integers(1, 14))
+    rows = draw(st.lists(st.lists(st.integers(-4, 4), min_size=d, max_size=d),
+                         min_size=d, max_size=d))
+    if d > 1 and draw(st.booleans()):
+        i, j, k = (draw(st.integers(0, d - 1)) for _ in range(3))
+        a, b = draw(st.integers(-2, 2)), draw(st.integers(-2, 2))
+        rows[i] = [a * x + b * y for x, y in zip(rows[j], rows[k])]
+    subpanel = draw(st.integers(1, 3))
+    return p, rows, draw(st.integers(subpanel, 8)), subpanel
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_small_matrices())
+def test_dense_and_wiedemann_verdicts_match_integer_determinant(case):
+    p, rows, block, subpanel = case
+    det = integer_determinant(rows) % p
+    expected = VERDICT_INVERTIBLE if det else VERDICT_SINGULAR
+    m = perfect.modp_from_rows(rows, p)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(perfect, "_BLOCK", block)
+        mp.setattr(perfect, "_SUBPANEL", subpanel)
+        assert perfect._det_mod_dense(m) == det
+        assert perfect._certify(m) == (expected, "dense-elimination")
+    if p > 10**6:
+        assert perfect._certify_wiedemann(m) == expected
 
 
 # -- Wiedemann path --------------------------------------------------------------
@@ -350,8 +422,16 @@ def test_conjecture_rejects_composite():
         conjecture_check(4)
 
 
-def test_report_json_shape():
+def test_report_json_shape(monkeypatch):
     d = obstruction_coset(5, (4, 1)).to_json_dict()
     assert d["divisibilityOk"] is True
     assert d["conclusion"] == CONCLUSION_NO_CODE
     assert d["matrices"][0]["method"] == "dense-elimination"
+    assert d["matrices"][0]["evidence"] == "deterministic"
+    skipped = obstruction_irreps(5, (4, 1), check_limit=1).to_json_dict()["matrices"]
+    assert {m["method"]: m["evidence"] for m in skipped} == {
+        "dense-elimination": "deterministic", "skipped": None}
+    monkeypatch.setattr(perfect, "DENSE_LIMIT", 0)
+    check = obstruction_coset(5, (4, 1)).matrices[0]
+    assert check.method == "wiedemann"
+    assert check.to_json_dict()["evidence"] == "randomized, error <= p^-2"
