@@ -29,13 +29,22 @@ Trans. Inf. Theory 32(1), 1986):
   which returns the minimal generator g of the sequence.  For a coset matrix
   B = sum of f^lam over the partitions lam dominating the shape (Young's
   rule: M^mu = sum K_{lam,mu} S^lam); otherwise B = dim.
+- A symmetric A (every coset matrix: T is inverse-closed) gets the
+  projection u = v_1 for its first sequence.  Then u . A^(i+j) v_1 =
+  y_i . y_j with y_k = A^k v_1, so 2 B + 2 terms cost B + 1 matvecs
+  instead of 2 B + 1 (Eberly & Kaltofen, "On randomized Lanczos
+  algorithms", ISSAC 1997).  If that generator solves nothing, random
+  projections u follow, as for any A.
 - When g(0) != 0 the same annihilator is shared by all WIEDEMANN_SOLVES
-  right-hand sides: w_j = -g(0)^-1 (A^(d-1) v_j + ... + c_(d-1) v_j), and
-  A w_j = v_j mod p is verified exactly for every j.  A v_j that fails gets
-  a fresh sequence of its own.
+  right-hand sides: w_j = -g(0)^-1 (A^(d-1) v_j + ... + c_(d-1) v_j), by
+  Horner's rule in int64, reduced mod p only when the next step could reach
+  2^63; and A w_j = v_j mod p is verified exactly for every j.  A v_j that
+  fails gets a fresh sequence of its own.
 - The evidence is randomized: with independent uniform v_j (from a fixed
   seed), a singular matrix passes only if every v_j lies in range(A), which
-  has probability at most p^-2 for two solves.  An invertible matrix can at
+  has probability at most p^-2 for two solves.  The projection u only
+  decides whether a solve is found, never whether it is accepted, so the
+  bound holds for u = v_1 as for a random u.  An invertible matrix can at
   worst be reported 'singular-mod-p', which proves nothing.
 
 Every certificate records the prime, the method that produced it and the
@@ -72,8 +81,11 @@ DENSE_LIMIT = 4096
 IRREP_CHECK_LIMIT = 4096
 #: primes must lie below this, for two bounds: in Wiedemann and
 #: Berlekamp-Massey, residue products summed over a row, a Krylov projection
-#: or a discrepancy stay exact in int64; in the dense engine, a residue plus
-#: _BLOCK residue products stays below 2^47, exact in float64 (< 2^53)
+#: (u . w or y_k . y_k) or a discrepancy stay exact in int64, and a Horner
+#: step from reduced w, at most R (p-1) + (p-1)^2 for the largest row sum R,
+#: leaves headroom to delay the next reduction; in the dense engine, a
+#: residue plus _BLOCK residue products stays below 2^47, exact in float64
+#: (< 2^53)
 PRIME_LIMIT = 2**20
 #: columns per panel of the dense engine: its sums stay below
 #: p + _BLOCK (p-1)^2 < 2^47 < 2^53 for every p < PRIME_LIMIT
@@ -109,7 +121,7 @@ def _residue(value, p: int) -> int:
 
 
 def modp_from_action(action: ActionMatrix, p: int) -> ModPMatrix:
-    ent = action.entries.astype(np.int64).copy()
+    ent = action.entries.astype(np.int64)
     ent.data %= p
     return ModPMatrix(dim=action.dim, p=p, entries=ent)
 
@@ -302,17 +314,58 @@ def _krylov_sequence(matrix: ModPMatrix, u, v, length: int) -> np.ndarray:
     return seq
 
 
-def _solves(matrix: ModPMatrix, c: list[int], v: np.ndarray) -> bool:
-    """Whether w = -c[d]^-1 (A^(d-1) v + c[1] A^(d-2) v + ... + c[d-1] v)
-    satisfies A w = v mod p, as it does when g(A) v = 0 for the recurrence
-    polynomial g(x) = x^d + c[1] x^(d-1) + ... + c[d] with c[d] != 0."""
+def _symmetric_sequence(matrix: ModPMatrix, v, length: int) -> np.ndarray:
+    """The first `length` terms of v . A^k v mod p, for a symmetric A.
+
+    With y_k = A^k v, the term v . A^(i+j) v is y_i . y_j, so
+    s_2k = y_k . y_k and s_2k+1 = y_k . y_k+1: ceil((length - 1) / 2)
+    matvecs instead of length - 1 (Eberly & Kaltofen, "On randomized
+    Lanczos algorithms", ISSAC 1997).
+    """
+    p = matrix.p
+    seq = np.empty(length, dtype=np.int64)
+    y = v
+    for k in range(0, length, 2):
+        seq[k] = y.dot(y) % p
+        if k + 1 < length:
+            nxt = _matvec_mod(matrix.entries, y, p)
+            seq[k + 1] = y.dot(nxt) % p
+            y = nxt
+    return seq
+
+
+def _solution(matrix: ModPMatrix, c: list[int], v: np.ndarray) -> np.ndarray:
+    """w = -c[d]^-1 (A^(d-1) v + c[1] A^(d-2) v + ... + c[d-1] v) mod p.
+
+    Horner steps w <- A w + c[i] v run on nonnegative int64 vectors and
+    are reduced mod p only when needed.  If B bounds the entries of w and
+    R is the largest row sum of the residues of A, the next step's entries
+    are at most R B + (p-1)^2; w is reduced first (B = p - 1) whenever that
+    would reach 2^63, so every sum is exact.  After one step B is about
+    (p-1)^2 < 2^40, and each further step multiplies it by about R: for a
+    coset matrix (R = n) one reduction covers 1 + 23 / log2(n) steps or
+    so, 7 at n = 11, in place of two reductions per step.
+    """
     p = matrix.p
     deg = len(c) - 1
-    w = v
+    row_max = int(matrix.entries.sum(axis=1).max())
+    top = (p - 1) ** 2
+    w, bound = v, p - 1
     for i in range(1, deg):
-        w = (_matvec_mod(matrix.entries, w, p) + c[i] * v) % p
-    w = (-pow(c[deg], -1, p)) % p * w % p
-    return bool((_matvec_mod(matrix.entries, w, p) == v).all())
+        if row_max * bound + top >= 2**63:
+            w, bound = w % p, p - 1
+        w = matrix.entries.dot(w)
+        w += c[i] * v
+        bound = row_max * bound + top
+    return (-pow(c[deg], -1, p)) % p * (w % p) % p
+
+
+def _solves(matrix: ModPMatrix, c: list[int], v: np.ndarray) -> bool:
+    """Whether w = _solution(matrix, c, v) satisfies A w = v mod p, checked
+    exactly; it does when g(A) v = 0 for the recurrence polynomial
+    g(x) = x^d + c[1] x^(d-1) + ... + c[d] with c[d] != 0."""
+    w = _solution(matrix, c, v)
+    return bool((_matvec_mod(matrix.entries, w, matrix.p) == v).all())
 
 
 def _certify_wiedemann(matrix: ModPMatrix, bound: int | None = None) -> str:
@@ -321,10 +374,16 @@ def _certify_wiedemann(matrix: ModPMatrix, bound: int | None = None) -> str:
     `bound` caps the degree of the minimal polynomial of A (default: dim).
     One Krylov sequence u . A^k v of 2 bound + 2 terms and one BM pass give
     its minimal generator g, which annihilates A for almost every u and v,
-    so g is shared by every right-hand side.  A right-hand side whose exact
-    check fails gets a fresh sequence of its own, with up to 3 projections
-    u each.  A bound below the true degree can only produce a false
-    'singular-mod-p', never a false 'invertible'.
+    so g is shared by every right-hand side.  When A is symmetric the first
+    sequence takes u = v_1 and costs half the matvecs (_symmetric_sequence);
+    if its generator does not solve A w = v_1, the random projections
+    follow as for any A.  The choice of u only decides whether a solve is
+    found: 'invertible' still needs A w_j = v_j verified exactly for every
+    uniform v_j, so the error bound p^-WIEDEMANN_SOLVES is unchanged.  A
+    right-hand side whose exact check fails gets a fresh sequence of its
+    own, with up to 3 random projections u each.  A bound below the true
+    degree can only produce a false 'singular-mod-p', never a false
+    'invertible'.
     """
     p, dim = matrix.p, matrix.dim
     length = 2 * (dim if bound is None else bound) + 2
@@ -334,12 +393,18 @@ def _certify_wiedemann(matrix: ModPMatrix, bound: int | None = None) -> str:
         return np.array([rng.randrange(p) for _ in range(dim)], dtype=np.int64)
 
     pending = [uniform() for _ in range(WIEDEMANN_SOLVES)]
+    symmetric = (matrix.entries != matrix.entries.T).nnz == 0
     tries = 0
     while pending:
         if tries == 3:
             return VERDICT_SINGULAR
-        tries += 1
-        c = _berlekamp_massey(_krylov_sequence(matrix, uniform(), pending[0], length), p)
+        if symmetric:  # the first sequence only
+            symmetric = False
+            seq = _symmetric_sequence(matrix, pending[0], length)
+        else:
+            tries += 1
+            seq = _krylov_sequence(matrix, uniform(), pending[0], length)
+        c = _berlekamp_massey(seq, p)
         if len(c) == 1 or c[-1] == 0 or not _solves(matrix, c, pending[0]):
             continue
         tries = 0

@@ -163,22 +163,32 @@ class ActionMatrix:
 
 def build_action_matrix(n: int, shape,
                         limit: int = SPARSE_TABLOID_LIMIT) -> ActionMatrix:
-    """Entry (i, j) = #{s in T : act(t_i, s) = t_j}."""
+    """Entry (i, j) = #{s in T : act(t_i, s) = t_j}.
+
+    The tabloids form a dim x n array of block indices, and each row read
+    as a string of n bytes is a base-256 code of its tabloid (block indices
+    stay below 256: a shape with m parts has at least m! tabloids).  The
+    codes are sorted, because the tabloids are.  The transposition
+    (x, x+1) swaps columns x-1 and x, and a binary search of the swapped
+    codes gives the image's index.  Row i of the CSR lists its n images
+    (the identity first) with unit weights, and sum_duplicates sorts and
+    merges them into counts.
+    """
     shape = check_partition(shape)
     if partition_n(shape) != n:
         raise ValueError(f"shape {shape} is not a partition of {n}")
-    tabloids = enumerate_tabloids(shape, limit)
-    index = {t: i for i, t in enumerate(tabloids)}
-    gens = list(GeneratorSet(n, include_identity=True))
+    tabloids = np.array(enumerate_tabloids(shape, limit), dtype=np.uint8)
     dim = len(tabloids)
-    rows = []
-    cols = []
-    for i, t in enumerate(tabloids):
-        for s in gens:
-            rows.append(i)
-            cols.append(index[act(t, s)])
-    data = np.ones(len(rows), dtype=np.int64)
-    mat = sp.csr_matrix((data, (rows, cols)), shape=(dim, dim), dtype=np.int64)
+    code = f"S{n}"
+    keys = tabloids.view(code).ravel()
+    cols = np.empty((dim, n), dtype=np.intp)
+    cols[:, 0] = np.arange(dim)
+    for x in range(1, n):
+        swapped = tabloids.copy()
+        swapped[:, [x - 1, x]] = tabloids[:, [x, x - 1]]
+        cols[:, x] = np.searchsorted(keys, swapped.view(code).ravel())
+    mat = sp.csr_matrix((np.ones(dim * n, dtype=np.int64), cols.ravel(),
+                         np.arange(0, dim * n + 1, n)), shape=(dim, dim))
     mat.sum_duplicates()
     return ActionMatrix(n=n, shape=shape, dim=dim, entries=mat)
 

@@ -184,7 +184,8 @@ def test_wiedemann_agrees_with_dense_verdict():
 
 def test_wiedemann_gives_a_failed_right_hand_side_its_own_sequence(monkeypatch):
     m = perfect.modp_from_action(young.tridiagonal_reference(9), DEFAULT_PRIMES[0])
-    real_solves, real_krylov = perfect._solves, perfect._krylov_sequence
+    real_solves = perfect._solves
+    real_krylov, real_symmetric = perfect._krylov_sequence, perfect._symmetric_sequence
     checked, sequences = [], []
 
     def solves_unless_second(matrix, c, v):
@@ -193,15 +194,197 @@ def test_wiedemann_gives_a_failed_right_hand_side_its_own_sequence(monkeypatch):
         return len(checked) not in (2, 3, 4) and real_solves(matrix, c, v)
 
     def krylov(matrix, u, v, length):
-        sequences.append(v)
+        sequences.append(("random-u", v))
         return real_krylov(matrix, u, v, length)
+
+    def symmetric(matrix, v, length):
+        sequences.append(("u=v", v))
+        return real_symmetric(matrix, v, length)
 
     monkeypatch.setattr(perfect, "_solves", solves_unless_second)
     monkeypatch.setattr(perfect, "_krylov_sequence", krylov)
+    monkeypatch.setattr(perfect, "_symmetric_sequence", symmetric)
     assert perfect._certify_wiedemann(m) == VERDICT_INVERTIBLE
+    # the matrix is symmetric: v_1 is solved from its u = v_1 sequence
+    assert sequences[0][0] == "u=v" and sequences[0][1] is checked[0]
     # v_2 still gets 3 projections u of its own after v_1 is solved
-    assert len(sequences) == 4 and all(v is checked[1] for v in sequences[1:])
+    assert len(sequences) == 4
+    assert all(kind == "random-u" and v is checked[1] for kind, v in sequences[1:])
     assert len(checked) == 5
+
+
+@st.composite
+def _symmetric_matrices(draw):
+    """A small symmetric integer matrix, sometimes made singular by a
+    symmetric row-and-column combination (P^T M P, where column i of P is
+    a e_j + b e_k); a prime."""
+    p = draw(st.sampled_from((1000003, 1048573)))
+    d = draw(st.integers(1, 14))
+    upper = draw(st.lists(st.integers(-4, 4), min_size=d * (d + 1) // 2,
+                          max_size=d * (d + 1) // 2))
+    rows = [[0] * d for _ in range(d)]
+    pairs = ((i, j) for i in range(d) for j in range(i, d))
+    for (i, j), x in zip(pairs, upper):
+        rows[i][j] = rows[j][i] = x
+    if d > 1 and draw(st.booleans()):
+        i = draw(st.integers(0, d - 1))
+        others = [x for x in range(d) if x != i]
+        j, k = draw(st.sampled_from(others)), draw(st.sampled_from(others))
+        a, b = draw(st.integers(-2, 2)), draw(st.integers(-2, 2))
+        rows[i] = [a * x + b * y for x, y in zip(rows[j], rows[k])]
+        for row in rows:
+            row[i] = a * row[j] + b * row[k]
+    return p, rows
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_symmetric_matrices())
+def test_symmetric_wiedemann_verdict_matches_integer_determinant(case):
+    p, rows = case
+    assert all(row == list(col) for row, col in zip(rows, zip(*rows)))
+    expected = VERDICT_INVERTIBLE if integer_determinant(rows) % p else VERDICT_SINGULAR
+    calls = []
+    real = perfect._symmetric_sequence
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(perfect, "_symmetric_sequence",
+                   lambda *args: calls.append(1) or real(*args))
+        assert perfect._certify_wiedemann(perfect.modp_from_rows(rows, p)) == expected
+    assert calls == [1]
+
+
+def _count_calls(monkeypatch, name):
+    calls = []
+    real = getattr(perfect, name)
+
+    def counted(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(perfect, name, counted)
+    return calls
+
+
+def test_symmetric_first_sequence_takes_half_the_matvecs(monkeypatch):
+    shape = (3, 2, 1)
+    bound = _young_bound(shape)
+    m = perfect.modp_from_action(young.build_action_matrix(6, shape), DEFAULT_PRIMES[0])
+    assert m.dim == 60 and bound == 46
+    matvecs = _count_calls(monkeypatch, "_matvec_mod")
+    in_sequence = []
+    real = perfect._symmetric_sequence
+
+    def symmetric(matrix, v, length):
+        before = len(matvecs)
+        seq = real(matrix, v, length)
+        in_sequence.append(len(matvecs) - before)
+        assert len(seq) == length == 2 * bound + 2
+        return seq
+
+    monkeypatch.setattr(perfect, "_symmetric_sequence", symmetric)
+    expected = VERDICT_INVERTIBLE if _action_determinant(shape) % m.p else VERDICT_SINGULAR
+    assert perfect._certify_wiedemann(m, bound) == expected
+    assert in_sequence == [bound + 1]
+
+
+def test_symmetric_sequence_equals_the_projection_u_equals_v():
+    m = perfect.modp_from_action(young.build_action_matrix(6, (3, 2, 1)), DEFAULT_PRIMES[0])
+    v = np.random.default_rng(7).integers(0, m.p, m.dim, dtype=np.int64)
+    for length in (1, 2, 3, 10, 11):
+        assert np.array_equal(perfect._symmetric_sequence(m, v, length),
+                              perfect._krylov_sequence(m, v, v, length))
+
+
+def _refuse_symmetric(*args):
+    raise AssertionError("symmetric sequence on a non-symmetric matrix")
+
+
+def test_nonsymmetric_matrix_never_takes_the_symmetric_path(monkeypatch):
+    monkeypatch.setattr(perfect, "_symmetric_sequence", _refuse_symmetric)
+    p = DEFAULT_PRIMES[0]
+    tri = young.tridiagonal_reference(9).to_dense()
+    tri[0][8] = 1  # one entry off the symmetric pattern
+    assert perfect._certify_wiedemann(perfect.modp_from_rows(tri, p)) == (
+        VERDICT_INVERTIBLE if integer_determinant(tri) % p else VERDICT_SINGULAR)
+    sing = [[1, 2, 0], [1, 2, 0], [0, 0, 1]]
+    assert perfect._certify_wiedemann(perfect.modp_from_rows(sing, p)) == VERDICT_SINGULAR
+
+
+@pytest.mark.parametrize("sequence", [
+    lambda length, p: np.zeros(length, dtype=np.int64),           # generator 1
+    lambda length, p: np.eye(1, length, dtype=np.int64)[0],       # c[d] = 0
+    lambda length, p: np.array([pow(2, k, p) for k in range(length)],
+                               dtype=np.int64),                  # no solve
+], ids=["length-1", "zero-constant", "exact-check-fails"])
+def test_failed_symmetric_generator_falls_back_to_random_projections(
+        monkeypatch, sequence):
+    m = perfect.modp_from_action(young.tridiagonal_reference(9), DEFAULT_PRIMES[0])
+    monkeypatch.setattr(perfect, "_symmetric_sequence",
+                        lambda matrix, v, length: sequence(length, matrix.p))
+    krylov = _count_calls(monkeypatch, "_krylov_sequence")
+    assert perfect._certify_wiedemann(m) == VERDICT_INVERTIBLE
+    assert len(krylov) >= 1
+
+
+# -- delayed-reduction Horner ----------------------------------------------------
+
+class _RecordingCSR(sp.csr_matrix):
+    """Records the largest entry of every vector it multiplies."""
+
+    def dot(self, other):
+        self.inputs.append(int(other.max()))
+        return super().dot(other)
+
+
+def _solution_reducing_every_step(rows, c, v, p):
+    """w = -c[d]^-1 (A^(d-1) v + ... + c[d-1] v) mod p in Python integers."""
+    w = [int(x) for x in v]
+    for ci in c[1:-1]:
+        w = [(sum(a * x for a, x in zip(row, w)) + ci * int(vi)) % p
+             for row, vi in zip(rows, v)]
+    scale = -pow(c[-1], -1, p) % p
+    return [scale * x % p for x in w]
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 16])
+def test_delayed_horner_is_exact_at_the_largest_row_sum(d):
+    # every entry p - 1: for its dimension, the largest row sum R
+    p = 1048573
+    rows = [[p - 1] * d for _ in range(d)]
+    entries = _RecordingCSR(np.array(rows, dtype=np.int64))
+    entries.inputs = []
+    m = perfect.ModPMatrix(d, p, entries)
+    rng = np.random.default_rng(d)
+    for c, v in [([1] + [p - 1] * 40, np.full(d, p - 1, dtype=np.int64)),
+                 ([1] + [int(x) for x in rng.integers(1, p, 40)],
+                  rng.integers(0, p, d, dtype=np.int64))]:
+        entries.inputs.clear()
+        got = perfect._solution(m, c, v)
+        assert [int(x) for x in got] == _solution_reducing_every_step(rows, c, v, p)
+        assert len(entries.inputs) == len(c) - 2
+        row_sum = d * (p - 1)
+        assert all(row_sum * x + (p - 1)**2 < 2**63 for x in entries.inputs)
+    if d <= 2:
+        # entries above p - 1 reach a product: reduction is really delayed
+        assert max(entries.inputs) >= p
+
+
+def test_delayed_horner_is_exact_on_a_coset_matrix():
+    p = 1048573
+    action = young.build_action_matrix(6, (3, 2, 1))
+    rows = action.to_dense()
+    entries = _RecordingCSR(perfect.modp_from_action(action, p).entries)
+    entries.inputs = []
+    m = perfect.ModPMatrix(action.dim, p, entries)
+    rng = np.random.default_rng(6)
+    c = [1] + [int(x) for x in rng.integers(1, p, 60)]
+    v = rng.integers(0, p, action.dim, dtype=np.int64)
+    got = perfect._solution(m, c, v)
+    assert [int(x) for x in got] == _solution_reducing_every_step(rows, c, v, p)
+    assert all(6 * x + (p - 1)**2 < 2**63 for x in entries.inputs)
+    # row sum 6: w grows by a factor 6 a step from (p-1)^2 < 2^40, so one
+    # reduction covers 8 or 9 steps
+    reduced = sum(x < p for x in entries.inputs)
+    assert reduced <= len(entries.inputs) // 8
 
 
 SMALL_COSET_SHAPES = [shape for n in range(2, 8) for shape in young.all_partitions(n)]

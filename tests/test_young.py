@@ -2,7 +2,9 @@ import gc
 from fractions import Fraction
 from math import factorial
 
+import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from kendall_codes import young
 from kendall_codes.young import (
@@ -28,6 +30,7 @@ from kendall_codes.young import (
 )
 
 from exact_sparse import add, identity, matmul, sparse
+from kendall_codes.perms import GeneratorSet
 
 
 # -- partitions and tabloids -------------------------------------------------
@@ -95,6 +98,46 @@ def test_action_matrix_equals_double_coset_counts(n, shape):
     for i in range(a.dim):
         for j in range(a.dim):
             assert d[i][j] == young.double_coset_oracle(n, shape, i, j)
+
+
+def _action_matrix_by_act(n, shape) -> sp.csr_matrix:
+    """Reference: one act() call per tabloid and generator, summed as COO."""
+    tabloids = enumerate_tabloids(shape)
+    index = {t: i for i, t in enumerate(tabloids)}
+    gens = list(GeneratorSet(n, include_identity=True))
+    rows, cols = [], []
+    for i, t in enumerate(tabloids):
+        for s in gens:
+            rows.append(i)
+            cols.append(index[act(t, s)])
+    dim = len(tabloids)
+    mat = sp.csr_matrix((np.ones(len(rows), dtype=np.int64), (rows, cols)),
+                        shape=(dim, dim), dtype=np.int64)
+    mat.sum_duplicates()
+    return mat
+
+
+@pytest.mark.parametrize("shape", [shape for n in range(1, 9)
+                                   for shape in all_partitions(n)]
+                         + [(6, 3, 2), (9, 2, 2), (44, 1)], ids=str)
+def test_action_matrix_csr_matches_act_loop(shape):
+    # byte-identical CSR arrays, dtypes included; (44,1) has 45 letters, so
+    # a base-(m+1) code of its tabloids would not fit in int64
+    got = build_action_matrix(sum(shape), shape).entries
+    want = _action_matrix_by_act(sum(shape), shape)
+    for name in ("indptr", "indices", "data"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
+    assert got.has_canonical_format
+
+
+def test_action_matrix_limit_is_checked_before_enumeration(monkeypatch):
+    def no_enumeration(*args):
+        raise AssertionError("tabloids enumerated before the limit check")
+
+    monkeypatch.setattr(young, "_fill_tabloids", no_enumeration)
+    with pytest.raises(DimensionLimitError):
+        build_action_matrix(14, (6, 6, 2), limit=84083)
 
 
 def test_hand_checked_matrix_n4():
