@@ -32,12 +32,18 @@ class CliConfig:
     output_format: str = "text"
 
     def validate(self) -> None:
-        if self.enumeration_limit < 1 or self.dimension_limit < 1:
-            raise ValueError("limits must be positive")
-        if self.time_limit is not None and self.time_limit <= 0:
-            raise ValueError("time limit must be positive")
+        # exact types: JSON true is a bool, which isinstance(v, int) accepts
+        if not all(type(v) is int and v >= 1
+                   for v in (self.enumeration_limit, self.dimension_limit)):
+            raise ValueError("limits must be positive integers")
+        t = self.time_limit
+        if t is not None and not (type(t) in (int, float) and t > 0):
+            raise ValueError(f"time limit must be a positive number, got {t!r}")
         if self.output_format not in ("json", "csv", "text"):
             raise ValueError(f"unknown output format {self.output_format!r}")
+        if not (type(self.prime_list) is tuple
+                and all(type(p) is int for p in self.prime_list)):
+            raise ValueError(f"primes must be a list of integers, got {self.prime_list!r}")
         for p in self.prime_list:
             perfect._check_prime(p)
 
@@ -59,7 +65,7 @@ def load_config(path: str | None, args) -> CliConfig:
         unknown = set(raw) - set(_CONFIG_KEYS)
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        fields = {_CONFIG_KEYS[k]: tuple(v) if k == "primeList" else v
+        fields = {_CONFIG_KEYS[k]: tuple(v) if isinstance(v, list) else v
                   for k, v in raw.items()}
         cfg = replace(cfg, **fields)
     overrides = {}

@@ -7,10 +7,16 @@ x; tabloids are indexed in lexicographic order of assignment vectors.  Blocks
 of equal size in different tuple positions are distinct tabloids, so counts
 are multinomials (90 tabloids for shape (2,2,2)).
 
+Tabloids and standard tableaux come from one enumeration, _lex_words: a
+breadth-first walk over an array of partial words that yields the words in
+lexicographic order without a sort.
+
 The action-matrix entry (i, j) counts generators in T = {adjacent
 transpositions} + {1} mapping tabloid i to tabloid j; this is the constraint
 matrix of the coset integer program and the obstruction matrix for 1-perfect
-codes.
+codes.  For the hook shape (n-1, 1) it is the path matrix
+tridiagonal_reference(n) itself: in lexicographic order the singleton sits
+at n, n-1, ..., 1.
 
 Irreducible representations are realized in Young's seminormal form with
 exact rational entries (the orthogonal form needs square roots, which would
@@ -23,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from itertools import combinations
+from itertools import permutations
 from math import factorial
 
 import numpy as np
@@ -86,42 +92,42 @@ def reference_tabloid(shape) -> Tabloid:
     return tuple(assignment)
 
 
-def enumerate_tabloids(shape, limit: int = SPARSE_TABLOID_LIMIT) -> list[Tabloid]:
-    """All tabloids of the shape, sorted lexicographically by assignment vector."""
+def _lex_words(start, length: int, allowed, step: int) -> np.ndarray:
+    """Every word of the given length that the counters allow, as the rows of
+    an array, in lexicographic order.
+
+    A partial word is one row and carries m counters, one per letter,
+    starting at start.  allowed(counters) marks the (word, letter) pairs
+    that may extend a word, and appending letter b adds step to counter b.
+    np.nonzero lists the pairs in row-major order, so every step keeps the
+    words in lexicographic order with no sort.  Letters are 0, ..., m - 1,
+    stored in the smallest unsigned type that holds m.
+    """
+    counters = np.array([start], dtype=np.int64)
+    words = np.empty((1, 0), dtype=np.min_scalar_type(len(start)))
+    for _ in range(length):
+        parent, letter = np.nonzero(allowed(counters))
+        counters = counters[parent]
+        counters[np.arange(len(parent)), letter] += step
+        words = np.column_stack((words[parent], letter.astype(words.dtype)))
+    return words
+
+
+def _tabloid_array(shape, limit: int) -> np.ndarray:
+    """The tabloids of the shape as the rows of a dim x n array of block
+    indices, in lexicographic order: block b may follow while it holds
+    fewer than shape[b - 1] elements."""
     shape = check_partition(shape)
     count = tabloid_count(shape)
     if count > limit:
         raise DimensionLimitError(f"{count} tabloids exceeds limit {limit}")
-    n = partition_n(shape)
-    out: list[Tabloid] = []
-    _fill_tabloids(shape, n, 1, tuple(range(1, n + 1)), {}, out)
-    out.sort()
-    return out
+    return _lex_words([0] * len(shape), partition_n(shape),
+                      lambda used: used < shape, 1) + 1
 
 
-def _fill_tabloids(shape, n: int, block: int, remaining: tuple[int, ...],
-                   assignment: dict[int, int], out: list[Tabloid]) -> None:
-    """Append to out every tabloid that extends assignment by placing the
-    elements of remaining into blocks block, block + 1, ...
-
-    A module-level function rather than a recursive closure: a closure that
-    calls itself forms a reference cycle with its cell, which would keep out
-    alive until the cyclic garbage collector runs.
-    """
-    m = len(shape)
-    if block > m:
-        out.append(tuple(assignment[x] for x in range(1, n + 1)))
-        return
-    if block == m:
-        for x in remaining:
-            assignment[x] = block
-        _fill_tabloids(shape, n, m + 1, (), assignment, out)
-        return
-    for chosen in combinations(remaining, shape[block - 1]):
-        for x in chosen:
-            assignment[x] = block
-        rest = tuple(x for x in remaining if x not in set(chosen))
-        _fill_tabloids(shape, n, block + 1, rest, assignment, out)
+def enumerate_tabloids(shape, limit: int = SPARSE_TABLOID_LIMIT) -> list[Tabloid]:
+    """All tabloids of the shape, sorted lexicographically by assignment vector."""
+    return [tuple(row) for row in _tabloid_array(shape, limit).tolist()]
 
 
 def act(t: Tabloid, sigma: Permutation) -> Tabloid:
@@ -167,17 +173,17 @@ def build_action_matrix(n: int, shape,
 
     The tabloids form a dim x n array of block indices, and each row read
     as a string of n bytes is a base-256 code of its tabloid (block indices
-    stay below 256: a shape with m parts has at least m! tabloids).  The
-    codes are sorted, because the tabloids are.  The transposition
-    (x, x+1) swaps columns x-1 and x, and a binary search of the swapped
-    codes gives the image's index.  Row i of the CSR lists its n images
-    (the identity first) with unit weights, and sum_duplicates sorts and
-    merges them into counts.
+    stay below 256: a shape with m parts has at least m! tabloids, so the
+    limit refuses it first).  The codes are sorted, because the tabloids
+    are.  The transposition (x, x+1) swaps columns x-1 and x, and a binary
+    search of the swapped codes gives the image's index.  Row i of the CSR
+    lists its n images (the identity first) with unit weights, and
+    sum_duplicates sorts and merges them into counts.
     """
     shape = check_partition(shape)
     if partition_n(shape) != n:
         raise ValueError(f"shape {shape} is not a partition of {n}")
-    tabloids = np.array(enumerate_tabloids(shape, limit), dtype=np.uint8)
+    tabloids = _tabloid_array(shape, limit)
     dim = len(tabloids)
     code = f"S{n}"
     keys = tabloids.view(code).ravel()
@@ -205,13 +211,11 @@ def double_coset_oracle(n: int, shape, i: int, j: int) -> int:
     shape = check_partition(shape)
     if partition_n(shape) != n:
         raise ValueError(f"shape {shape} is not a partition of {n}")
-    from itertools import permutations as iperms
-
     ref = reference_tabloid(shape)
     tabloids = enumerate_tabloids(shape)
     h_members = []
     reps: dict[Tabloid, Permutation] = {}
-    for g in iperms(range(1, n + 1)):
+    for g in permutations(range(1, n + 1)):
         image = act(ref, g)
         if image == ref:
             h_members.append(g)
@@ -242,57 +246,6 @@ def tridiagonal_reference(n: int) -> ActionMatrix:
     return ActionMatrix(n=n, shape=(n - 1, 1), dim=n, entries=mat)
 
 
-def permutation_similar_to_path(a: ActionMatrix, b: ActionMatrix) -> bool:
-    """True iff relabeling a's indices turns it into the path matrix b.
-
-    b must be tridiagonal with a connected path of off-diagonal nonzeros.
-    Decided structurally: find a's path endpoints (rows with exactly one
-    off-diagonal nonzero), traverse, compare weights forward and reversed.
-    """
-    if a.dim != b.dim:
-        return False
-    bd = b.entries.toarray()
-    dim = b.dim
-    for i in range(dim):
-        for j in range(dim):
-            if abs(i - j) > 1 and bd[i][j] != 0:
-                raise ValueError("reference matrix is not tridiagonal")
-    if dim > 1 and any(bd[i][i + 1] == 0 or bd[i + 1][i] == 0 for i in range(dim - 1)):
-        raise ValueError("reference matrix is not a connected path")
-
-    ad = a.entries.toarray()
-    neighbors = [[j for j in range(dim) if j != i and ad[i][j] != 0]
-                 for i in range(dim)]
-    if dim == 1:
-        return ad[0][0] == bd[0][0]
-    endpoints = [i for i in range(dim) if len(neighbors[i]) == 1]
-    if len(endpoints) != 2 or any(len(nb) > 2 for nb in neighbors):
-        return False
-
-    def walk(start: int) -> list[int] | None:
-        path = [start]
-        prev = -1
-        cur = start
-        while len(path) < dim:
-            nxt = [j for j in neighbors[cur] if j != prev]
-            if len(nxt) != 1:
-                return None
-            prev, cur = cur, nxt[0]
-            path.append(cur)
-        return path
-
-    for start in endpoints:
-        path = walk(start)
-        if path is None or len(set(path)) != dim:
-            continue
-        if all(ad[path[i]][path[i]] == bd[i][i] for i in range(dim)) and \
-           all(ad[path[i]][path[i + 1]] == bd[i][i + 1]
-               and ad[path[i + 1]][path[i]] == bd[i + 1][i]
-               for i in range(dim - 1)):
-            return True
-    return False
-
-
 # ---------------------------------------------------------------------------
 # dominance order and constituents
 
@@ -312,19 +265,19 @@ def dominance_geq(lam, mu) -> bool:
 
 
 def all_partitions(n: int) -> list[NumberPartition]:
-    """All partitions of n in descending lexicographic order."""
+    """All partitions of n in descending lexicographic order.
+
+    A depth-first walk on an explicit stack of (remaining, largest part,
+    prefix); the smallest next part is pushed first, so it pops last.
+    """
     out: list[NumberPartition] = []
-
-    def gen(remaining: int, maxpart: int, prefix: list[int]):
+    stack = [(n, n, ())]
+    while stack:
+        remaining, maxpart, prefix = stack.pop()
         if remaining == 0:
-            out.append(tuple(prefix))
-            return
-        for part in range(min(maxpart, remaining), 0, -1):
-            prefix.append(part)
-            gen(remaining - part, part, prefix)
-            prefix.pop()
-
-    gen(n, n, [])
+            out.append(prefix)
+        stack.extend((remaining - part, part, prefix + (part,))
+                     for part in range(1, min(maxpart, remaining) + 1))
     return out
 
 
@@ -384,34 +337,24 @@ def hook_length_dimension(shape) -> int:
 
 
 def enumerate_syt(shape) -> list[StandardYoungTableau]:
-    """All standard Young tableaux of the shape, in last-letter order."""
+    """All standard Young tableaux of the shape, in last-letter order.
+
+    Removing n, n-1, ..., 1 from corners, row r may lose its last cell
+    while it is longer than row r+1.  A word lists the rows of n, n-1, ...,
+    1, so lexicographic order of the words is last-letter order.  Within a
+    row the entries increase along the columns, so a stable sort of the
+    entries by row lists them in row-major order of their cells.  All
+    tableaux share the n cell tuples.
+    """
     shape = check_partition(shape)
     dim = hook_length_dimension(shape)
     if dim > IRREP_DIMENSION_LIMIT:
         raise DimensionLimitError(f"dimension {dim} exceeds limit {IRREP_DIMENSION_LIMIT}")
     n = partition_n(shape)
-    m = len(shape)
-    out: list[StandardYoungTableau] = []
-    cells: list[tuple[int, int] | None] = [None] * n
-    row_fill = [0] * m
-
-    def place(k: int):
-        if k > n:
-            out.append(tuple(cells))  # type: ignore[arg-type]
-            return
-        for r in range(m):
-            c = row_fill[r]
-            if c < shape[r] and (r == 0 or row_fill[r - 1] > c):
-                cells[k - 1] = (r, c)
-                row_fill[r] += 1
-                place(k + 1)
-                row_fill[r] -= 1
-        cells[k - 1] = None
-
-    place(1)
-    # last-letter order: compare rows of n, then n-1, ...
-    out.sort(key=lambda t: tuple(t[k][0] for k in range(n - 1, -1, -1)))
-    return out
+    rows = _lex_words(shape, n, lambda left: np.diff(left, append=0) < 0, -1)[:, ::-1]
+    cell_number = np.argsort(np.argsort(rows, axis=1, kind="stable"), axis=1)
+    cells = [(r, c) for r, size in enumerate(shape) for c in range(size)]
+    return [tuple(map(cells.__getitem__, t)) for t in cell_number.tolist()]
 
 
 def _axial_distance(t: StandardYoungTableau, i: int) -> int:

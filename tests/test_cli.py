@@ -151,7 +151,7 @@ def test_ilp_above_dimension_limit_exits_4(tmp_path, capsys, monkeypatch):
     def no_allocation(*args, **kwargs):
         raise AssertionError("the shape must be refused before allocation")
 
-    monkeypatch.setattr(young, "_fill_tabloids", no_allocation)
+    monkeypatch.setattr(young, "_lex_words", no_allocation)
     monkeypatch.setattr(ilp, "model_from_action", no_allocation)
     for mode in ("solve", "export"):
         code, _, err = run(capsys, "ilp", mode, "12", "4,4,4",
@@ -173,6 +173,24 @@ def test_config_rejects_bad_prime(tmp_path, capsys):
     code, _, err = run(capsys, "--config", str(cfg), "distance", "1,2", "1,2")
     assert code == 2
     assert "not prime" in err
+
+
+@pytest.mark.parametrize("raw", [
+    {"primeList": 1000003},
+    {"primeList": ["1000003"]},
+    {"primeList": [101.0]},
+    {"timeLimit": "abc"},
+    {"timeLimit": True},
+    {"enumerationLimit": "x"},
+    {"dimensionLimit": True},
+], ids=["prime-int", "prime-str", "prime-float", "time-str", "time-bool",
+        "enumeration-str", "dimension-bool"])
+def test_config_rejects_wrong_types(tmp_path, capsys, raw):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(raw))
+    code, _, err = run(capsys, "--config", str(cfg), "distance", "1,2", "1,2")
+    assert code == 2
+    assert err.startswith("error: ")
 
 
 def test_config_rejects_prime_above_limit(tmp_path, capsys, monkeypatch):

@@ -190,7 +190,7 @@ def test_ilp_dimension_limit_is_checked_before_allocation(monkeypatch):
     def no_allocation(*args, **kwargs):
         raise AssertionError("the shape must be refused before allocation")
 
-    monkeypatch.setattr(young, "_fill_tabloids", no_allocation)
+    monkeypatch.setattr(young, "_lex_words", no_allocation)
     monkeypatch.setattr(ilp, "model_from_action", no_allocation)
     assert young.tabloid_count((4, 4, 4)) > ilp.ILP_DIMENSION_LIMIT
     with pytest.raises(young.DimensionLimitError, match="exceeds limit"):

@@ -1,5 +1,6 @@
 import gc
 from fractions import Fraction
+from itertools import permutations
 from math import factorial
 
 import numpy as np
@@ -21,7 +22,6 @@ from kendall_codes.young import (
     hook_length_dimension,
     irrep_T_matrix,
     published_s15_list,
-    permutation_similar_to_path,
     reference_tabloid,
     seminormal_generator,
     tabloid_count,
@@ -58,16 +58,79 @@ def test_enumerate_tabloids_matches_count():
         assert ts[0] == reference_tabloid(shape)
 
 
-def test_enumerate_tabloids_leaves_no_reference_cycle():
-    # a cycle would keep the tabloid list alive until the cyclic collector
-    # runs, so repeated calls would grow the process's memory
+def _assert_no_reference_cycle(call):
+    # a cycle would keep the result alive until the cyclic collector runs,
+    # so repeated calls would grow the process's memory
     gc.collect()
     gc.disable()
     try:
-        enumerate_tabloids((4, 2, 1))
+        call()
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def test_enumerate_tabloids_leaves_no_reference_cycle():
+    _assert_no_reference_cycle(lambda: enumerate_tabloids((4, 2, 1)))
+
+
+@pytest.mark.parametrize("call", [
+    lambda: enumerate_syt((4, 2, 1)),
+    lambda: irrep_T_matrix((4, 2, 1)),
+    lambda: build_action_matrix(7, (4, 2, 1)),
+    lambda: all_partitions(7),
+], ids=["syt", "irrep_T", "action_matrix", "partitions"])
+def test_enumeration_leaves_no_reference_cycle(call):
+    _assert_no_reference_cycle(call)
+
+
+SHAPES_TO_8 = [shape for n in range(1, 9) for shape in all_partitions(n)]
+
+
+@pytest.mark.parametrize("shape", SHAPES_TO_8, ids=str)
+def test_tabloid_order_matches_sorted_permutations(shape):
+    # the distinct rearrangements of the reference tabloid, sorted
+    assert enumerate_tabloids(shape) == sorted(set(permutations(reference_tabloid(shape))))
+
+
+def _syt_by_lattice_words(shape):
+    """Standard tableaux from lattice words: entry k + 1 goes to row w[k],
+    and every prefix of w holds at least as many r - 1 as r."""
+    rows = [r for r, size in enumerate(shape) for _ in range(size)]
+    tableaux = []
+    for word in sorted(set(permutations(rows))):
+        counts = [0] * len(shape)
+        cells = []
+        for r in word:
+            if r and counts[r - 1] == counts[r]:
+                break
+            cells.append((r, counts[r]))
+            counts[r] += 1
+        else:
+            tableaux.append(tuple(cells))
+    # last-letter order: the row of n first, then of n - 1, ...
+    return sorted(tableaux, key=lambda t: [r for r, _ in reversed(t)])
+
+
+@pytest.mark.parametrize("shape", SHAPES_TO_8, ids=str)
+def test_syt_order_matches_lattice_words(shape):
+    assert enumerate_syt(shape) == _syt_by_lattice_words(shape)
+
+
+def test_syt_letters_do_not_wrap():
+    # entry 300 sits in row 299, where a uint8 letter would wrap to 43
+    (tableau,) = enumerate_syt((1,) * 300)
+    assert tableau == tuple((r, 0) for r in range(300))
+
+
+def test_all_partitions_descend_lexicographically():
+    assert all_partitions(0) == [()]
+    assert all_partitions(-1) == []
+    for n in range(1, 13):
+        parts = all_partitions(n)
+        assert parts == sorted(set(parts), reverse=True)
+        assert all(sum(p) == n and list(p) == sorted(p, reverse=True)
+                   for p in parts)
 
 
 def test_act_is_a_right_action():
@@ -135,7 +198,7 @@ def test_action_matrix_limit_is_checked_before_enumeration(monkeypatch):
     def no_enumeration(*args):
         raise AssertionError("tabloids enumerated before the limit check")
 
-    monkeypatch.setattr(young, "_fill_tabloids", no_enumeration)
+    monkeypatch.setattr(young, "_lex_words", no_enumeration)
     with pytest.raises(DimensionLimitError):
         build_action_matrix(14, (6, 6, 2), limit=84083)
 
@@ -160,10 +223,14 @@ def test_tridiagonal_reference_shape():
     ]
 
 
-@pytest.mark.parametrize("n", range(3, 11))
+@pytest.mark.parametrize("n", range(2, 11))
 def test_hook_action_matrix_is_path_similar(n):
-    a = build_action_matrix(n, (n - 1, 1))
-    assert permutation_similar_to_path(a, tridiagonal_reference(n))
+    # similar by the identity relabelling: in lexicographic order the
+    # singleton of (n-1,1) sits at n, n-1, ..., 1
+    a = build_action_matrix(n, (n - 1, 1)).entries
+    b = tridiagonal_reference(n).entries
+    assert a.dtype == b.dtype and a.shape == b.shape
+    assert (a != b).nnz == 0
 
 
 # -- dominance and constituents ----------------------------------------------
