@@ -9,7 +9,6 @@ invertibility certificates and 1-perfect-code obstructions), cli.
 from kendall_codes.perms import (
     Code,
     EnumerationLimitError,
-    GeneratorSet,
     ball,
     compose,
     exhaustive_max_code,

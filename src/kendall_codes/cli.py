@@ -26,16 +26,14 @@ EXIT_RESOURCE = 4
 @dataclass(frozen=True)
 class CliConfig:
     time_limit: float | None = None
-    enumeration_limit: int = perms.ENUMERATION_LIMIT
     dimension_limit: int = perfect.IRREP_CHECK_LIMIT
     prime_list: tuple[int, ...] = perfect.DEFAULT_PRIMES
     output_format: str = "text"
 
     def validate(self) -> None:
         # exact types: JSON true is a bool, which isinstance(v, int) accepts
-        if not all(type(v) is int and v >= 1
-                   for v in (self.enumeration_limit, self.dimension_limit)):
-            raise ValueError("limits must be positive integers")
+        if not (type(self.dimension_limit) is int and self.dimension_limit >= 1):
+            raise ValueError("dimension limit must be a positive integer")
         t = self.time_limit
         if t is not None and not (type(t) in (int, float) and t > 0):
             raise ValueError(f"time limit must be a positive number, got {t!r}")
@@ -50,7 +48,6 @@ class CliConfig:
 
 _CONFIG_KEYS = {
     "timeLimit": "time_limit",
-    "enumerationLimit": "enumeration_limit",
     "dimensionLimit": "dimension_limit",
     "primeList": "prime_list",
     "outputFormat": "output_format",
@@ -62,6 +59,8 @@ def load_config(path: str | None, args) -> CliConfig:
     if path:
         with open(path) as fh:
             raw = json.load(fh)
+        if not isinstance(raw, dict):
+            raise ValueError("config must be a JSON object")
         unknown = set(raw) - set(_CONFIG_KEYS)
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
@@ -120,8 +119,7 @@ def cmd_ball(args, cfg: CliConfig) -> int:
         size = perms.ball_size(args.n, args.r)
         _emit({"n": args.n, "r": args.r, "size": size}, cfg, [str(size)])
         return EXIT_OK
-    members = perms.ball(args.n, center, args.r,
-                         enumeration_limit=cfg.enumeration_limit)
+    members = perms.ball(args.n, center, args.r)
     listed = sorted(perms.format_permutation(m) for m in members)
     _emit({"n": args.n, "r": args.r, "size": len(members), "members": listed},
           cfg, listed)

@@ -52,12 +52,6 @@ class IlpModel:
     rhs: int
 
 
-def _model(n: int, shape: tuple[int, ...], rows, rhs: int) -> IlpModel:
-    matrix = np.array(rows, dtype=np.int64)
-    matrix.setflags(write=False)
-    return IlpModel(n=n, shape=shape, dim=len(matrix), matrix=matrix, rhs=rhs)
-
-
 @dataclass(frozen=True)
 class LpSolution:
     status: str
@@ -90,12 +84,20 @@ def build_coset_ilp(n: int, shape) -> IlpModel:
     """The coset ILP of shape; raises young.DimensionLimitError before any
     enumeration when the shape has more than ILP_DIMENSION_LIMIT tabloids."""
     shape = check_partition(shape)
-    return model_from_action(build_action_matrix(n, shape, ILP_DIMENSION_LIMIT),
+    if young.partition_n(shape) != n:
+        raise ValueError(f"shape {shape} is not a partition of {n}")
+    count = young.tabloid_count(shape)
+    if count > ILP_DIMENSION_LIMIT:
+        raise young.DimensionLimitError(f"{count} tabloids exceeds limit {ILP_DIMENSION_LIMIT}")
+    return model_from_action(build_action_matrix(n, shape),
                              young.young_subgroup_order(shape))
 
 
 def model_from_action(action: ActionMatrix, rhs: int) -> IlpModel:
-    return _model(action.n, action.shape, action.entries.toarray(), rhs)
+    matrix = np.asarray(action.entries.toarray(), dtype=np.int64)
+    matrix.setflags(write=False)
+    return IlpModel(n=action.n, shape=action.shape, dim=action.dim,
+                    matrix=matrix, rhs=rhs)
 
 
 def feasible(model: IlpModel, x) -> bool:
@@ -495,14 +497,14 @@ def systemineq_check(x, p: int) -> tuple[bool, bool, bool]:
     return claim1, claim2, claim3
 
 
-def random_feasible(p: int, seed: int, rounds: int = 200) -> list[int]:
-    """Random coordinate ascent from 0 inside the tridiagonal polytope."""
+def random_feasible(p: int, seed: int) -> list[int]:
+    """Random coordinate ascent from 0 in the tridiagonal polytope, 200 rounds."""
     rng = random.Random(seed)
     model = model_from_action(young.tridiagonal_reference(p), factorial(p - 1))
     rows = model.matrix.tolist()
     x = [0] * p
     slack = [model.rhs] * p
-    for _ in range(rounds):
+    for _ in range(200):
         j = rng.randrange(p)
         room = None
         for i, row in enumerate(rows):
@@ -519,7 +521,7 @@ def random_feasible(p: int, seed: int, rounds: int = 200) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# LP-format export / import
+# LP-format and matrix export
 
 def lp_format_lines(model: IlpModel):
     yield "Maximize"
@@ -543,49 +545,15 @@ def export_lp(model: IlpModel, destination) -> None:
             fh.write(line + "\n")
 
 
-def parse_lp(lines, n: int | None = None, shape=None) -> IlpModel:
-    """Parse the subset of LP format written by :func:`export_lp`."""
-    section = None
-    rows: dict[int, dict[int, int]] = {}
-    rhs_values = set()
-    dim = 0
-    for raw in lines:
-        line = raw.strip()
-        if not line:
-            continue
-        lowered = line.lower()
-        if lowered in ("maximize", "subject to", "bounds", "general", "end"):
-            section = lowered
-            continue
-        if section == "maximize":
-            for tok in line.split(":", 1)[-1].replace("+", " ").split():
-                dim = max(dim, int(tok.lstrip("x")) )
-        elif section == "subject to":
-            label, body = line.split(":", 1)
-            idx = int(label.strip().lstrip("c")) - 1
-            expr, rhs = body.split("<=")
-            rhs_values.add(int(rhs.strip()))
-            row: dict[int, int] = {}
-            for term in expr.split("+"):
-                coeff_txt, var_txt = term.split()
-                row[int(var_txt.lstrip("x")) - 1] = int(coeff_txt)
-            rows[idx] = row
-    if len(rhs_values) != 1:
-        raise ValueError("expected a single common right-hand side")
-    matrix = [[rows.get(i, {}).get(j, 0) for j in range(dim)]
-              for i in range(len(rows))]
-    return _model(n or dim, tuple(shape) if shape else (dim - 1, 1), matrix,
-                  rhs_values.pop())
-
-
 def export_matrix(action: ActionMatrix, destination, fmt: str = "matrixmarket") -> None:
     if fmt == "matrixmarket":
         young.write_matrix_market(action.entries, destination)
     elif fmt == "json":
         import json
+        # built first: a refused matrix leaves the destination untouched
+        text = json.dumps(young.matrix_json_dense(action), indent=1, sort_keys=True)
         with open(destination, "w") as fh:
-            json.dump(young.matrix_json_dense(action), fh, indent=1, sort_keys=True)
-            fh.write("\n")
+            fh.write(text + "\n")
     else:
         raise ValueError(f"unknown matrix format {fmt!r}")
 
@@ -625,10 +593,6 @@ class BoundReport:
             ],
             "minimum": str(self.minimum().value),
         }
-
-
-def _lit(expr: str, value: int, source: str) -> tuple[int, str]:
-    return value, f"{expr} ({source})"
 
 
 #: published upper bounds on P(n,3) (the literature table is data, not a

@@ -7,22 +7,27 @@ Under this convention swapping positions i, i+1 of the one-line word of p
 equals ``compose(s_i, p)`` for the adjacent transposition s_i = (i, i+1),
 which makes word length in adjacent transpositions equal the discordant-pair
 count (pinned by the BFS oracle tests).
+
+Enumeration is guarded by module constants read at each call:
+ENUMERATION_LIMIT by ball, all_perms, covering_decomposition and
+greedy_code, ORACLE_LIMIT by exhaustive_max_code.  ball_size only counts.
 """
 
 from __future__ import annotations
 
 import random
 from collections import deque
-from dataclasses import dataclass, field
-from itertools import permutations as _itertools_permutations
+from dataclasses import dataclass
+from itertools import accumulate, permutations as _itertools_permutations
 from math import factorial
 
 Permutation = tuple[int, ...]
 
-#: largest n for which full enumeration of S_n is attempted (n! = 40320 at 8)
+#: largest n that ball, all_perms, covering_decomposition and greedy_code
+#: enumerate (n! = 40320 at 8)
 ENUMERATION_LIMIT = 8
 
-#: largest n for the exhaustive maximum-code clique oracle
+#: largest n for exhaustive_max_code, the maximum-code clique oracle
 ORACLE_LIMIT = 5
 
 
@@ -66,27 +71,6 @@ def adjacent_transposition(n: int, i: int) -> Permutation:
     images = list(range(1, n + 1))
     images[i - 1], images[i] = images[i], images[i - 1]
     return tuple(images)
-
-
-@dataclass(frozen=True)
-class GeneratorSet:
-    """The adjacent transpositions of S_n, optionally together with 1."""
-
-    n: int
-    include_identity: bool = False
-    members: tuple[Permutation, ...] = field(init=False)
-
-    def __post_init__(self):
-        gens = [adjacent_transposition(self.n, i) for i in range(1, self.n)]
-        if self.include_identity:
-            gens.insert(0, identity(self.n))
-        object.__setattr__(self, "members", tuple(gens))
-
-    def __iter__(self):
-        return iter(self.members)
-
-    def __len__(self):
-        return len(self.members)
 
 
 def kendall_distance(p: Permutation, q: Permutation) -> int:
@@ -143,11 +127,10 @@ def kendall_distance_bfs(p: Permutation, q: Permutation) -> int:
     raise AssertionError("swap graph is connected; unreachable")
 
 
-def ball(n: int, center: Permutation, r: int,
-         enumeration_limit: int = ENUMERATION_LIMIT) -> set[Permutation]:
+def ball(n: int, center: Permutation, r: int) -> set[Permutation]:
     """The radius-r Kendall ball around center, by BFS to depth r."""
-    if n > enumeration_limit:
-        raise EnumerationLimitError(f"n={n} exceeds enumeration limit {enumeration_limit}")
+    if n > ENUMERATION_LIMIT:
+        raise EnumerationLimitError(f"n={n} exceeds enumeration limit {ENUMERATION_LIMIT}")
     if r < 0:
         raise ValueError("radius must be >= 0")
     center = check_perm(center)
@@ -169,19 +152,22 @@ def ball(n: int, center: Permutation, r: int,
 def ball_size(n: int, r: int) -> int:
     """|B_r| without enumeration: the permutations of [n] with at most r
     inversions, a sum of the Mahonian numbers I(n, k), k <= r, where
-    I(m, k) = sum over j <= min(k, m-1) of I(m-1, k-j)."""
+    I(m, k) = sum over j <= min(k, m-1) of I(m-1, k-j).  Each row is read
+    off the prefix sums of the last, so the whole costs O(n r) additions."""
     if r < 0:
         raise ValueError("radius must be >= 0")
-    r = min(r, n * (n - 1) // 2)  # no permutation has more inversions
+    if r >= n * (n - 1) // 2:  # no permutation has more inversions
+        return factorial(n)
     counts = [1] + [0] * r  # I(1, k) for k <= r
     for m in range(2, n + 1):
-        counts = [sum(counts[max(k - m + 1, 0):k + 1]) for k in range(r + 1)]
+        prefix = list(accumulate(counts, initial=0))
+        counts = [prefix[k + 1] - prefix[max(k - m + 1, 0)] for k in range(r + 1)]
     return sum(counts)
 
 
-def all_perms(n: int, enumeration_limit: int = ENUMERATION_LIMIT) -> list[Permutation]:
-    if n > enumeration_limit:
-        raise EnumerationLimitError(f"n={n} exceeds enumeration limit {enumeration_limit}")
+def all_perms(n: int) -> list[Permutation]:
+    if n > ENUMERATION_LIMIT:
+        raise EnumerationLimitError(f"n={n} exceeds enumeration limit {ENUMERATION_LIMIT}")
     return list(_itertools_permutations(range(1, n + 1)))
 
 
@@ -231,8 +217,7 @@ def verify_code(code: Code, d: int) -> bool:
     return min_distance(code) >= d
 
 
-def covering_decomposition(code: Code,
-                           enumeration_limit: int = ENUMERATION_LIMIT):
+def covering_decomposition(code: Code):
     """Leftover set and ball-multiset overlap of the radius-1 covering.
 
     Returns ``(Y, multiplicity_max)`` where Y = S_n minus the union of the
@@ -241,32 +226,30 @@ def covering_decomposition(code: Code,
     iff the code has minimum distance >= 3.
     """
     n = code.n
-    if n > enumeration_limit:
-        raise EnumerationLimitError(f"n={n} exceeds enumeration limit {enumeration_limit}")
+    everything = all_perms(n)  # refuses an n beyond the limit before any ball
     counts: dict[Permutation, int] = {}
     for c in code.members:
-        for g in ball(n, c, 1, enumeration_limit):
+        for g in ball(n, c, 1):
             counts[g] = counts.get(g, 0) + 1
-    y = {g for g in all_perms(n, enumeration_limit) if g not in counts}
+    y = {g for g in everything if g not in counts}
     return y, max(counts.values())
 
 
-def greedy_code(n: int, d: int, seed: int,
-                enumeration_limit: int = ENUMERATION_LIMIT) -> Code:
+def greedy_code(n: int, d: int, seed: int) -> Code:
     """Deterministic random-greedy maximal code with min distance >= d.
 
     Scans S_n in a seed-determined order and keeps every permutation not
     within distance d-1 of a kept one.
     """
     rng = random.Random(seed)
-    candidates = all_perms(n, enumeration_limit)
+    candidates = all_perms(n)
     rng.shuffle(candidates)
     blocked: set[Permutation] = set()
     chosen = []
     for g in candidates:
         if g not in blocked:
             chosen.append(g)
-            blocked |= ball(n, g, d - 1, enumeration_limit)
+            blocked |= ball(n, g, d - 1)
     return Code.of(chosen)
 
 
@@ -296,15 +279,15 @@ def _greedy_coloring_order(vertices: list[int], adj: list[int]):
     return order, bounds
 
 
-def exhaustive_max_code(n: int, d: int, oracle_limit: int = ORACLE_LIMIT):
+def exhaustive_max_code(n: int, d: int):
     """Exact P(n,d) with a witness, by branch-and-bound maximum clique.
 
     Vertices are the n! permutations (lexicographic order); edges join pairs
     at Kendall distance >= d.  Deterministic: greedy-coloring bound with
     lexicographic tie-breaks.
     """
-    if n > oracle_limit:
-        raise EnumerationLimitError(f"n={n} exceeds oracle limit {oracle_limit}")
+    if n > ORACLE_LIMIT:
+        raise EnumerationLimitError(f"n={n} exceeds oracle limit {ORACLE_LIMIT}")
     perms = all_perms(n)
     if d <= 1:
         return len(perms), Code.of(perms)

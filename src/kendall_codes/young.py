@@ -36,22 +36,23 @@ import numpy as np
 import scipy.sparse as sp
 
 from kendall_codes.perms import (
-    GeneratorSet,
     Permutation,
+    adjacent_transposition,
     compose,
+    identity,
 )
 from kendall_codes.perms import inverse as perm_inverse
 
 NumberPartition = tuple[int, ...]
 
-#: absolute ceiling on the number of tabloids (sparse construction)
+#: tabloid ceiling of enumerate_tabloids and build_action_matrix, read at each call
 SPARSE_TABLOID_LIMIT = 10_000_000
 #: ceiling on irreducible dimensions, read at each call
 IRREP_DIMENSION_LIMIT = 100_000
 
 
 class DimensionLimitError(ValueError):
-    """Raised when a matrix would exceed the configured size limit."""
+    """Raised when a matrix would exceed its size limit."""
 
 
 def check_partition(shape) -> NumberPartition:
@@ -113,21 +114,21 @@ def _lex_words(start, length: int, allowed, step: int) -> np.ndarray:
     return words
 
 
-def _tabloid_array(shape, limit: int) -> np.ndarray:
+def _tabloid_array(shape) -> np.ndarray:
     """The tabloids of the shape as the rows of a dim x n array of block
     indices, in lexicographic order: block b may follow while it holds
     fewer than shape[b - 1] elements."""
     shape = check_partition(shape)
     count = tabloid_count(shape)
-    if count > limit:
-        raise DimensionLimitError(f"{count} tabloids exceeds limit {limit}")
+    if count > SPARSE_TABLOID_LIMIT:
+        raise DimensionLimitError(f"{count} tabloids exceeds limit {SPARSE_TABLOID_LIMIT}")
     return _lex_words([0] * len(shape), partition_n(shape),
                       lambda used: used < shape, 1) + 1
 
 
-def enumerate_tabloids(shape, limit: int = SPARSE_TABLOID_LIMIT) -> list[Tabloid]:
+def enumerate_tabloids(shape) -> list[Tabloid]:
     """All tabloids of the shape, sorted lexicographically by assignment vector."""
-    return [tuple(row) for row in _tabloid_array(shape, limit).tolist()]
+    return [tuple(row) for row in _tabloid_array(shape).tolist()]
 
 
 def act(t: Tabloid, sigma: Permutation) -> Tabloid:
@@ -167,8 +168,7 @@ class ActionMatrix:
         return (self.entries != self.entries.T).nnz == 0
 
 
-def build_action_matrix(n: int, shape,
-                        limit: int = SPARSE_TABLOID_LIMIT) -> ActionMatrix:
+def build_action_matrix(n: int, shape) -> ActionMatrix:
     """Entry (i, j) = #{s in T : act(t_i, s) = t_j}.
 
     The tabloids form a dim x n array of block indices, and each row read
@@ -183,7 +183,7 @@ def build_action_matrix(n: int, shape,
     shape = check_partition(shape)
     if partition_n(shape) != n:
         raise ValueError(f"shape {shape} is not a partition of {n}")
-    tabloids = _tabloid_array(shape, limit)
+    tabloids = _tabloid_array(shape)
     dim = len(tabloids)
     code = f"S{n}"
     keys = tabloids.view(code).ravel()
@@ -223,7 +223,7 @@ def double_coset_oracle(n: int, shape, i: int, j: int) -> int:
             reps[image] = g
     a_i = reps[tabloids[i]]
     a_j = reps[tabloids[j]]
-    gens = set(GeneratorSet(n, include_identity=True))
+    gens = {identity(n)} | {adjacent_transposition(n, k) for k in range(1, n)}
     a_i_inv = perm_inverse(a_i)
     count = 0
     for h in h_members:

@@ -63,6 +63,16 @@ def test_matrix_stdout(capsys):
     assert out.startswith("%%MatrixMarket")
 
 
+def test_refused_json_export_keeps_the_destination(tmp_path, capsys):
+    dest = tmp_path / "keep.json"
+    dest.write_text('{"a":1}')
+    code, _, err = run(capsys, "matrix", "8", "4,2,2", "--out", str(dest),
+                       "--matrix-format", "json")
+    assert code == 4
+    assert "dim <= 200" in err
+    assert dest.read_text() == '{"a":1}'
+
+
 def test_matrix_rejects_unsorted_shape(capsys):
     code, _, err = run(capsys, "matrix", "4", "1,3")
     assert code == 2
@@ -127,7 +137,7 @@ def test_config_file_overrides(tmp_path, capsys):
 
 
 def test_removed_knobs_are_rejected(tmp_path, capsys):
-    for key in ("threads", "seed"):
+    for key in ("threads", "seed", "enumerationLimit"):
         cfg = tmp_path / f"{key}.json"
         cfg.write_text(json.dumps({key: 1}))
         code, _, err = run(capsys, "--config", str(cfg), "distance", "1,2", "1,2")
@@ -160,6 +170,13 @@ def test_ilp_above_dimension_limit_exits_4(tmp_path, capsys, monkeypatch):
         assert "exceeds limit" in err
 
 
+def test_ilp_shape_of_another_n_is_bad_input(capsys):
+    # the partition check comes before the dimension limit
+    code, _, err = run(capsys, "ilp", "solve", "5", "4,4,4")
+    assert code == 2
+    assert "not a partition of 5" in err
+
+
 def test_ilp_json_at_huge_rhs_is_one_document(capfd):
     # HiGHS writes diagnostics straight to file descriptor 1 at rhs 20!
     code = cli.main(["--format", "json", "ilp", "solve", "21", "20,1"])
@@ -181,16 +198,26 @@ def test_config_rejects_bad_prime(tmp_path, capsys):
     {"primeList": [101.0]},
     {"timeLimit": "abc"},
     {"timeLimit": True},
-    {"enumerationLimit": "x"},
+    {"dimensionLimit": "x"},
     {"dimensionLimit": True},
 ], ids=["prime-int", "prime-str", "prime-float", "time-str", "time-bool",
-        "enumeration-str", "dimension-bool"])
+        "dimension-str", "dimension-bool"])
 def test_config_rejects_wrong_types(tmp_path, capsys, raw):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(raw))
     code, _, err = run(capsys, "--config", str(cfg), "distance", "1,2", "1,2")
     assert code == 2
     assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize("text", ["[]", "5", "null", '""', "true"],
+                         ids=["list", "int", "null", "str", "bool"])
+def test_config_must_be_a_json_object(tmp_path, capsys, text):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(text)
+    code, _, err = run(capsys, "--config", str(cfg), "distance", "1,2", "1,2")
+    assert code == 2
+    assert err == "error: config must be a JSON object\n"
 
 
 def test_config_rejects_prime_above_limit(tmp_path, capsys, monkeypatch):

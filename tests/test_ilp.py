@@ -21,7 +21,6 @@ from kendall_codes.ilp import (
     ilp_solve,
     lp_format_lines,
     lp_relax,
-    parse_lp,
     random_feasible,
     systemineq_check,
 )
@@ -325,18 +324,7 @@ def test_random_feasible_deterministic_and_seed_sensitive():
     assert a != c
 
 
-# -- export / import -----------------------------------------------------------
-
-def test_lp_roundtrip(tmp_path):
-    m = build_coset_ilp(4, (3, 1))
-    dest = tmp_path / "m.lp"
-    export_lp(m, dest)
-    text = dest.read_text()
-    assert text.startswith("Maximize")
-    again = parse_lp(text.splitlines(), n=4, shape=(3, 1))
-    assert np.array_equal(again.matrix, m.matrix)
-    assert again.rhs == m.rhs
-
+# -- export --------------------------------------------------------------------
 
 def test_lp_export_is_byte_deterministic(tmp_path):
     m = build_coset_ilp(5, (3, 2))
@@ -344,6 +332,7 @@ def test_lp_export_is_byte_deterministic(tmp_path):
     export_lp(m, a)
     export_lp(m, b)
     assert a.read_bytes() == b.read_bytes()
+    assert a.read_text().startswith("Maximize")
 
 
 def test_lp_lines_for_n17_model():

@@ -1,4 +1,5 @@
 import random
+from math import factorial
 
 import pytest
 
@@ -95,6 +96,24 @@ def test_ball_size_closed_form():
         perms.ball_size(5, -1)
 
 
+def _ball_size_by_mahonian_sums(n, r):
+    """Reference: every Mahonian number I(m, k) summed term by term."""
+    counts = [1] + [0] * r
+    for m in range(2, n + 1):
+        counts = [sum(counts[max(k - m + 1, 0):k + 1]) for k in range(r + 1)]
+    return sum(counts)
+
+
+def test_ball_size_matches_term_by_term_mahonian_sums():
+    for n in range(1, 10):
+        for r in range(n * (n - 1) // 2 + 3):
+            assert perms.ball_size(n, r) == _ball_size_by_mahonian_sums(n, r), (n, r)
+
+
+def test_ball_size_at_the_diameter_is_n_factorial():
+    assert perms.ball_size(400, 79800) == factorial(400)
+
+
 def test_ball_size_is_center_independent():
     for n in range(3, 7):
         base = {r: len(ball(n, identity(n), r)) for r in range(1, 4)}
@@ -144,6 +163,26 @@ def test_exhaustive_oracle_small():
 def test_oracle_limit():
     with pytest.raises(EnumerationLimitError):
         exhaustive_max_code(6, 3)
+
+
+def test_limits_are_read_at_call_time(monkeypatch):
+    monkeypatch.setattr(perms, "ORACLE_LIMIT", 3)
+    with pytest.raises(EnumerationLimitError, match="exceeds oracle limit 3"):
+        exhaustive_max_code(4, 3)
+    monkeypatch.setattr(perms, "ENUMERATION_LIMIT", 4)
+    with pytest.raises(EnumerationLimitError, match="exceeds enumeration limit 4"):
+        greedy_code(5, 3, seed=1)
+
+
+def test_covering_decomposition_refuses_before_any_ball(monkeypatch):
+    def no_ball(*args):
+        raise AssertionError("a ball was built before the limit check")
+
+    code = greedy_code(5, 3, seed=3)
+    monkeypatch.setattr(perms, "ENUMERATION_LIMIT", 4)
+    monkeypatch.setattr(perms, "ball", no_ball)
+    with pytest.raises(EnumerationLimitError, match="exceeds enumeration limit 4"):
+        perms.covering_decomposition(code)
 
 
 def test_parse_and_format_roundtrip():

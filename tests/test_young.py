@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from kendall_codes import young
+from kendall_codes import perms, young
 from kendall_codes.young import (
     ActionMatrix,
     DimensionLimitError,
@@ -30,7 +30,6 @@ from kendall_codes.young import (
 )
 
 from exact_sparse import add, identity, matmul, sparse
-from kendall_codes.perms import GeneratorSet
 
 
 # -- partitions and tabloids -------------------------------------------------
@@ -167,7 +166,8 @@ def _action_matrix_by_act(n, shape) -> sp.csr_matrix:
     """Reference: one act() call per tabloid and generator, summed as COO."""
     tabloids = enumerate_tabloids(shape)
     index = {t: i for i, t in enumerate(tabloids)}
-    gens = list(GeneratorSet(n, include_identity=True))
+    gens = [perms.identity(n)] + [perms.adjacent_transposition(n, i)
+                                  for i in range(1, n)]
     rows, cols = [], []
     for i, t in enumerate(tabloids):
         for s in gens:
@@ -199,8 +199,9 @@ def test_action_matrix_limit_is_checked_before_enumeration(monkeypatch):
         raise AssertionError("tabloids enumerated before the limit check")
 
     monkeypatch.setattr(young, "_lex_words", no_enumeration)
+    monkeypatch.setattr(young, "SPARSE_TABLOID_LIMIT", 84083)
     with pytest.raises(DimensionLimitError):
-        build_action_matrix(14, (6, 6, 2), limit=84083)
+        build_action_matrix(14, (6, 6, 2))
 
 
 def test_hand_checked_matrix_n4():
