@@ -150,7 +150,11 @@ def cmd_oracle(args, cfg: CliConfig) -> int:
 
 
 def cmd_matrix(args, cfg: CliConfig) -> int:
-    action = young.build_action_matrix(args.n, parse_shape(args.shape))
+    shape = parse_shape(args.shape)
+    if args.out and args.format == "json" and young.partition_n(shape) == args.n:
+        # the size is known from the shape: refuse before the build
+        young.check_dense_json(young.tabloid_count(shape))
+    action = young.build_action_matrix(args.n, shape)
     if args.out:
         ilp.export_matrix(action, args.out, fmt=args.format)
     else:

@@ -21,37 +21,44 @@ eliminated with partial pivoting, and the trailing updates U = L^-1 A and
 A -= L U run as float64 BLAS products, reduced mod p once per panel.  An
 entry gains at most _BLOCK products of residues between reductions, so every
 sum stays below p + _BLOCK (p-1)^2 < 2^47 < 2^53 and float64 is exact.  Above
-DENSE_LIMIT a Wiedemann black-box check is used instead (Wiedemann, IEEE
-Trans. Inf. Theory 32(1), 1986):
+DENSE_LIMIT a black-box check, reported as method 'wiedemann', is used
+instead:
 
-- One Krylov sequence u . A^k v_1 of 2 B + 2 terms, where B bounds the degree
-  of the minimal polynomial of A, goes through one Berlekamp-Massey pass,
-  which returns the minimal generator g of the sequence.  For a coset matrix
-  B = sum of f^lam over the partitions lam dominating the shape (Young's
-  rule: M^mu = sum K_{lam,mu} S^lam); otherwise B = dim.
-- A symmetric A (every coset matrix: T is inverse-closed) gets the
-  projection u = v_1 for its first sequence.  Then u . A^(i+j) v_1 =
-  y_i . y_j with y_k = A^k v_1, so 2 B + 2 terms cost B + 1 matvecs
-  instead of 2 B + 1 (Eberly & Kaltofen, "On randomized Lanczos
-  algorithms", ISSAC 1997).  If that generator solves nothing, random
-  projections u follow, as for any A.
-- When g(0) != 0 the same annihilator is shared by all WIEDEMANN_SOLVES
+- A symmetric A (every coset matrix: T is inverse-closed) first gets scalar
+  Lanczos on all WIEDEMANN_SOLVES right-hand sides v_j at once (Lanczos,
+  J. Res. Nat. Bur. Standards 49, 1952; LaMacchia & Odlyzko, CRYPTO 1990),
+  one lane of a (k, dim) array each.  From w = v, a step takes t = w . A w,
+  adds (w . v / t) w to the solve x, and A-orthogonalises A w against the
+  last two w.  A lane stops at t = 0 mod p, and after B + 1 products in
+  all, where B bounds the degree of the minimal polynomial of A: for a
+  coset matrix B = sum of f^lam over the partitions lam dominating the
+  shape (Young's rule: M^mu = sum K_{lam,mu} S^lam); otherwise B = dim.
+  When R (p-1) < 2^31, R the largest row sum of the residues, two lanes
+  share one CSR product of w_0 + 2^32 w_1.  One Krylov pass per
+  right-hand side gives the solve itself: no sequence, no Berlekamp-Massey
+  and no Horner pass.
+- A v_j that Lanczos leaves unsolved (a self-orthogonal w, the cap, or a
+  failed exact check), and every v_j of a non-symmetric A, goes to random
+  projections with the same v_j (Wiedemann, IEEE Trans. Inf. Theory 32(1),
+  1986): one Krylov sequence u . A^k v_j of 2 B + 2 terms goes through one
+  Berlekamp-Massey pass, which returns the minimal generator g of the
+  sequence.  When g(0) != 0 the same annihilator is shared by the pending
   right-hand sides: w_j = -g(0)^-1 (A^(d-1) v_j + ... + c_(d-1) v_j), by
   Horner's rule in int64, reduced mod p only when the next step could reach
-  2^63; and A w_j = v_j mod p is verified exactly for every j.  A v_j that
-  fails gets a fresh sequence of its own.
-- The evidence is randomized: with independent uniform v_j (from a fixed
-  seed), a singular matrix passes only if every v_j lies in range(A), which
-  has probability at most p^-2 for two solves.  The projection u only
-  decides whether a solve is found, never whether it is accepted, so the
-  bound holds for u = v_1 as for a random u.  An invertible matrix can at
-  worst be reported 'singular-mod-p', which proves nothing.
+  2^63.  A v_j whose exact check fails gets a fresh sequence of its own.
+- Every solve A w_j = v_j mod p is verified exactly, whichever method found
+  it.  The evidence is randomized: with independent uniform v_j (from a
+  fixed seed, never redrawn), a singular matrix passes only if every v_j
+  lies in range(A), which has probability at most p^-2 for two solves.  The
+  method only decides whether a solve is found, never whether it is
+  accepted.  An invertible matrix can at worst be reported
+  'singular-mod-p', which proves nothing.
 
 Every certificate records the prime, the method that produced it and the
 kind of evidence: deterministic for dense elimination, randomized with error
-at most p^-2 for Wiedemann.  Primes must lie below PRIME_LIMIT, so that the
-Wiedemann and Berlekamp-Massey sums stay exact in int64 and the dense
-engine's sums stay exact in float64.
+at most p^-2 for the black-box check.  Primes must lie below PRIME_LIMIT, so
+that the black-box sums stay exact in int64 and the dense engine's sums stay
+exact in float64.
 """
 
 from __future__ import annotations
@@ -79,13 +86,21 @@ CONCLUSION_INCONCLUSIVE = "inconclusive"
 DENSE_LIMIT = 4096
 #: default skip threshold for per-matrix checks in the irrep route
 IRREP_CHECK_LIMIT = 4096
-#: primes must lie below this, for two bounds: in Wiedemann and
-#: Berlekamp-Massey, residue products summed over a row, a Krylov projection
-#: (u . w or y_k . y_k) or a discrepancy stay exact in int64, and a Horner
-#: step from reduced w, at most R (p-1) + (p-1)^2 for the largest row sum R,
-#: leaves headroom to delay the next reduction; in the dense engine, a
-#: residue plus _BLOCK residue products stays below 2^47, exact in float64
-#: (< 2^53)
+#: primes must lie below this, for two bounds.  In the black-box engine,
+#: int64 stays exact for every dim with dim (p-1)^2 < 2^63 (dim < 2^23):
+#: - a product of a vector in [0, p) is at most R (p-1), R the largest row
+#:   sum; two Lanczos lanes packed as w_0 + 2^32 w_1 share one product only
+#:   when R (p-1) < 2^31, which keeps it below 2^63;
+#: - a dot product of two vectors in [0, p) (Lanczos's w . v, a Krylov
+#:   projection u . w, a Berlekamp-Massey discrepancy) is below
+#:   dim (p-1)^2; Lanczos's w . A w and A w . A w take A w unreduced only
+#:   when dim (R (p-1))^2 < 2^63;
+#: - Lanczos's solve gains less than (p-1)^2 a step, over at most dim + 1
+#:   steps, before its one reduction;
+#: - a Horner step from reduced w, at most R (p-1) + (p-1)^2, leaves
+#:   headroom to delay the next reduction.
+#: In the dense engine, a residue plus _BLOCK residue products stays below
+#: 2^47, exact in float64 (< 2^53).
 PRIME_LIMIT = 2**20
 #: columns per panel of the dense engine: its sums stay below
 #: p + _BLOCK (p-1)^2 < 2^47 < 2^53 for every p < PRIME_LIMIT
@@ -298,8 +313,27 @@ def _berlekamp_massey(seq, p: int) -> list[int]:
     return [int(v) for v in c[:L + 1]]
 
 
+def _reduce_int(x: np.ndarray, p: int, scratch: np.ndarray | None = None) -> np.ndarray:
+    """Reduce int64 x mod p in place, into [0, p); `scratch`, of x's shape,
+    holds the quotient.
+
+    numpy's int64 floor_divide by a scalar is about 3x faster than its %, so
+    x - (x // p) p costs about half of x % p.  Floor division rounds towards
+    -inf, so negative entries land in [0, p) as well.
+    """
+    q = np.floor_divide(x, p, out=scratch)
+    q *= p
+    x -= q
+    return x
+
+
+def _row_max(entries: sp.csr_matrix) -> int:
+    """R, the largest row sum of the residues: A y <= R max(y) for y >= 0."""
+    return int(entries.sum(axis=1).max())
+
+
 def _matvec_mod(entries: sp.csr_matrix, x: np.ndarray, p: int) -> np.ndarray:
-    return entries.dot(x) % p
+    return _reduce_int(entries.dot(x), p)
 
 
 def _krylov_sequence(matrix: ModPMatrix, u, v, length: int) -> np.ndarray:
@@ -314,24 +348,86 @@ def _krylov_sequence(matrix: ModPMatrix, u, v, length: int) -> np.ndarray:
     return seq
 
 
-def _symmetric_sequence(matrix: ModPMatrix, v, length: int) -> np.ndarray:
-    """The first `length` terms of v . A^k v mod p, for a symmetric A.
+def _packs(row_max: int, p: int) -> bool:
+    """Whether two lanes can share one CSR product (see _lane_products)."""
+    return row_max * (p - 1) < 2**31
 
-    With y_k = A^k v, the term v . A^(i+j) v is y_i . y_j, so
-    s_2k = y_k . y_k and s_2k+1 = y_k . y_k+1: ceil((length - 1) / 2)
-    matvecs instead of length - 1 (Eberly & Kaltofen, "On randomized
-    Lanczos algorithms", ISSAC 1997).
+
+def _lane_products(entries: sp.csr_matrix, w: np.ndarray, packed: bool,
+                   out: np.ndarray) -> np.ndarray:
+    """out[j] = A w_j for every lane (row) w_j of w, whose entries lie in
+    [0, p).
+
+    Packed, lanes 2i and 2i+1 share one CSR product of w_2i + 2^32 w_2i+1:
+    each half of a row sum is at most R (p-1) < 2^31 (_packs), so the sum
+    stays below 2^63 and its low and high 32 bits are the two products.
+    scipy multiplies one vector about five times faster than two columns.
     """
-    p = matrix.p
-    seq = np.empty(length, dtype=np.int64)
-    y = v
-    for k in range(0, length, 2):
-        seq[k] = y.dot(y) % p
-        if k + 1 < length:
-            nxt = _matvec_mod(matrix.entries, y, p)
-            seq[k + 1] = y.dot(nxt) % p
-            y = nxt
-    return seq
+    if not packed:
+        for lane, dest in zip(w, out):
+            dest[:] = entries.dot(lane)
+        return out
+    for j in range(0, len(w) - 1, 2):
+        word = entries.dot((w[j + 1] << 32) | w[j])
+        np.bitwise_and(word, 0xFFFFFFFF, out=out[j])
+        np.right_shift(word, 32, out=out[j + 1])
+    if len(w) % 2:
+        out[-1] = entries.dot(w[-1])
+    return out
+
+
+def _lanczos(matrix: ModPMatrix, rhs: list[np.ndarray], steps: int) -> np.ndarray:
+    """Candidate solves x_j of A x = v_j mod p for a symmetric A, one lane
+    of a (k, dim) array per right-hand side v_j (Lanczos, J. Res. Nat. Bur.
+    Standards 49, 1952; LaMacchia & Odlyzko, CRYPTO 1990).
+
+    From w = v and w_prev = 0, each step takes t = w . A w and
+        x += (w . v / t) w,
+        w' = A w - (A w . A w / t) w - (t / t_prev) w_prev,
+    which keeps every w A-orthogonal to the earlier ones, so that x solves
+    A x = v once w = 0, unless A x - v is a nonzero vector orthogonal to
+    itself.  A lane stops when t = 0 mod p: w = 0, or a self-orthogonal w (a
+    breakdown); its w is then zeroed.  Every lane stops after `steps`
+    products.  Whether a lane's x solves A x = v is left to the caller's
+    exact check.
+
+    Arithmetic is int64, with w in [0, p) before each product.  A w is at
+    most R (p-1) for the largest row sum R, and is reduced before the dot
+    products only when dim (R (p-1))^2 could reach 2^63.  x gains less than
+    (p-1)^2 a step and is reduced once, at the end: exact while
+    steps (p-1)^2 < 2^63.
+    """
+    p, dim = matrix.p, matrix.dim
+    row_max = _row_max(matrix.entries)
+    packed = _packs(row_max, p)
+    reduce_aw = dim * (row_max * (p - 1))**2 >= 2**63
+    v = np.stack(rhs)
+    w, w_prev, x = v.copy(), np.zeros_like(v), np.zeros_like(v)
+    aw, scratch = np.empty_like(v), np.empty_like(v)
+    inv_prev = [0] * len(v)
+
+    def column(values, scales):  # (values * scales mod p) as a (k, 1) array
+        return np.array([[z % p * s % p] for z, s in zip(values, scales)])
+
+    for _ in range(steps):
+        _lane_products(matrix.entries, w, packed, aw)
+        if reduce_aw:
+            _reduce_int(aw, p, scratch)
+        t = (np.einsum("ij,ij->i", w, aw) % p).tolist()
+        if not any(t):
+            break
+        inv = [pow(s, -1, p) if s else 0 for s in t]
+        wv = np.einsum("ij,ij->i", w, v).tolist()
+        awaw = np.einsum("ij,ij->i", aw, aw).tolist()
+        x += np.multiply(w, column(wv, inv), out=scratch)
+        aw -= np.multiply(w, column(awaw, inv), out=scratch)
+        aw -= np.multiply(w_prev, column(t, inv_prev), out=scratch)
+        _reduce_int(aw, p, scratch)
+        for j, s in enumerate(t):
+            if not s:
+                aw[j] = 0
+        w_prev, w, aw, inv_prev = w, aw, w_prev, inv
+    return _reduce_int(x, p)
 
 
 def _solution(matrix: ModPMatrix, c: list[int], v: np.ndarray) -> np.ndarray:
@@ -348,62 +444,68 @@ def _solution(matrix: ModPMatrix, c: list[int], v: np.ndarray) -> np.ndarray:
     """
     p = matrix.p
     deg = len(c) - 1
-    row_max = int(matrix.entries.sum(axis=1).max())
+    row_max = _row_max(matrix.entries)
     top = (p - 1) ** 2
     w, bound = v, p - 1
     for i in range(1, deg):
         if row_max * bound + top >= 2**63:
-            w, bound = w % p, p - 1
+            w, bound = _reduce_int(w, p), p - 1
         w = matrix.entries.dot(w)
         w += c[i] * v
         bound = row_max * bound + top
-    return (-pow(c[deg], -1, p)) % p * (w % p) % p
+    if deg > 1:  # else w is v, already reduced
+        _reduce_int(w, p)
+    return _reduce_int(w * ((-pow(c[deg], -1, p)) % p), p)
+
+
+def _is_solution(matrix: ModPMatrix, w: np.ndarray, v: np.ndarray) -> bool:
+    """Whether A w = v mod p, checked exactly."""
+    return bool((_matvec_mod(matrix.entries, w, matrix.p) == v).all())
 
 
 def _solves(matrix: ModPMatrix, c: list[int], v: np.ndarray) -> bool:
-    """Whether w = _solution(matrix, c, v) satisfies A w = v mod p, checked
-    exactly; it does when g(A) v = 0 for the recurrence polynomial
+    """Whether w = _solution(matrix, c, v) satisfies A w = v mod p; it does
+    when g(A) v = 0 for the recurrence polynomial
     g(x) = x^d + c[1] x^(d-1) + ... + c[d] with c[d] != 0."""
-    w = _solution(matrix, c, v)
-    return bool((_matvec_mod(matrix.entries, w, matrix.p) == v).all())
+    return _is_solution(matrix, _solution(matrix, c, v), v)
 
 
 def _certify_wiedemann(matrix: ModPMatrix, bound: int | None = None) -> str:
     """Verified black-box solves of A w = v for WIEDEMANN_SOLVES random v.
 
     `bound` caps the degree of the minimal polynomial of A (default: dim).
-    One Krylov sequence u . A^k v of 2 bound + 2 terms and one BM pass give
-    its minimal generator g, which annihilates A for almost every u and v,
-    so g is shared by every right-hand side.  When A is symmetric the first
-    sequence takes u = v_1 and costs half the matvecs (_symmetric_sequence);
-    if its generator does not solve A w = v_1, the random projections
-    follow as for any A.  The choice of u only decides whether a solve is
-    found: 'invertible' still needs A w_j = v_j verified exactly for every
-    uniform v_j, so the error bound p^-WIEDEMANN_SOLVES is unchanged.  A
-    right-hand side whose exact check fails gets a fresh sequence of its
-    own, with up to 3 random projections u each.  A bound below the true
-    degree can only produce a false 'singular-mod-p', never a false
-    'invertible'.
+    A symmetric A first gets Lanczos on every right-hand side at once, for
+    at most bound + 1 products (_lanczos).  Each v_j that Lanczos did not
+    solve (a breakdown, the cap, or a failed exact check) stays pending
+    with the same v_j, as does every v_j of a non-symmetric A.  Pending
+    right-hand sides go to random projections: one Krylov sequence
+    u . A^k v of 2 bound + 2 terms and one BM pass give its minimal
+    generator g, which annihilates A for almost every u and v, so g is
+    shared by the pending right-hand sides (_solution).  A v whose exact
+    check fails gets a fresh sequence of its own, with up to 3 random
+    projections u each.  The v_j are never redrawn, and 'invertible' needs
+    A w_j = v_j verified exactly for every uniform v_j, so the error bound
+    p^-WIEDEMANN_SOLVES holds whichever method found w_j.  A bound below
+    the true degree can only produce a false 'singular-mod-p', never a
+    false 'invertible'.
     """
     p, dim = matrix.p, matrix.dim
-    length = 2 * (dim if bound is None else bound) + 2
+    bound = dim if bound is None else bound
     rng = random.Random(WIEDEMANN_SEED * 1000003 + p * 31 + dim)
 
     def uniform():
         return np.array([rng.randrange(p) for _ in range(dim)], dtype=np.int64)
 
     pending = [uniform() for _ in range(WIEDEMANN_SOLVES)]
-    symmetric = (matrix.entries != matrix.entries.T).nnz == 0
+    if (matrix.entries != matrix.entries.T).nnz == 0:
+        solved = _lanczos(matrix, pending, bound + 1)
+        pending = [v for v, w in zip(pending, solved) if not _is_solution(matrix, w, v)]
     tries = 0
     while pending:
         if tries == 3:
             return VERDICT_SINGULAR
-        if symmetric:  # the first sequence only
-            symmetric = False
-            seq = _symmetric_sequence(matrix, pending[0], length)
-        else:
-            tries += 1
-            seq = _krylov_sequence(matrix, uniform(), pending[0], length)
+        tries += 1
+        seq = _krylov_sequence(matrix, uniform(), pending[0], 2 * bound + 2)
         c = _berlekamp_massey(seq, p)
         if len(c) == 1 or c[-1] == 0 or not _solves(matrix, c, pending[0]):
             continue

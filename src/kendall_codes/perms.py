@@ -153,11 +153,17 @@ def ball_size(n: int, r: int) -> int:
     """|B_r| without enumeration: the permutations of [n] with at most r
     inversions, a sum of the Mahonian numbers I(n, k), k <= r, where
     I(m, k) = sum over j <= min(k, m-1) of I(m-1, k-j).  Each row is read
-    off the prefix sums of the last, so the whole costs O(n r) additions."""
+    off the prefix sums of the last, so the whole costs O(n r) additions.
+    The Mahonian numbers are symmetric, I(n, k) = I(n, N - k) with
+    N = n(n-1)/2, so a radius above N/2 is counted by its complement and
+    r is at most N/2 in the recurrence."""
     if r < 0:
         raise ValueError("radius must be >= 0")
-    if r >= n * (n - 1) // 2:  # no permutation has more inversions
+    top = n * (n - 1) // 2
+    if r >= top:  # no permutation has more inversions
         return factorial(n)
+    if 2 * r > top:
+        return factorial(n) - ball_size(n, top - r - 1)
     counts = [1] + [0] * r  # I(1, k) for k <= r
     for m in range(2, n + 1):
         prefix = list(accumulate(counts, initial=0))

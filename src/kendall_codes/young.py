@@ -49,6 +49,8 @@ NumberPartition = tuple[int, ...]
 SPARSE_TABLOID_LIMIT = 10_000_000
 #: ceiling on irreducible dimensions, read at each call
 IRREP_DIMENSION_LIMIT = 100_000
+#: largest dimension of a dense JSON export
+DENSE_JSON_LIMIT = 200
 
 
 class DimensionLimitError(ValueError):
@@ -444,10 +446,15 @@ def write_matrix_market(mat: sp.spmatrix, destination) -> None:
             fh.write(line + "\n")
 
 
+def check_dense_json(dim: int) -> None:
+    """Refuse a dense JSON export of dimension above DENSE_JSON_LIMIT."""
+    if dim > DENSE_JSON_LIMIT:
+        raise DimensionLimitError(f"dense JSON export is limited to dim <= {DENSE_JSON_LIMIT}")
+
+
 def matrix_json_dense(a: ActionMatrix) -> dict:
-    """JSON-ready dense form; refused above dimension 200."""
-    if a.dim > 200:
-        raise DimensionLimitError("dense JSON export is limited to dim <= 200")
+    """JSON-ready dense form; refused above DENSE_JSON_LIMIT."""
+    check_dense_json(a.dim)
     return {
         "n": a.n,
         "shape": list(a.shape),

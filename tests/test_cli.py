@@ -73,6 +73,19 @@ def test_refused_json_export_keeps_the_destination(tmp_path, capsys):
     assert dest.read_text() == '{"a":1}'
 
 
+def test_dense_json_export_is_refused_before_the_build(tmp_path, capsys, monkeypatch):
+    def no_build(n, shape):
+        raise AssertionError("action matrix built before the dense-JSON refusal")
+
+    monkeypatch.setattr(young, "build_action_matrix", no_build)
+    assert young.tabloid_count((6, 6, 2)) > young.DENSE_JSON_LIMIT
+    code, _, err = run(capsys, "matrix", "14", "6,6,2", "--out", str(tmp_path / "x.json"),
+                       "--matrix-format", "json")
+    assert code == 4
+    assert "dim <= 200" in err
+    assert not (tmp_path / "x.json").exists()
+
+
 def test_matrix_rejects_unsorted_shape(capsys):
     code, _, err = run(capsys, "matrix", "4", "1,3")
     assert code == 2

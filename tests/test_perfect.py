@@ -119,6 +119,19 @@ def test_reduce_is_exact_at_the_largest_sums():
     assert [int(v) for v in got] == [v % p for v in values]
 
 
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.sampled_from((2, 3, 1000003, 1048573)),
+       st.lists(st.one_of(st.integers(-2**62, 2**62 - 1), st.integers(-4, 4),
+                          st.sampled_from((-2**62, 2**62 - 1))), min_size=1, max_size=40))
+def test_int64_reduction_matches_python_mod(p, values):
+    x = np.array(values, dtype=np.int64)
+    assert perfect._reduce_int(x, p) is x  # in place
+    assert x.tolist() == [v % p for v in values]
+    scratch = np.empty_like(x)
+    y = np.array(values, dtype=np.int64)
+    assert perfect._reduce_int(y, p, scratch).tolist() == [v % p for v in values]
+
+
 def test_dense_engine_at_worst_magnitude_over_two_panels():
     # every entry p - 1 except a zero shifted diagonal: (p - 1)(J - P) with P
     # the cyclic shift, determinant (p - 1)^d (d - 1)
@@ -182,10 +195,13 @@ def test_wiedemann_agrees_with_dense_verdict():
     assert perfect._certify_wiedemann(sing) == VERDICT_SINGULAR
 
 
-def test_wiedemann_gives_a_failed_right_hand_side_its_own_sequence(monkeypatch):
-    m = perfect.modp_from_action(young.tridiagonal_reference(9), DEFAULT_PRIMES[0])
-    real_solves = perfect._solves
-    real_krylov, real_symmetric = perfect._krylov_sequence, perfect._symmetric_sequence
+def test_random_projections_give_a_failed_right_hand_side_its_own_sequence(monkeypatch):
+    p = DEFAULT_PRIMES[0]
+    tri = young.tridiagonal_reference(9).to_dense()
+    tri[0][8] = 1  # one entry off the symmetric pattern: no Lanczos
+    assert integer_determinant(tri) % p
+    m = perfect.modp_from_rows(tri, p)
+    real_solves, real_krylov = perfect._solves, perfect._krylov_sequence
     checked, sequences = [], []
 
     def solves_unless_second(matrix, c, v):
@@ -194,22 +210,17 @@ def test_wiedemann_gives_a_failed_right_hand_side_its_own_sequence(monkeypatch):
         return len(checked) not in (2, 3, 4) and real_solves(matrix, c, v)
 
     def krylov(matrix, u, v, length):
-        sequences.append(("random-u", v))
+        sequences.append(v)
         return real_krylov(matrix, u, v, length)
-
-    def symmetric(matrix, v, length):
-        sequences.append(("u=v", v))
-        return real_symmetric(matrix, v, length)
 
     monkeypatch.setattr(perfect, "_solves", solves_unless_second)
     monkeypatch.setattr(perfect, "_krylov_sequence", krylov)
-    monkeypatch.setattr(perfect, "_symmetric_sequence", symmetric)
+    monkeypatch.setattr(perfect, "_lanczos", _refuse_symmetric)
     assert perfect._certify_wiedemann(m) == VERDICT_INVERTIBLE
-    # the matrix is symmetric: v_1 is solved from its u = v_1 sequence
-    assert sequences[0][0] == "u=v" and sequences[0][1] is checked[0]
-    # v_2 still gets 3 projections u of its own after v_1 is solved
+    # v_1 is solved by the first sequence; v_2 then gets 3 projections u
+    assert sequences[0] is checked[0]
     assert len(sequences) == 4
-    assert all(kind == "random-u" and v is checked[1] for kind, v in sequences[1:])
+    assert all(v is checked[1] for v in sequences[1:])
     assert len(checked) == 5
 
 
@@ -237,19 +248,48 @@ def _symmetric_matrices(draw):
     return p, rows
 
 
+def _record_lanczos(mp):
+    """Wrap _lanczos: returns a list of (rhs, [lane solved?]) per call."""
+    calls = []
+    real = perfect._lanczos
+
+    def recorded(matrix, rhs, steps):
+        x = real(matrix, rhs, steps)
+        calls.append((rhs, [perfect._is_solution(matrix, xj, vj) for xj, vj in zip(x, rhs)]))
+        return x
+
+    mp.setattr(perfect, "_lanczos", recorded)
+    return calls
+
+
+def _record_right_hand_sides(mp, name):
+    """Wrap a function of (matrix, _, v, ...): returns the list of its v."""
+    seen = []
+    real = getattr(perfect, name)
+
+    def recorded(matrix, other, v, *rest):
+        seen.append(v)
+        return real(matrix, other, v, *rest)
+
+    mp.setattr(perfect, name, recorded)
+    return seen
+
+
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(_symmetric_matrices())
 def test_symmetric_wiedemann_verdict_matches_integer_determinant(case):
     p, rows = case
     assert all(row == list(col) for row, col in zip(rows, zip(*rows)))
     expected = VERDICT_INVERTIBLE if integer_determinant(rows) % p else VERDICT_SINGULAR
-    calls = []
-    real = perfect._symmetric_sequence
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(perfect, "_symmetric_sequence",
-                   lambda *args: calls.append(1) or real(*args))
+        lanczos = _record_lanczos(mp)
+        projected = _record_right_hand_sides(mp, "_krylov_sequence")
+        horner = _record_right_hand_sides(mp, "_solution")
         assert perfect._certify_wiedemann(perfect.modp_from_rows(rows, p)) == expected
-    assert calls == [1]
+    [(rhs, solved)] = lanczos
+    # only a right-hand side that Lanczos left unsolved reaches BM or Horner
+    failed = [v for v, ok in zip(rhs, solved) if not ok]
+    assert all(any(v is f for f in failed) for v in projected + horner)
 
 
 def _count_calls(monkeypatch, name):
@@ -257,49 +297,73 @@ def _count_calls(monkeypatch, name):
     real = getattr(perfect, name)
 
     def counted(*args):
-        calls.append(1)
+        calls.append(args)
         return real(*args)
 
     monkeypatch.setattr(perfect, name, counted)
     return calls
 
 
-def test_symmetric_first_sequence_takes_half_the_matvecs(monkeypatch):
+def test_lanczos_takes_at_most_bound_plus_one_products(monkeypatch):
     shape = (3, 2, 1)
     bound = _young_bound(shape)
     m = perfect.modp_from_action(young.build_action_matrix(6, shape), DEFAULT_PRIMES[0])
     assert m.dim == 60 and bound == 46
-    matvecs = _count_calls(monkeypatch, "_matvec_mod")
-    in_sequence = []
-    real = perfect._symmetric_sequence
-
-    def symmetric(matrix, v, length):
-        before = len(matvecs)
-        seq = real(matrix, v, length)
-        in_sequence.append(len(matvecs) - before)
-        assert len(seq) == length == 2 * bound + 2
-        return seq
-
-    monkeypatch.setattr(perfect, "_symmetric_sequence", symmetric)
-    expected = VERDICT_INVERTIBLE if _action_determinant(shape) % m.p else VERDICT_SINGULAR
-    assert perfect._certify_wiedemann(m, bound) == expected
-    assert in_sequence == [bound + 1]
+    assert _action_determinant(shape) % m.p  # invertible: no fallback expected
+    products = _count_calls(monkeypatch, "_lane_products")
+    krylov = _count_calls(monkeypatch, "_krylov_sequence")
+    assert perfect._certify_wiedemann(m, bound) == VERDICT_INVERTIBLE
+    assert 0 < len(products) <= bound + 1
+    assert all(packed for _entries, _w, packed, _out in products)  # R = 6
+    assert krylov == []
 
 
-def test_symmetric_sequence_equals_the_projection_u_equals_v():
-    m = perfect.modp_from_action(young.build_action_matrix(6, (3, 2, 1)), DEFAULT_PRIMES[0])
-    v = np.random.default_rng(7).integers(0, m.p, m.dim, dtype=np.int64)
-    for length in (1, 2, 3, 10, 11):
-        assert np.array_equal(perfect._symmetric_sequence(m, v, length),
-                              perfect._krylov_sequence(m, v, v, length))
+def test_packed_product_equals_per_lane_products():
+    p = 1048573
+    for row_max in (2048, 2049):  # R (p-1) just below and just above 2^31
+        assert perfect._packs(row_max, p) == (row_max == 2048)
+        rows = [[row_max // 4 + (i == j) * (row_max % 4) for j in range(4)] for i in range(4)]
+        entries = sp.csr_matrix(np.array(rows, dtype=np.int64))
+        assert perfect._row_max(entries) == row_max
+        rng = np.random.default_rng(row_max)
+        for k in (2, 3):
+            w = rng.integers(0, p, (k, 4), dtype=np.int64)
+            w[:2] = p - 1  # the largest row sums, in the low and the high half
+            expected = np.stack([entries.dot(lane) for lane in w])
+            got = perfect._lane_products(entries, w, perfect._packs(row_max, p),
+                                         np.empty_like(w))
+            assert np.array_equal(got, expected)
+            if row_max == 2049:  # the bound is tight: packing would overflow
+                packed = perfect._lane_products(entries, w, True, np.empty_like(w))
+                assert not np.array_equal(packed, expected)
+
+
+@pytest.mark.parametrize("packed", [False, True], ids=["unpacked", "packed"])
+def test_lanczos_is_exact_where_a_w_must_be_reduced(packed):
+    p = 1048573
+    if packed:  # 2032 I + J: row sums 2048, R (p-1) just below 2^31
+        d = 16
+        rows = [[2032 * (i == j) + 1 for j in range(d)] for i in range(d)]
+    else:  # (p-1)(J - I): every off-diagonal residue p - 1
+        d = 8
+        rows = [[(p - 1) * (i != j) for j in range(d)] for i in range(d)]
+    assert integer_determinant(rows) % p
+    m = perfect.modp_from_rows(rows, p)
+    row_max = perfect._row_max(m.entries)
+    assert perfect._packs(row_max, p) == packed
+    assert d * (row_max * (p - 1))**2 >= 2**63  # A w . A w needs A w reduced
+    rhs = [np.full(d, p - 1, dtype=np.int64),
+           np.random.default_rng(d).integers(0, p, d, dtype=np.int64)]
+    x = perfect._lanczos(m, rhs, d + 1)
+    assert all(perfect._is_solution(m, xj, vj) for xj, vj in zip(x, rhs))
 
 
 def _refuse_symmetric(*args):
-    raise AssertionError("symmetric sequence on a non-symmetric matrix")
+    raise AssertionError("Lanczos on a non-symmetric matrix")
 
 
 def test_nonsymmetric_matrix_never_takes_the_symmetric_path(monkeypatch):
-    monkeypatch.setattr(perfect, "_symmetric_sequence", _refuse_symmetric)
+    monkeypatch.setattr(perfect, "_lanczos", _refuse_symmetric)
     p = DEFAULT_PRIMES[0]
     tri = young.tridiagonal_reference(9).to_dense()
     tri[0][8] = 1  # one entry off the symmetric pattern
@@ -309,20 +373,42 @@ def test_nonsymmetric_matrix_never_takes_the_symmetric_path(monkeypatch):
     assert perfect._certify_wiedemann(perfect.modp_from_rows(sing, p)) == VERDICT_SINGULAR
 
 
-@pytest.mark.parametrize("sequence", [
-    lambda length, p: np.zeros(length, dtype=np.int64),           # generator 1
-    lambda length, p: np.eye(1, length, dtype=np.int64)[0],       # c[d] = 0
-    lambda length, p: np.array([pow(2, k, p) for k in range(length)],
-                               dtype=np.int64),                  # no solve
-], ids=["length-1", "zero-constant", "exact-check-fails"])
-def test_failed_symmetric_generator_falls_back_to_random_projections(
-        monkeypatch, sequence):
-    m = perfect.modp_from_action(young.tridiagonal_reference(9), DEFAULT_PRIMES[0])
-    monkeypatch.setattr(perfect, "_symmetric_sequence",
-                        lambda matrix, v, length: sequence(length, matrix.p))
-    krylov = _count_calls(monkeypatch, "_krylov_sequence")
+def _isotropic_diagonal(p: int, dim: int, monkeypatch) -> list[list[int]]:
+    """A diagonal matrix D, invertible mod p, with v . D v = 0 mod p for the
+    first right-hand side v that _certify_wiedemann draws at (p, dim)."""
+    with monkeypatch.context() as mp:
+        lanczos = _record_lanczos(mp)
+        perfect._certify_wiedemann(perfect.modp_from_rows(np.eye(dim, dtype=int).tolist(), p))
+    v = [int(x) for x in lanczos[0][0][0]]
+    diag = [0] + [1] * (dim - 1)
+    diag[0] = -sum(x * x for x in v[1:]) * pow(v[0] * v[0], -1, p) % p
+    assert diag[0] and sum(d * x * x for d, x in zip(diag, v)) % p == 0
+    return [[diag[i] if i == j else 0 for j in range(dim)] for i in range(dim)]
+
+
+@pytest.mark.parametrize("failure", ["breakdown", "past-the-cap", "check-fails"])
+def test_failed_lanczos_lane_falls_back_with_the_same_right_hand_side(monkeypatch, failure):
+    p = DEFAULT_PRIMES[0]
+    if failure == "breakdown":  # t = v . A v = 0 on the first lane, first step
+        m = perfect.modp_from_rows(_isotropic_diagonal(p, 9, monkeypatch), p)
+    else:
+        m = perfect.modp_from_action(young.tridiagonal_reference(9), p)
+        real = perfect._lanczos
+        if failure == "past-the-cap":
+            monkeypatch.setattr(perfect, "_lanczos",
+                                lambda matrix, rhs, steps: real(matrix, rhs, 1))
+        else:
+            monkeypatch.setattr(perfect, "_lanczos",
+                                lambda matrix, rhs, steps: real(matrix, rhs, steps) + 1)
+    lanczos = _record_lanczos(monkeypatch)
+    projected = _record_right_hand_sides(monkeypatch, "_krylov_sequence")
     assert perfect._certify_wiedemann(m) == VERDICT_INVERTIBLE
-    assert len(krylov) >= 1
+    [(rhs, solved)] = lanczos
+    assert solved[0] is False
+    # the unsolved v goes to random projections as the same object, never redrawn
+    assert projected and projected[0] is rhs[0]
+    if failure == "breakdown":
+        assert solved[1] and all(v is rhs[0] for v in projected)
 
 
 # -- delayed-reduction Horner ----------------------------------------------------

@@ -112,6 +112,13 @@ def test_ball_size_matches_term_by_term_mahonian_sums():
 
 def test_ball_size_at_the_diameter_is_n_factorial():
     assert perms.ball_size(400, 79800) == factorial(400)
+    assert perms.ball_size(400, 79799) == factorial(400) - 1
+
+
+def test_ball_size_matches_enumeration_at_every_radius():
+    for n in range(1, 8):
+        for r in range(n * (n - 1) // 2 + 1):
+            assert perms.ball_size(n, r) == len(ball(n, identity(n), r)), (n, r)
 
 
 def test_ball_size_is_center_independent():
