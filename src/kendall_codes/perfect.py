@@ -7,34 +7,49 @@ certified by modular arithmetic: a nonzero determinant mod p is already a
 proof of rational invertibility, while singularity mod p says nothing and is
 retried with the next prime from the configured list.
 
-Each matrix is reduced mod p at its known dimension: a coset matrix from its
-sparse action matrix (one row per tabloid), an irreducible block T-hat_lam
-from its exact rational entries at dimension f^lam (hook length formula).
-An all-zero block is therefore a singular f^lam x f^lam matrix, never an
-empty one.
+Each matrix is reduced mod p at its known dimension: an irreducible block
+T-hat_lam from its exact rational entries at dimension f^lam (hook length
+formula), so that an all-zero block is a singular f^lam x f^lam matrix,
+never an empty one.  A coset matrix M is certified through its reversal
+split (ReversalSplit).  The reversal w0: i -> n + 1 - i conjugates s_i to
+s_(n-i), so the tabloid permutation P: t -> w0 t satisfies P M P = M.  On
+the P-invariant vectors (e_f for a fixed tabloid, e_r + e_(w0 r) for a
+pair) M acts by an integer matrix D+, on the anti-invariant ones
+e_r - e_(w0 r) by a symmetric integer matrix D- (the symmetry-adapted basis
+of Fassler & Stiefel, "Group Theoretical Methods and Their Applications",
+1992), each with about dim / 2 rows.  D = diag(D+, D-) = Q^-1 M Q over Q for
+the matrix Q of that basis, so det D = det M as integers: a verdict on D is
+a verdict on M at every prime, p = 2 included.  The engine is chosen by M's
+dimension, and the report names M.
 
 Two matrix engines are provided.  Dense elimination gives a deterministic
-determinant for dimensions up to DENSE_LIMIT.  It is a right-looking blocked
-LU over float64 residues with delayed reduction (Dumas, Giorgi & Pernet,
-"FFLAS and FFPACK", ACM TOMS 35(3), 2008): panels of _BLOCK columns are
-eliminated with partial pivoting, and the trailing updates U = L^-1 A and
-A -= L U run as float64 BLAS products, reduced mod p once per panel.  An
+determinant for dimensions up to DENSE_LIMIT; on a coset matrix it takes
+det D+ det D-, a quarter of the flops of det M.  It is a right-looking
+blocked LU over float64 residues with delayed reduction (Dumas, Giorgi &
+Pernet, "FFLAS and FFPACK", ACM TOMS 35(3), 2008): panels of _BLOCK columns
+are eliminated with partial pivoting, and the trailing updates U = L^-1 A
+and A -= L U run as float64 BLAS products, reduced mod p once per panel.  An
 entry gains at most _BLOCK products of residues between reductions, so every
 sum stays below p + _BLOCK (p-1)^2 < 2^47 < 2^53 and float64 is exact.  Above
 DENSE_LIMIT a black-box check, reported as method 'wiedemann', is used
 instead:
 
-- A symmetric A (every coset matrix: T is inverse-closed) first gets scalar
-  Lanczos on all WIEDEMANN_SOLVES right-hand sides v_j at once (Lanczos,
-  J. Res. Nat. Bur. Standards 49, 1952; LaMacchia & Odlyzko, CRYPTO 1990),
-  one lane of a (k, dim) array each.  From w = v, a step takes t = w . A w,
-  adds (w . v / t) w to the solve x, and A-orthogonalises A w against the
-  last two w.  A lane stops at t = 0 mod p, and after B + 1 products in
-  all, where B bounds the degree of the minimal polynomial of A: for a
-  coset matrix B = sum of f^lam over the partitions lam dominating the
-  shape (Young's rule: M^mu = sum K_{lam,mu} S^lam); otherwise B = dim.
-  When R (p-1) < 2^31, R the largest row sum of the residues, two lanes
-  share one CSR product of w_0 + 2^32 w_1.  One Krylov pass per
+- A self-adjoint A first gets scalar Lanczos on all WIEDEMANN_SOLVES
+  right-hand sides v_j at once (Lanczos, J. Res. Nat. Bur. Standards 49,
+  1952; LaMacchia & Odlyzko, CRYPTO 1990), one lane each.  From w = v, a
+  step takes t = <w, A w>, adds (<w, v> / t) w to the solve x, and
+  A-orthogonalises A w against the last two w.  On a coset matrix a lane
+  is a (2, L) array over D+ and D- (padded with identity rows that v leaves
+  at 0): D+ is self-adjoint for <a, b> = a . W b, W = diag(|orbit|), since
+  W D+ is symmetric, and D- for the plain dot product.  Each block stops on
+  its own, at t = 0 mod p, and one CSR product of diag(D+, D-) serves both,
+  so a lane takes about half the steps it would take on M.  Every lane
+  stops after B + 1 products, where B bounds the degree of the minimal
+  polynomial of A: for a coset matrix B = sum of f^lam over the partitions
+  lam dominating the shape (Young's rule: M^mu = sum K_{lam,mu} S^lam);
+  otherwise B = dim.  D's residues are signed, in (-p/2, p/2]; when
+  R (p-1) < 2^31, R the largest row sum of the absolute residues, two
+  lanes share one CSR product of w_0 + 2^32 w_1.  One Krylov pass per
   right-hand side gives the solve itself: no sequence, no Berlekamp-Massey
   and no Horner pass.
 - A v_j that Lanczos leaves unsolved (a self-orthogonal w, the cap, or a
@@ -49,7 +64,9 @@ instead:
 - Every solve A w_j = v_j mod p is verified exactly, whichever method found
   it.  The evidence is randomized: with independent uniform v_j (from a
   fixed seed, never redrawn), a singular matrix passes only if every v_j
-  lies in range(A), which has probability at most p^-2 for two solves.  The
+  lies in range(A), which has probability at most p^-2 for two solves.  On
+  a coset matrix both segments of each v_j, on D+ and on D-, are uniform,
+  and a singular D has a singular block, so the bound is the same.  The
   method only decides whether a solve is found, never whether it is
   accepted.  An invertible matrix can at worst be reported
   'singular-mod-p', which proves nothing.
@@ -87,14 +104,18 @@ DENSE_LIMIT = 4096
 #: default skip threshold for per-matrix checks in the irrep route
 IRREP_CHECK_LIMIT = 4096
 #: primes must lie below this, for two bounds.  In the black-box engine,
-#: int64 stays exact for every dim with dim (p-1)^2 < 2^63 (dim < 2^23):
-#: - a product of a vector in [0, p) is at most R (p-1), R the largest row
-#:   sum; two Lanczos lanes packed as w_0 + 2^32 w_1 share one product only
-#:   when R (p-1) < 2^31, which keeps it below 2^63;
-#: - a dot product of two vectors in [0, p) (Lanczos's w . v, a Krylov
-#:   projection u . w, a Berlekamp-Massey discrepancy) is below
-#:   dim (p-1)^2; Lanczos's w . A w and A w . A w take A w unreduced only
-#:   when dim (R (p-1))^2 < 2^63;
+#: int64 stays exact for a dot product of two vectors of residues over at
+#: most 2^23 entries, since 2^23 (p-1)^2 < 2^63:
+#: - a product of a vector in [0, p) is at most R (p-1) in absolute value,
+#:   R the largest absolute row sum; two Lanczos lanes packed as
+#:   w_0 + 2^32 w_1 share one product only when R (p-1) < 2^31, which keeps
+#:   it below 2^63;
+#: - Lanczos's dot products run per block of a ReversalSplit, over its L
+#:   rows: L = (dim + fixed) / 2 < 5 10^6 < 2^23 below
+#:   young.SPARSE_TABLOID_LIMIT (fixed, the palindromic tabloids, is at
+#:   most 2 sqrt(dim)); A w enters them unreduced only when
+#:   L (R (p-1))^2 < 2^63;
+#: - a Krylov projection u . w is summed in chunks of _DOT_CHUNK entries;
 #: - Lanczos's solve gains less than (p-1)^2 a step, over at most dim + 1
 #:   steps, before its one reduction;
 #: - a Horner step from reduced w, at most R (p-1) + (p-1)^2, leaves
@@ -102,6 +123,9 @@ IRREP_CHECK_LIMIT = 4096
 #: In the dense engine, a residue plus _BLOCK residue products stays below
 #: 2^47, exact in float64 (< 2^53).
 PRIME_LIMIT = 2**20
+#: entries per int64 chunk of a dot product of two vectors of residues:
+#: _DOT_CHUNK (p-1)^2 < 2^63 for every p < PRIME_LIMIT
+_DOT_CHUNK = 2**63 // (PRIME_LIMIT - 1)**2
 #: columns per panel of the dense engine: its sums stay below
 #: p + _BLOCK (p-1)^2 < 2^47 < 2^53 for every p < PRIME_LIMIT
 _BLOCK = 128
@@ -124,7 +148,7 @@ class ModPMatrix:
 
     dim: int
     p: int
-    entries: sp.csr_matrix  # int64 residues in [0, p)
+    entries: sp.csr_matrix  # int64 residues r, |r| < p
 
 
 def _residue(value, p: int) -> int:
@@ -139,6 +163,73 @@ def modp_from_action(action: ActionMatrix, p: int) -> ModPMatrix:
     ent = action.entries.astype(np.int64)
     ent.data %= p
     return ModPMatrix(dim=action.dim, p=p, entries=ent)
+
+
+@dataclass(frozen=True)
+class ReversalSplit:
+    """A coset matrix M in the basis adapted to the reversal w0.
+
+    P: t -> w0 t is an involution with P M P = M (young.reversal_index).
+    Its orbits are the `fixed` tabloids with w0 t = t and `pairs` pairs
+    {r, w0 r}, r < w0 r.  On the basis of P-invariant vectors (e_f for each
+    fixed tabloid, e_r + e_(w0 r) for each pair) M acts by D+, and on the
+    anti-invariant vectors e_r - e_(w0 r) by D-:
+        D+[o, o'] = sum of M[r_o, t'] over t' in o',
+        D-[o, o'] = M[r_o, r_o'] - M[r_o, w0 r_o'].
+    Rows of D+ sum to n, W D+ is symmetric for W = diag(|orbit|), and D- is
+    symmetric.  With Q the matrix of the basis, D = diag(D+, D-) = Q^-1 M Q
+    over Q, so det D = det M, an integer, and a verdict on D is a verdict
+    on M at every prime, p = 2 included.
+
+    D+ has L = pairs + fixed rows, pairs first.  D- is padded with `fixed`
+    identity rows, and `entries` holds the integer diag(D+, D-, I) of order
+    2 L: one CSR product serves both blocks.  `dim` is M's dimension.
+    """
+
+    dim: int
+    pairs: int
+    fixed: int
+    entries: sp.csr_matrix
+
+    def mod(self, p: int) -> ModPMatrix:
+        """diag(D+, D-, I) as signed residues in (-p/2, p/2]."""
+        ent = self.entries.copy()
+        ent.data %= p
+        ent.data[ent.data > p // 2] -= p
+        ent.eliminate_zeros()
+        return ModPMatrix(dim=ent.shape[0], p=p, entries=ent)
+
+
+def reversal_split(action: ActionMatrix) -> ReversalSplit:
+    """The integer matrix diag(D+, D-, I) of a coset matrix (ReversalSplit).
+
+    Row o of D+ is row r_o of M with each column t' moved to its orbit; row
+    o of D- is the same row with the pair columns signed, +1 at r_o' and -1
+    at w0 r_o', and the fixed columns dropped.  The CSR arrays are built
+    from the rows of M directly, and sum_duplicates merges the columns of
+    an orbit.
+    """
+    rev = young.reversal_index(action.shape)
+    tabloid = np.arange(action.dim)
+    reps, fixed = tabloid[tabloid < rev], tabloid[tabloid == rev]
+    pairs, size = len(reps), len(reps) + len(fixed)
+    orbit = np.empty(action.dim, dtype=action.entries.indices.dtype)
+    orbit[reps] = orbit[rev[reps]] = np.arange(pairs)
+    orbit[fixed] = np.arange(pairs, size)
+    sign = np.zeros(action.dim, dtype=np.int64)
+    sign[reps], sign[rev[reps]] = 1, -1
+    rows = action.entries[np.concatenate((reps, fixed))]  # r_o for every orbit o
+    cut = rows.indptr[pairs]  # the rows of the pairs, which D- takes again
+    padding = np.arange(size + pairs, 2 * size, dtype=orbit.dtype)
+    indices = np.concatenate((orbit[rows.indices], size + orbit[rows.indices[:cut]], padding))
+    data = np.concatenate((rows.data, rows.data[:cut] * sign[rows.indices[:cut]],
+                           np.ones(len(fixed), dtype=rows.data.dtype)))
+    indptr = np.concatenate((rows.indptr, rows.nnz + rows.indptr[1:pairs + 1],
+                             rows.nnz + cut + np.arange(1, len(fixed) + 1)))
+    entries = sp.csr_matrix((data, indices, indptr), shape=(2 * size, 2 * size))
+    entries.sum_duplicates()
+    entries.eliminate_zeros()
+    return ReversalSplit(dim=action.dim, pairs=pairs, fixed=len(fixed), entries=entries)
 
 
 def modp_from_entries(dim: int, entries, p: int, n: int | None = None) -> ModPMatrix:
@@ -328,12 +419,21 @@ def _reduce_int(x: np.ndarray, p: int, scratch: np.ndarray | None = None) -> np.
 
 
 def _row_max(entries: sp.csr_matrix) -> int:
-    """R, the largest row sum of the residues: A y <= R max(y) for y >= 0."""
-    return int(entries.sum(axis=1).max())
+    """R, the largest row sum of the absolute values of the residues:
+    |A y| <= R max|y| for every y.  A plain row sum would undercount a row
+    with negative entries."""
+    return int(abs(entries).sum(axis=1).max())
 
 
 def _matvec_mod(entries: sp.csr_matrix, x: np.ndarray, p: int) -> np.ndarray:
     return _reduce_int(entries.dot(x), p)
+
+
+def _dot_mod(u: np.ndarray, w: np.ndarray, p: int) -> int:
+    """u . w mod p for vectors of residues in [0, p), as int64 dot products
+    over chunks of at most _DOT_CHUNK entries, each exact."""
+    return sum(int(u[i:i + _DOT_CHUNK].dot(w[i:i + _DOT_CHUNK]))
+               for i in range(0, len(u), _DOT_CHUNK)) % p
 
 
 def _krylov_sequence(matrix: ModPMatrix, u, v, length: int) -> np.ndarray:
@@ -344,7 +444,7 @@ def _krylov_sequence(matrix: ModPMatrix, u, v, length: int) -> np.ndarray:
     for k in range(length):
         if k:
             w = _matvec_mod(matrix.entries, w, p)
-        seq[k] = u.dot(w) % p
+        seq[k] = _dot_mod(u, w, p)
     return seq
 
 
@@ -356,12 +456,14 @@ def _packs(row_max: int, p: int) -> bool:
 def _lane_products(entries: sp.csr_matrix, w: np.ndarray, packed: bool,
                    out: np.ndarray) -> np.ndarray:
     """out[j] = A w_j for every lane (row) w_j of w, whose entries lie in
-    [0, p).
+    [0, p); A may hold negative residues.
 
     Packed, lanes 2i and 2i+1 share one CSR product of w_2i + 2^32 w_2i+1:
-    each half of a row sum is at most R (p-1) < 2^31 (_packs), so the sum
-    stays below 2^63 and its low and high 32 bits are the two products.
-    scipy multiplies one vector about five times faster than two columns.
+    each product has |A w| <= R (p-1) < 2^31 (_packs), so the word
+    lo + 2^32 hi is below 2^63 in absolute value.  With lo + 2^31 in
+    [0, 2^32), word + 2^31 holds lo + 2^31 in its low 32 bits and hi above
+    them (an arithmetic shift rounds towards -inf).  scipy multiplies one
+    vector about five times faster than two columns.
     """
     if not packed:
         for lane, dest in zip(w, out):
@@ -369,78 +471,106 @@ def _lane_products(entries: sp.csr_matrix, w: np.ndarray, packed: bool,
         return out
     for j in range(0, len(w) - 1, 2):
         word = entries.dot((w[j + 1] << 32) | w[j])
-        np.bitwise_and(word, 0xFFFFFFFF, out=out[j])
+        word += 2**31
         np.right_shift(word, 32, out=out[j + 1])
+        np.bitwise_and(word, 0xFFFFFFFF, out=out[j])
+        out[j] -= 2**31
     if len(w) % 2:
         out[-1] = entries.dot(w[-1])
     return out
 
 
-def _lanczos(matrix: ModPMatrix, rhs: list[np.ndarray], steps: int) -> np.ndarray:
-    """Candidate solves x_j of A x = v_j mod p for a symmetric A, one lane
-    of a (k, dim) array per right-hand side v_j (Lanczos, J. Res. Nat. Bur.
-    Standards 49, 1952; LaMacchia & Odlyzko, CRYPTO 1990).
+def _lanczos(matrix: ModPMatrix, rhs: list[np.ndarray], steps: int,
+             pairs: int | None = None) -> np.ndarray:
+    """Candidate solves x_j of A x = v_j mod p for a self-adjoint A, one lane
+    per right-hand side v_j (Lanczos, J. Res. Nat. Bur. Standards 49, 1952;
+    LaMacchia & Odlyzko, CRYPTO 1990).
 
-    From w = v and w_prev = 0, each step takes t = w . A w and
-        x += (w . v / t) w,
-        w' = A w - (A w . A w / t) w - (t / t_prev) w_prev,
+    With pairs None, A is symmetric and a lane is one block of dim entries
+    under the plain dot product.  Otherwise A is the diag(D+, D-, I) of a
+    ReversalSplit with that many pairs, and a lane is a (2, L) array: D+
+    under <a, b> = a . W b, W = diag(2 on the pair rows, 1 on the rest), and
+    D- with its zero padding under the plain dot product.  Each dot runs in
+    int64 over the L entries of a block, and W is applied after it: the dot
+    over D+'s pair rows is added once more, mod p.
+
+    From w_0 = v and w_-1 = 0, each step takes t = <w, A w> per block and
+        x += (<w, v> / t) w,
+        w' = A w - alpha w - beta w_prev,  alpha = <A w, A w> / t,
+        beta = t / t_prev,
     which keeps every w A-orthogonal to the earlier ones, so that x solves
     A x = v once w = 0, unless A x - v is a nonzero vector orthogonal to
-    itself.  A lane stops when t = 0 mod p: w = 0, or a self-orthogonal w (a
-    breakdown); its w is then zeroed.  Every lane stops after `steps`
+    itself.  A-orthogonality also gives <A w_i, v> = <w_i, A w_0>, which is
+    t_0 for i = 0 and 0 after, so <w', v> = <A w, v> - alpha <w, v>
+    - beta <w_prev, v> needs no dot product.  A block stops when its t = 0
+    mod p: w = 0, or a self-orthogonal w (a breakdown); its w is then
+    zeroed, and the other block goes on.  Every lane stops after `steps`
     products.  Whether a lane's x solves A x = v is left to the caller's
     exact check.
 
-    Arithmetic is int64, with w in [0, p) before each product.  A w is at
-    most R (p-1) for the largest row sum R, and is reduced before the dot
-    products only when dim (R (p-1))^2 could reach 2^63.  x gains less than
-    (p-1)^2 a step and is reduced once, at the end: exact while
-    steps (p-1)^2 < 2^63.
+    Arithmetic is int64, with w in [0, p) before each product.  |A w| is at
+    most R (p-1) for the largest absolute row sum R, and A w is reduced
+    before the dot products only when L (R (p-1))^2 could reach 2^63.  x
+    gains less than (p-1)^2 a step and is reduced once, at the end: exact
+    while steps (p-1)^2 < 2^63.
     """
-    p, dim = matrix.p, matrix.dim
+    p = matrix.p
+    cut = pairs or 0
+    v = np.stack(rhs).reshape(len(rhs), 1 if pairs is None else 2, -1)
     row_max = _row_max(matrix.entries)
     packed = _packs(row_max, p)
-    reduce_aw = dim * (row_max * (p - 1))**2 >= 2**63
-    v = np.stack(rhs)
+    reduce_aw = v.shape[2] * (row_max * (p - 1))**2 >= 2**63
     w, w_prev, x = v.copy(), np.zeros_like(v), np.zeros_like(v)
     aw, scratch = np.empty_like(v), np.empty_like(v)
-    inv_prev = [0] * len(v)
 
-    def column(values, scales):  # (values * scales mod p) as a (k, 1) array
-        return np.array([[z % p * s % p] for z, s in zip(values, scales)])
+    def lanes(a):  # one row of dim entries per lane
+        return a.reshape(len(a), -1)
 
-    for _ in range(steps):
-        _lane_products(matrix.entries, w, packed, aw)
+    def inner(a, b):  # <a, b> mod p, one per (lane, block)
+        full = np.einsum("jbi,jbi->jb", a, b).tolist()
+        head = np.einsum("ji,ji->j", a[:, 0, :cut], b[:, 0, :cut]).tolist()
+        return [[(f[0] + h) % p] + [s % p for s in f[1:]] for f, h in zip(full, head)]
+
+    def times(values, scales):  # values * scales mod p, per (lane, block)
+        return [[a * b % p for a, b in zip(*rows)] for rows in zip(values, scales)]
+
+    zero = np.zeros(v.shape[:2], dtype=np.int64).tolist()
+    inv_prev, wv, wv_prev = zero, inner(v, v), zero
+    for step in range(steps):
+        _lane_products(matrix.entries, lanes(w), packed, lanes(aw))
         if reduce_aw:
             _reduce_int(aw, p, scratch)
-        t = (np.einsum("ij,ij->i", w, aw) % p).tolist()
-        if not any(t):
+        t = inner(w, aw)
+        if not any(map(any, t)):
             break
-        inv = [pow(s, -1, p) if s else 0 for s in t]
-        wv = np.einsum("ij,ij->i", w, v).tolist()
-        awaw = np.einsum("ij,ij->i", aw, aw).tolist()
-        x += np.multiply(w, column(wv, inv), out=scratch)
-        aw -= np.multiply(w, column(awaw, inv), out=scratch)
-        aw -= np.multiply(w_prev, column(t, inv_prev), out=scratch)
+        inv = [[pow(s, -1, p) if s else 0 for s in row] for row in t]
+        alpha, beta = times(inner(aw, aw), inv), times(t, inv_prev)
+        coef = np.array([times(wv, inv), alpha, beta], dtype=np.int64)[..., None]
+        x += np.multiply(w, coef[0], out=scratch)
+        aw -= np.multiply(w, coef[1], out=scratch)
+        aw -= np.multiply(w_prev, coef[2], out=scratch)
         _reduce_int(aw, p, scratch)
-        for j, s in enumerate(t):
-            if not s:
-                aw[j] = 0
+        for j, row in enumerate(t):
+            for k, s in enumerate(row):
+                if not s:
+                    aw[j, k] = 0
+        wv, wv_prev = [[(u - a * c - b * d) % p for u, a, c, b, d in zip(*rows)]
+                       for rows in zip(zero if step else t, alpha, wv, beta, wv_prev)], wv
         w_prev, w, aw, inv_prev = w, aw, w_prev, inv
-    return _reduce_int(x, p)
+    return lanes(_reduce_int(x, p))
 
 
 def _solution(matrix: ModPMatrix, c: list[int], v: np.ndarray) -> np.ndarray:
     """w = -c[d]^-1 (A^(d-1) v + c[1] A^(d-2) v + ... + c[d-1] v) mod p.
 
-    Horner steps w <- A w + c[i] v run on nonnegative int64 vectors and
-    are reduced mod p only when needed.  If B bounds the entries of w and
-    R is the largest row sum of the residues of A, the next step's entries
-    are at most R B + (p-1)^2; w is reduced first (B = p - 1) whenever that
-    would reach 2^63, so every sum is exact.  After one step B is about
-    (p-1)^2 < 2^40, and each further step multiplies it by about R: for a
-    coset matrix (R = n) one reduction covers 1 + 23 / log2(n) steps or
-    so, 7 at n = 11, in place of two reductions per step.
+    Horner steps w <- A w + c[i] v run on int64 vectors and are reduced mod
+    p only when needed.  If B bounds |w| and R is the largest absolute row
+    sum of the residues of A, the next step's entries are at most
+    R B + (p-1)^2 in absolute value; w is reduced first (B = p - 1)
+    whenever that would reach 2^63, so every sum is exact.  After one step
+    B is about (p-1)^2 < 2^40, and each further step multiplies it by about
+    R: for a coset matrix (R = n) one reduction covers 1 + 23 / log2(n)
+    steps or so, 7 at n = 11, in place of two reductions per step.
     """
     p = matrix.p
     deg = len(c) - 1
@@ -470,13 +600,17 @@ def _solves(matrix: ModPMatrix, c: list[int], v: np.ndarray) -> bool:
     return _is_solution(matrix, _solution(matrix, c, v), v)
 
 
-def _certify_wiedemann(matrix: ModPMatrix, bound: int | None = None) -> str:
+def _certify_wiedemann(matrix: ModPMatrix, bound: int | None = None,
+                       pairs: int | None = None) -> str:
     """Verified black-box solves of A w = v for WIEDEMANN_SOLVES random v.
 
     `bound` caps the degree of the minimal polynomial of A (default: dim).
-    A symmetric A first gets Lanczos on every right-hand side at once, for
-    at most bound + 1 products (_lanczos).  Each v_j that Lanczos did not
-    solve (a breakdown, the cap, or a failed exact check) stays pending
+    With `pairs`, A is the diag(D+, D-, I) of a ReversalSplit: each v is
+    uniform on the rows of D+ and D- and 0 on the identity rows, and
+    Lanczos runs on both blocks at once.  Otherwise a symmetric A gets
+    Lanczos on uniform v.  Lanczos takes every right-hand side together,
+    for at most bound + 1 products (_lanczos).  Each v_j that Lanczos did
+    not solve (a breakdown, the cap, or a failed exact check) stays pending
     with the same v_j, as does every v_j of a non-symmetric A.  Pending
     right-hand sides go to random projections: one Krylov sequence
     u . A^k v of 2 bound + 2 terms and one BM pass give its minimal
@@ -491,14 +625,17 @@ def _certify_wiedemann(matrix: ModPMatrix, bound: int | None = None) -> str:
     """
     p, dim = matrix.p, matrix.dim
     bound = dim if bound is None else bound
+    support = dim if pairs is None else dim // 2 + pairs
     rng = random.Random(WIEDEMANN_SEED * 1000003 + p * 31 + dim)
 
     def uniform():
-        return np.array([rng.randrange(p) for _ in range(dim)], dtype=np.int64)
+        v = np.zeros(dim, dtype=np.int64)
+        v[:support] = [rng.randrange(p) for _ in range(support)]
+        return v
 
     pending = [uniform() for _ in range(WIEDEMANN_SOLVES)]
-    if (matrix.entries != matrix.entries.T).nnz == 0:
-        solved = _lanczos(matrix, pending, bound + 1)
+    if pairs is not None or (matrix.entries != matrix.entries.T).nnz == 0:
+        solved = _lanczos(matrix, pending, bound + 1, pairs)
         pending = [v for v, w in zip(pending, solved) if not _is_solution(matrix, w, v)]
     tries = 0
     while pending:
@@ -544,22 +681,43 @@ def invertible_mod_p(matrix, p: int) -> str:
     """'invertible' proves rational invertibility; 'singular-mod-p' proves
     nothing and should be retried at another prime.
 
-    Accepts dense square rows (ints or Fractions) or an ActionMatrix.
+    Accepts dense square rows (ints or Fractions) or an ActionMatrix, which
+    is certified through its ReversalSplit.
     """
     _check_prime(p)
-    reduce = modp_from_action if isinstance(matrix, ActionMatrix) else modp_from_rows
-    verdict, _method = _certify(reduce(matrix, p))
+    if isinstance(matrix, ActionMatrix):
+        verdict, _method = _certify_split(reversal_split(matrix), p)
+    else:
+        verdict, _method = _certify(modp_from_rows(matrix, p))
     return verdict
+
+
+def _verdict(det: int) -> str:
+    return VERDICT_INVERTIBLE if det else VERDICT_SINGULAR
 
 
 def _certify(matrix: ModPMatrix, bound: int | None = None) -> tuple[str, str]:
     """Verdict and method; `bound` caps the degree of the minimal polynomial
     (see _certify_wiedemann)."""
     if matrix.dim <= DENSE_LIMIT:
-        det = _det_mod_dense(matrix)
-        return (VERDICT_INVERTIBLE if det else VERDICT_SINGULAR,
-                "dense-elimination")
+        return _verdict(_det_mod_dense(matrix)), "dense-elimination"
     return _certify_wiedemann(matrix, bound), "wiedemann"
+
+
+def _certify_split(split: ReversalSplit, p: int,
+                   bound: int | None = None) -> tuple[str, str]:
+    """Verdict and method for the coset matrix M of a ReversalSplit, from D
+    mod p.  The engine is chosen by M's dimension: dense elimination takes
+    det D+ det D-, the black-box check both blocks in one Lanczos pass."""
+    blocks = split.mod(p)
+    if split.dim <= DENSE_LIMIT:
+        size = split.pairs + split.fixed
+        det = 1
+        for lo, hi in ((0, size), (size, size + split.pairs)):
+            block = blocks.entries[lo:hi, lo:hi]
+            det = det * _det_mod_dense(ModPMatrix(hi - lo, p, block)) % p
+        return _verdict(det), "dense-elimination"
+    return _certify_wiedemann(blocks, bound, split.pairs), "wiedemann"
 
 
 def _check_prime(p: int) -> None:
@@ -617,14 +775,14 @@ def perfect_counting_condition(n: int, r: int) -> bool:
     return factorial(n) % ball_size(n, r) == 0
 
 
-def _check_one(label: str, dim: int, reduce, primes, bound: int | None = None):
+def _check_one(label: str, dim: int, certify, primes):
     """Run the certificate at successive primes; one MatrixCheck plus notes.
 
-    reduce(p) returns the dim x dim matrix as a ModPMatrix at the prime p.
+    certify(p) returns the verdict and method at the prime p.
     """
     notes = []
     for p in primes:
-        verdict, method = _certify(reduce(p), bound)
+        verdict, method = certify(p)
         if verdict == VERDICT_INVERTIBLE:
             return MatrixCheck(label, dim, p, verdict, method), notes
         notes.append(f"{label}: singular mod {p}, retrying")
@@ -632,7 +790,12 @@ def _check_one(label: str, dim: int, reduce, primes, bound: int | None = None):
 
 
 def obstruction_coset(n: int, shape, primes=DEFAULT_PRIMES) -> ObstructionReport:
-    """Coset route: invertibility of the action matrix on tabloids of shape."""
+    """Coset route: invertibility of the action matrix M on tabloids of shape.
+
+    M is certified through its ReversalSplit D = diag(D+, D-), similar to M
+    over Q, so det D = det M and every verdict on D is one on M.  Only D is
+    kept: M is dropped once D is built, and D is reduced at each prime.
+    """
     shape = check_partition(shape)
     primes = _checked_primes(primes)
     div_ok = divisibility_precondition(n, shape)
@@ -645,14 +808,13 @@ def obstruction_coset(n: int, shape, primes=DEFAULT_PRIMES) -> ObstructionReport
         return ObstructionReport(n=n, route=f"coset{shape}", divisibility_ok=False,
                                  matrices=(), conclusion=CONCLUSION_INCONCLUSIVE,
                                  notes=tuple(notes))
-    action = young.build_action_matrix(n, shape)
+    split = reversal_split(young.build_action_matrix(n, shape))
     # Young's rule: the minimal polynomial of T on M^shape is the lcm of those
     # of T on the constituents S^lam, lam dominating shape
     bound = sum(young.hook_length_dimension(lam)
                 for lam in young.constituents_dominating(shape))
     check, more = _check_one(f"action{shape}", dim,
-                             lambda p: modp_from_action(action, p), primes,
-                             bound=bound)
+                             lambda p: _certify_split(split, p, bound), primes)
     notes.extend(more)
     ok = check.verdict == VERDICT_INVERTIBLE
     return ObstructionReport(
@@ -696,7 +858,7 @@ def obstruction_irreps(n: int, mu, use_list: str = "computed",
             continue
         t_hat = young.irrep_T_matrix(lam)
         check, more = _check_one(
-            label, dim, lambda p: modp_from_entries(dim, t_hat, p, n=n), primes)
+            label, dim, lambda p: _certify(modp_from_entries(dim, t_hat, p, n=n)), primes)
         checks.append(check)
         notes.extend(more)
     all_inv = all(c.verdict == VERDICT_INVERTIBLE for c in checks)

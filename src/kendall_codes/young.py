@@ -170,35 +170,59 @@ class ActionMatrix:
         return (self.entries != self.entries.T).nnz == 0
 
 
+def _image_index(tabloids: np.ndarray, keys: np.ndarray, columns) -> np.ndarray:
+    """Index of the image of every tabloid when its columns are permuted.
+
+    Each row of the dim x n array of block indices, read as a string of n
+    bytes, is a base-256 code of its tabloid (block indices stay below 256:
+    a shape with m parts has at least m! tabloids, so the limit refuses it
+    first).  keys holds the codes, sorted because the tabloids are, and a
+    binary search of the permuted codes gives the images' indices.
+    """
+    image = np.ascontiguousarray(tabloids[:, columns])
+    return np.searchsorted(keys, image.view(keys.dtype).ravel())
+
+
+def _tabloid_keys(shape: NumberPartition) -> tuple[np.ndarray, np.ndarray]:
+    """The tabloid array of a checked shape and its sorted codes."""
+    tabloids = _tabloid_array(shape)
+    return tabloids, tabloids.view(f"S{partition_n(shape)}").ravel()
+
+
 def build_action_matrix(n: int, shape) -> ActionMatrix:
     """Entry (i, j) = #{s in T : act(t_i, s) = t_j}.
 
-    The tabloids form a dim x n array of block indices, and each row read
-    as a string of n bytes is a base-256 code of its tabloid (block indices
-    stay below 256: a shape with m parts has at least m! tabloids, so the
-    limit refuses it first).  The codes are sorted, because the tabloids
-    are.  The transposition (x, x+1) swaps columns x-1 and x, and a binary
-    search of the swapped codes gives the image's index.  Row i of the CSR
-    lists its n images (the identity first) with unit weights, and
-    sum_duplicates sorts and merges them into counts.
+    The transposition (x, x+1) swaps columns x-1 and x of the tabloid array
+    (_image_index).  Row i of the CSR lists its n images (the identity
+    first) with unit weights, and sum_duplicates sorts and merges them into
+    counts.
     """
     shape = check_partition(shape)
     if partition_n(shape) != n:
         raise ValueError(f"shape {shape} is not a partition of {n}")
-    tabloids = _tabloid_array(shape)
+    tabloids, keys = _tabloid_keys(shape)
     dim = len(tabloids)
-    code = f"S{n}"
-    keys = tabloids.view(code).ravel()
     cols = np.empty((dim, n), dtype=np.intp)
     cols[:, 0] = np.arange(dim)
     for x in range(1, n):
-        swapped = tabloids.copy()
-        swapped[:, [x - 1, x]] = tabloids[:, [x, x - 1]]
-        cols[:, x] = np.searchsorted(keys, swapped.view(code).ravel())
+        swap = np.arange(n)
+        swap[[x - 1, x]] = x, x - 1
+        cols[:, x] = _image_index(tabloids, keys, swap)
     mat = sp.csr_matrix((np.ones(dim * n, dtype=np.int64), cols.ravel(),
                          np.arange(0, dim * n + 1, n)), shape=(dim, dim))
     mat.sum_duplicates()
     return ActionMatrix(n=n, shape=shape, dim=dim, entries=mat)
+
+
+def reversal_index(shape) -> np.ndarray:
+    """Index of w0 t for every tabloid t, w0 the reversal x -> n + 1 - x.
+
+    act(t, w0) reverses the assignment vector.  w0 s_x w0 = s_(n-x), so the
+    permutation P: t -> w0 t satisfies P M P = M for the action matrix M.
+    """
+    shape = check_partition(shape)
+    tabloids, keys = _tabloid_keys(shape)
+    return _image_index(tabloids, keys, np.arange(partition_n(shape))[::-1])
 
 
 def double_coset_oracle(n: int, shape, i: int, j: int) -> int:

@@ -245,7 +245,39 @@ def test_config_rejects_prime_above_limit(tmp_path, capsys, monkeypatch):
     assert "not below" in err
 
 
+#: certificate outputs pinned byte for byte: the black-box engine on
+#: (6,3,2)@11 and dense elimination on (10,2,1)@13
+PINNED_CERTIFICATES = [
+    (("--format", "json", "perfect", "coset", "11", "6,3,2"), """{
+  "n": 11,
+  "route": "coset(6, 3, 2)",
+  "divisibilityOk": true,
+  "matrices": [
+    {
+      "label": "action(6, 3, 2)",
+      "dim": 4620,
+      "prime": 1000003,
+      "verdict": "invertible",
+      "method": "wiedemann",
+      "evidence": "randomized, error <= p^-2"
+    }
+  ],
+  "conclusion": "no-1-perfect-code",
+  "notes": []
+}
+"""),
+    (("perfect", "coset", "13", "10,2,1"), """n=13 coset(10, 2, 1): no-1-perfect-code
+divisibility precondition: True
+  action(10, 2, 1) dim 858: invertible mod 1000003 (dense-elimination)
+"""),
+]
+
+
 def test_json_output_is_byte_stable(capsys):
     _, a, _ = run(capsys, "--format", "json", "bound", "7")
     _, b, _ = run(capsys, "--format", "json", "bound", "7")
     assert a == b
+    for argv, pinned in PINNED_CERTIFICATES:
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert out == pinned

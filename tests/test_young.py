@@ -194,6 +194,23 @@ def test_action_matrix_csr_matches_act_loop(shape):
     assert got.has_canonical_format
 
 
+@pytest.mark.parametrize("shape", [shape for n in range(1, 9)
+                                   for shape in all_partitions(n)] + [(44, 1)], ids=str)
+def test_reversal_is_an_involution_that_commutes_with_the_action(shape):
+    n = sum(shape)
+    rev = young.reversal_index(shape)
+    tabloids = enumerate_tabloids(shape)
+    w0 = tuple(range(n, 0, -1))
+    assert [tabloids[i] for i in rev] == [act(t, w0) for t in tabloids]
+    dim = len(tabloids)
+    assert np.array_equal(rev[rev], np.arange(dim))
+    # P M P = M, exactly on the CSR
+    perm = sp.csr_matrix((np.ones(dim, dtype=np.int64), rev, np.arange(dim + 1)),
+                         shape=(dim, dim))
+    action = build_action_matrix(n, shape).entries
+    assert (perm @ action @ perm != action).nnz == 0
+
+
 def test_action_matrix_limit_is_checked_before_enumeration(monkeypatch):
     def no_enumeration(*args):
         raise AssertionError("tabloids enumerated before the limit check")
