@@ -43,8 +43,10 @@ instead:
   at 0): D+ is self-adjoint for <a, b> = a . W b, W = diag(|orbit|), since
   W D+ is symmetric, and D- for the plain dot product.  Each block stops on
   its own, at t = 0 mod p, and one CSR product of diag(D+, D-) serves both,
-  so a lane takes about half the steps it would take on M.  Every lane
-  stops after B + 1 products, where B bounds the degree of the minimal
+  so a lane takes about half the steps it would take on M.  A lane of one
+  block under the plain dot product is left for symmetric rows given to
+  invertible_mod_p (the seminormal irrep blocks are not symmetric).  Every
+  lane stops after B + 1 products, where B bounds the degree of the minimal
   polynomial of A: for a coset matrix B = sum of f^lam over the partitions
   lam dominating the shape (Young's rule: M^mu = sum K_{lam,mu} S^lam);
   otherwise B = dim.  D's residues are signed, in (-p/2, p/2]; when
@@ -160,6 +162,8 @@ def _residue(value, p: int) -> int:
 
 
 def modp_from_action(action: ActionMatrix, p: int) -> ModPMatrix:
+    """M mod p, unsplit.  Certificates take reversal_split(action) instead;
+    this is the reference that the split is checked against."""
     ent = action.entries.astype(np.int64)
     ent.data %= p
     return ModPMatrix(dim=action.dim, p=p, entries=ent)
@@ -207,9 +211,13 @@ def reversal_split(action: ActionMatrix) -> ReversalSplit:
     o of D- is the same row with the pair columns signed, +1 at r_o' and -1
     at w0 r_o', and the fixed columns dropped.  The CSR arrays are built
     from the rows of M directly, and sum_duplicates merges the columns of
-    an orbit.
+    an orbit.  Raises ValueError unless P M P = M, checked exactly on the
+    CSR: for any other entries D would not be similar to M.
     """
     rev = young.reversal_index(action.shape)
+    m = action.entries
+    if m.shape != (len(rev), len(rev)) or (m[rev][:, rev] != m).nnz:
+        raise ValueError(f"entries are not the tabloid action of {action.shape}: P M P != M")
     tabloid = np.arange(action.dim)
     reps, fixed = tabloid[tabloid < rev], tabloid[tabloid == rev]
     pairs, size = len(reps), len(reps) + len(fixed)
@@ -500,13 +508,10 @@ def _lanczos(matrix: ModPMatrix, rhs: list[np.ndarray], steps: int,
         beta = t / t_prev,
     which keeps every w A-orthogonal to the earlier ones, so that x solves
     A x = v once w = 0, unless A x - v is a nonzero vector orthogonal to
-    itself.  A-orthogonality also gives <A w_i, v> = <w_i, A w_0>, which is
-    t_0 for i = 0 and 0 after, so <w', v> = <A w, v> - alpha <w, v>
-    - beta <w_prev, v> needs no dot product.  A block stops when its t = 0
-    mod p: w = 0, or a self-orthogonal w (a breakdown); its w is then
-    zeroed, and the other block goes on.  Every lane stops after `steps`
-    products.  Whether a lane's x solves A x = v is left to the caller's
-    exact check.
+    itself.  A block stops when its t = 0 mod p: w = 0, or a self-orthogonal
+    w (a breakdown); its w is then zeroed, and the other block goes on.
+    Every lane stops after `steps` products.  Whether a lane's x solves
+    A x = v is left to the caller's exact check.
 
     Arithmetic is int64, with w in [0, p) before each product.  |A w| is at
     most R (p-1) for the largest absolute row sum R, and A w is reduced
@@ -534,9 +539,8 @@ def _lanczos(matrix: ModPMatrix, rhs: list[np.ndarray], steps: int,
     def times(values, scales):  # values * scales mod p, per (lane, block)
         return [[a * b % p for a, b in zip(*rows)] for rows in zip(values, scales)]
 
-    zero = np.zeros(v.shape[:2], dtype=np.int64).tolist()
-    inv_prev, wv, wv_prev = zero, inner(v, v), zero
-    for step in range(steps):
+    inv_prev = np.zeros(v.shape[:2], dtype=np.int64).tolist()
+    for _ in range(steps):
         _lane_products(matrix.entries, lanes(w), packed, lanes(aw))
         if reduce_aw:
             _reduce_int(aw, p, scratch)
@@ -545,7 +549,7 @@ def _lanczos(matrix: ModPMatrix, rhs: list[np.ndarray], steps: int,
             break
         inv = [[pow(s, -1, p) if s else 0 for s in row] for row in t]
         alpha, beta = times(inner(aw, aw), inv), times(t, inv_prev)
-        coef = np.array([times(wv, inv), alpha, beta], dtype=np.int64)[..., None]
+        coef = np.array([times(inner(w, v), inv), alpha, beta], dtype=np.int64)[..., None]
         x += np.multiply(w, coef[0], out=scratch)
         aw -= np.multiply(w, coef[1], out=scratch)
         aw -= np.multiply(w_prev, coef[2], out=scratch)
@@ -554,8 +558,6 @@ def _lanczos(matrix: ModPMatrix, rhs: list[np.ndarray], steps: int,
             for k, s in enumerate(row):
                 if not s:
                     aw[j, k] = 0
-        wv, wv_prev = [[(u - a * c - b * d) % p for u, a, c, b, d in zip(*rows)]
-                       for rows in zip(zero if step else t, alpha, wv, beta, wv_prev)], wv
         w_prev, w, aw, inv_prev = w, aw, w_prev, inv
     return lanes(_reduce_int(x, p))
 

@@ -342,17 +342,19 @@ def test_packed_product_equals_per_lane_products():
         entries = sp.csr_matrix(np.array(rows, dtype=np.int64))
         assert perfect._row_max(entries) == row_max
         rng = np.random.default_rng(row_max)
-        for k in (2, 3):
+        for k in (2, 3, 4):
             w = rng.integers(0, p, (k, 4), dtype=np.int64)
-            w[0] = p - 1  # the largest |A w|, in the low and the high half
-            w[1] = [p - 1, 0, p - 1, 0]
+            w[:2] = p - 1  # the largest row sums, in the low and the high half
+            if k == 4:  # a second word of alternating lanes: 2400 (p-1) on
+                w[2:] = [[p - 1, 0, p - 1, 0], [0, p - 1, 0, p - 1]]  # the cancelling rows
             expected = np.stack([entries.dot(lane) for lane in w])
-            if rows is signed:  # both extremes, -R (p-1) and R (p-1)
-                assert -expected.min() == expected.max() == row_max * (p - 1)
+            if rows is signed:  # both extremes, -R (p-1) and R (p-1), in both halves
+                for lane in expected[:2]:
+                    assert -lane.min() == lane.max() == row_max * (p - 1)
             got = perfect._lane_products(entries, w, perfect._packs(row_max, p),
                                          np.empty_like(w))
             assert np.array_equal(got, expected)
-            if row_max > 2048:  # the bound is tight: packing would overflow
+            if row_max > 2048 and k == 4:  # the bound is tight: packing would overflow
                 packed = perfect._lane_products(entries, w, True, np.empty_like(w))
                 assert not np.array_equal(packed, expected)
 
@@ -616,6 +618,18 @@ def test_split_determinant_equals_action_determinant(shape):
     assert np.array_equal(minus, minus.T)
     assert np.array_equal(padding, np.eye(split.fixed, dtype=np.int64))
     assert integer_determinant(full) == integer_determinant(action.to_dense())
+
+
+def test_split_refuses_entries_that_do_not_commute_with_the_reversal():
+    action = young.build_action_matrix(4, (3, 1))
+    assert perfect.reversal_split(action).pairs == 2
+    swapped = action.entries[[1, 0, 2, 3]]  # rows 0 and 1 exchanged: P M P != M
+    for entries in (swapped, action.entries[:3, :3]):
+        wrong = young.ActionMatrix(n=4, shape=(3, 1), dim=entries.shape[0], entries=entries)
+        with pytest.raises(ValueError, match="P M P"):
+            perfect.reversal_split(wrong)
+        with pytest.raises(ValueError, match="P M P"):
+            invertible_mod_p(wrong, DEFAULT_PRIMES[0])
 
 
 #: coset shapes (those that pass the divisibility check) with n <= 8, up to a
