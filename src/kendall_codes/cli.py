@@ -11,6 +11,7 @@ with 53-bit number parsing stay lossless.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import sys
 from dataclasses import dataclass, replace
@@ -87,9 +88,9 @@ def _emit(payload: dict, cfg: CliConfig, text_lines, csv_rows=None) -> None:
         print(json.dumps(payload, indent=2))
     elif cfg.output_format == "csv":
         rows = csv_rows if csv_rows is not None else [
-            [str(k), str(v)] for k, v in payload.items()]
-        for row in rows:
-            print(",".join(str(c) for c in row))
+            [k, " ".join(map(str, v)) if isinstance(v, list) else v]
+            for k, v in payload.items()]
+        csv.writer(sys.stdout, lineterminator="\n").writerows(rows)
     else:
         for line in text_lines:
             print(line)

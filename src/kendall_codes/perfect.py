@@ -32,46 +32,59 @@ and A -= L U run as float64 BLAS products, reduced mod p once per panel.  An
 entry gains at most _BLOCK products of residues between reductions, so every
 sum stays below p + _BLOCK (p-1)^2 < 2^47 < 2^53 and float64 is exact.  Above
 DENSE_LIMIT a black-box check, reported as method 'wiedemann', is used
-instead:
+instead.  It is one engine: scalar Lanczos (Lanczos, J. Res. Nat. Bur.
+Standards 49, 1952; LaMacchia & Odlyzko, CRYPTO 1990) on all
+WIEDEMANN_SOLVES right-hand sides v_j at once, one lane each.  Lanczos needs
+a self-adjoint A, and the engine raises ValueError on any other matrix:
 
-- A self-adjoint A first gets scalar Lanczos on all WIEDEMANN_SOLVES
-  right-hand sides v_j at once (Lanczos, J. Res. Nat. Bur. Standards 49,
-  1952; LaMacchia & Odlyzko, CRYPTO 1990), one lane each.  From w = v, a
-  step takes t = <w, A w>, adds (<w, v> / t) w to the solve x, and
-  A-orthogonalises A w against the last two w.  On a coset matrix a lane
-  is a (2, L) array over D+ and D- (padded with identity rows that v leaves
-  at 0): D+ is self-adjoint for <a, b> = a . W b, W = diag(|orbit|), since
+- From w = v, a step takes t = <w, A w>, adds (<w, v> / t) w to the solve x,
+  and A-orthogonalises A w against the last two w.  One Krylov pass per
+  right-hand side gives the solve itself.  On a coset matrix a lane is a
+  (2, L) array over D+ and D- (padded with identity rows that v leaves at
+  0): D+ is self-adjoint for <a, b> = a . W b, W = diag(|orbit|), since
   W D+ is symmetric, and D- for the plain dot product.  Each block stops on
   its own, at t = 0 mod p, and one CSR product of diag(D+, D-) serves both,
-  so a lane takes about half the steps it would take on M.  A lane of one
-  block under the plain dot product is left for symmetric rows given to
-  invertible_mod_p (the seminormal irrep blocks are not symmetric).  Every
-  lane stops after B + 1 products, where B bounds the degree of the minimal
+  so a lane takes about half the steps it would take on M.  Every lane
+  stops after B + 1 products, where B bounds the degree of the minimal
   polynomial of A: for a coset matrix B = sum of f^lam over the partitions
   lam dominating the shape (Young's rule: M^mu = sum K_{lam,mu} S^lam);
   otherwise B = dim.  D's residues are signed, in (-p/2, p/2]; when
   R (p-1) < 2^31, R the largest row sum of the absolute residues, two
-  lanes share one CSR product of w_0 + 2^32 w_1.  One Krylov pass per
-  right-hand side gives the solve itself: no sequence, no Berlekamp-Massey
-  and no Horner pass.
-- A v_j that Lanczos leaves unsolved (a self-orthogonal w, the cap, or a
-  failed exact check), and every v_j of a non-symmetric A, goes to random
-  projections with the same v_j (Wiedemann, IEEE Trans. Inf. Theory 32(1),
-  1986): one Krylov sequence u . A^k v_j of 2 B + 2 terms goes through one
-  Berlekamp-Massey pass, which returns the minimal generator g of the
-  sequence.  When g(0) != 0 the same annihilator is shared by the pending
-  right-hand sides: w_j = -g(0)^-1 (A^(d-1) v_j + ... + c_(d-1) v_j), by
-  Horner's rule in int64, reduced mod p only when the next step could reach
-  2^63.  A v_j whose exact check fails gets a fresh sequence of its own.
-- Every solve A w_j = v_j mod p is verified exactly, whichever method found
-  it.  The evidence is randomized: with independent uniform v_j (from a
-  fixed seed, never redrawn), a singular matrix passes only if every v_j
-  lies in range(A), which has probability at most p^-2 for two solves.  On
-  a coset matrix both segments of each v_j, on D+ and on D-, are uniform,
-  and a singular D has a singular block, so the bound is the same.  The
-  method only decides whether a solve is found, never whether it is
-  accepted.  An invertible matrix can at worst be reported
-  'singular-mod-p', which proves nothing.
+  lanes share one CSR product of w_0 + 2^32 w_1.
+- A seminormal block T-hat_lam is not symmetric, but S = W T-hat_lam is,
+  for the positive diagonal W of the invariant form of Young's seminormal
+  representation (_invariant_form).  Each W_i is a product of factors
+  (d-1)(d+1)/d^2 and their inverses over axial distances 1 < d < n, so
+  det W != 0 mod p for every p > n, which the seminormal reduction already
+  demands, and a verdict on S is a verdict on T-hat_lam.  S takes a lane
+  of one block under the plain dot product, as do symmetric rows given to
+  invertible_mod_p; non-symmetric rows are eliminated densely at any
+  dimension, since their dense rows are already in memory.
+- A lane that Lanczos leaves unsolved (a self-orthogonal w, the cap, or a
+  failed exact check) gets one more pass, on D A D for a seeded random
+  diagonal D of nonzero residues (a diagonal preconditioner, Eberly &
+  Kaltofen, ISSAC 1997).  That pass solves D A D y = D v, with another
+  Krylov space but the same v, and x = D y must pass A x = v for the very
+  same v.  D A D is self-adjoint wherever A is: D commutes with the weights
+  of a split.  The pass keeps the cap of B + 1 products, which stops a
+  singular A's second pass as early as its first.  D A D's minimal
+  polynomial is not bounded by B, so where B is below a block's L rows
+  (say (1^8)@8: B = 764, L = 20160) that pass can fail on an invertible A
+  too; that is a false 'singular-mod-p', never a false 'invertible'.  The
+  paper's shapes have B > L ((6,6,2)@14: 60581 against 42042), where the
+  cap never binds.  A lane still unsolved makes the verdict
+  'singular-mod-p': a singular A takes exactly two passes.
+- Every solve A x_j = v_j mod p is verified exactly.  The evidence is
+  randomized: with independent uniform v_j (from a fixed seed, never
+  redrawn), a singular matrix passes only if every v_j lies in range(A),
+  which has probability at most p^-2 for two solves.  On a coset matrix
+  both segments of each v_j, on D+ and on D-, are uniform, and a singular
+  D has a singular block, so the bound is the same.  The method only
+  decides whether a solve is found, never whether it is accepted.  An
+  invertible matrix can at worst be reported 'singular-mod-p', which
+  proves nothing.  At p = 2 or 3 that is common on a split: W vanishes on
+  D+'s pair rows mod 2 (and the only D is I), and self-orthogonal vectors
+  abound mod 3.  The dense engine is unaffected.
 
 Every certificate records the prime, the method that produced it and the
 kind of evidence: deterministic for dense elimination, randomized with error
@@ -117,17 +130,12 @@ IRREP_CHECK_LIMIT = 4096
 #:   young.SPARSE_TABLOID_LIMIT (fixed, the palindromic tabloids, is at
 #:   most 2 sqrt(dim)); A w enters them unreduced only when
 #:   L (R (p-1))^2 < 2^63;
-#: - a Krylov projection u . w is summed in chunks of _DOT_CHUNK entries;
 #: - Lanczos's solve gains less than (p-1)^2 a step, over at most dim + 1
 #:   steps, before its one reduction;
-#: - a Horner step from reduced w, at most R (p-1) + (p-1)^2, leaves
-#:   headroom to delay the next reduction.
+#: - D A D is scaled entry by entry, |r d_i d_j| < p^3 < 2^60.
 #: In the dense engine, a residue plus _BLOCK residue products stays below
 #: 2^47, exact in float64 (< 2^53).
 PRIME_LIMIT = 2**20
-#: entries per int64 chunk of a dot product of two vectors of residues:
-#: _DOT_CHUNK (p-1)^2 < 2^63 for every p < PRIME_LIMIT
-_DOT_CHUNK = 2**63 // (PRIME_LIMIT - 1)**2
 #: columns per panel of the dense engine: its sums stay below
 #: p + _BLOCK (p-1)^2 < 2^47 < 2^53 for every p < PRIME_LIMIT
 _BLOCK = 128
@@ -372,45 +380,7 @@ def _det_mod_dense(matrix: ModPMatrix) -> int:
 
 
 # ---------------------------------------------------------------------------
-# black-box certificate (Wiedemann)
-
-def _berlekamp_massey(seq, p: int) -> list[int]:
-    """Shortest LFSR c (c[0] = 1) with sum_i c[i] s[k-i] = 0 mod p.
-
-    One pass over the sequence.  Each step is a dot product over the L
-    active coefficients of c and, on a nonzero discrepancy, a scaled
-    subtraction of the previous connection polynomial b shifted by m, over
-    its deg(b) + 1 coefficients only.  Entries stay below p < PRIME_LIMIT and
-    lengths below 2**18, so every int64 intermediate fits comfortably.
-    """
-    s = np.asarray(seq, dtype=np.int64) % p
-    n = len(s)
-    rev = s[::-1].copy()  # rev[n-k:n-k+L] = s[k-1], ..., s[k-L]
-    c = np.zeros(n + 1, dtype=np.int64)
-    b = np.zeros(n + 1, dtype=np.int64)
-    c[0] = b[0] = 1
-    L = lb = 0  # lengths of c and b
-    m = 1
-    bb = 1
-    for k in range(n):
-        delta = int((s[k] + c[1:L + 1] @ rev[n - k:n - k + L]) % p)
-        if delta == 0:
-            m += 1
-            continue
-        coef = delta * pow(bb, -1, p) % p
-        # deg(x^m b) <= max(L, k + 1 - L), so c keeps at most L + 1 terms
-        if 2 * L <= k:
-            old_c = c[:L + 1].copy()
-            c[m:m + lb + 1] = (c[m:m + lb + 1] - coef * b[:lb + 1]) % p
-            b[:L + 1] = old_c
-            lb, L = L, k + 1 - L
-            bb = delta
-            m = 1
-        else:
-            c[m:m + lb + 1] = (c[m:m + lb + 1] - coef * b[:lb + 1]) % p
-            m += 1
-    return [int(v) for v in c[:L + 1]]
-
+# black-box certificate (Lanczos)
 
 def _reduce_int(x: np.ndarray, p: int, scratch: np.ndarray | None = None) -> np.ndarray:
     """Reduce int64 x mod p in place, into [0, p); `scratch`, of x's shape,
@@ -433,27 +403,41 @@ def _row_max(entries: sp.csr_matrix) -> int:
     return int(abs(entries).sum(axis=1).max())
 
 
-def _matvec_mod(entries: sp.csr_matrix, x: np.ndarray, p: int) -> np.ndarray:
-    return _reduce_int(entries.dot(x), p)
+def _self_adjoint(matrix: ModPMatrix, pairs: int | None = None) -> bool:
+    """Whether A is self-adjoint under the products _lanczos uses: W A is
+    symmetric mod p for W = 2 on the first `pairs` rows (D+'s pair rows of a
+    ReversalSplit) and 1 on the rest."""
+    weighted = matrix.entries.copy()
+    weighted.data[:weighted.indptr[pairs or 0]] *= 2
+    return not ((weighted - weighted.T).data % matrix.p).any()
 
 
-def _dot_mod(u: np.ndarray, w: np.ndarray, p: int) -> int:
-    """u . w mod p for vectors of residues in [0, p), as int64 dot products
-    over chunks of at most _DOT_CHUNK entries, each exact."""
-    return sum(int(u[i:i + _DOT_CHUNK].dot(w[i:i + _DOT_CHUNK]))
-               for i in range(0, len(u), _DOT_CHUNK)) % p
+def _invariant_form(dim: int, t_hat: dict) -> list[Fraction]:
+    """The positive diagonal W with W T-hat symmetric, from T-hat's own 2x2
+    pairs.
 
-
-def _krylov_sequence(matrix: ModPMatrix, u, v, length: int) -> np.ndarray:
-    """The first `length` terms of u . A^k v mod p."""
-    p = matrix.p
-    seq = np.empty(length, dtype=np.int64)
-    w = v
-    for k in range(length):
-        if k:
-            w = _matvec_mod(matrix.entries, w, p)
-        seq[k] = _dot_mod(u, w, p)
-    return seq
+    A pair t' = s_i t of tableaux, d > 1 the axial distance on t, has
+    T[t, t'] = 1 - 1/d^2 and T[t', t] = 1 (young._seminormal_entries), so
+    W_t' = W_t T[t, t'] / T[t', t].  W is walked breadth-first from W_0 = 1
+    over the off-diagonal entries, which connect the tableaux.  Raises
+    ValueError unless every W_i is set and W T-hat is exactly symmetric.
+    """
+    linked = [[] for _ in range(dim)]
+    for i, j in t_hat:
+        if i != j:
+            linked[i].append(j)
+    w = [None] * dim
+    w[0] = Fraction(1)
+    queue = [0]
+    for i in queue:
+        for j in linked[i]:
+            if w[j] is None and t_hat.get((j, i)):
+                w[j] = w[i] * t_hat[i, j] / t_hat[j, i]
+                queue.append(j)
+    if None in w or any(w[i] * value != w[j] * t_hat.get((j, i), 0)
+                        for (i, j), value in t_hat.items()):
+        raise ValueError("T-hat has no diagonal W with W T-hat symmetric")
+    return w
 
 
 def _packs(row_max: int, p: int) -> bool:
@@ -562,95 +546,60 @@ def _lanczos(matrix: ModPMatrix, rhs: list[np.ndarray], steps: int,
     return lanes(_reduce_int(x, p))
 
 
-def _solution(matrix: ModPMatrix, c: list[int], v: np.ndarray) -> np.ndarray:
-    """w = -c[d]^-1 (A^(d-1) v + c[1] A^(d-2) v + ... + c[d-1] v) mod p.
-
-    Horner steps w <- A w + c[i] v run on int64 vectors and are reduced mod
-    p only when needed.  If B bounds |w| and R is the largest absolute row
-    sum of the residues of A, the next step's entries are at most
-    R B + (p-1)^2 in absolute value; w is reduced first (B = p - 1)
-    whenever that would reach 2^63, so every sum is exact.  After one step
-    B is about (p-1)^2 < 2^40, and each further step multiplies it by about
-    R: for a coset matrix (R = n) one reduction covers 1 + 23 / log2(n)
-    steps or so, 7 at n = 11, in place of two reductions per step.
-    """
-    p = matrix.p
-    deg = len(c) - 1
-    row_max = _row_max(matrix.entries)
-    top = (p - 1) ** 2
-    w, bound = v, p - 1
-    for i in range(1, deg):
-        if row_max * bound + top >= 2**63:
-            w, bound = _reduce_int(w, p), p - 1
-        w = matrix.entries.dot(w)
-        w += c[i] * v
-        bound = row_max * bound + top
-    if deg > 1:  # else w is v, already reduced
-        _reduce_int(w, p)
-    return _reduce_int(w * ((-pow(c[deg], -1, p)) % p), p)
+def _is_solution(matrix: ModPMatrix, x: np.ndarray, v: np.ndarray) -> bool:
+    """Whether A x = v mod p, checked exactly."""
+    return bool((_reduce_int(matrix.entries.dot(x), matrix.p) == v).all())
 
 
-def _is_solution(matrix: ModPMatrix, w: np.ndarray, v: np.ndarray) -> bool:
-    """Whether A w = v mod p, checked exactly."""
-    return bool((_matvec_mod(matrix.entries, w, matrix.p) == v).all())
-
-
-def _solves(matrix: ModPMatrix, c: list[int], v: np.ndarray) -> bool:
-    """Whether w = _solution(matrix, c, v) satisfies A w = v mod p; it does
-    when g(A) v = 0 for the recurrence polynomial
-    g(x) = x^d + c[1] x^(d-1) + ... + c[d] with c[d] != 0."""
-    return _is_solution(matrix, _solution(matrix, c, v), v)
+def _rescaled(matrix: ModPMatrix, d: np.ndarray) -> ModPMatrix:
+    """D A D mod p for D = diag(d): each entry r d_i d_j, |r d_i d_j| < p^3,
+    scaled in int64 and reduced into [0, p)."""
+    entries = matrix.entries.copy()
+    rows = np.repeat(np.arange(entries.shape[0]), np.diff(entries.indptr))
+    entries.data = _reduce_int(entries.data * d[rows] * d[entries.indices], matrix.p)
+    return ModPMatrix(dim=matrix.dim, p=matrix.p, entries=entries)
 
 
 def _certify_wiedemann(matrix: ModPMatrix, bound: int | None = None,
                        pairs: int | None = None) -> str:
-    """Verified black-box solves of A w = v for WIEDEMANN_SOLVES random v.
+    """Verified Lanczos solves of A x = v for WIEDEMANN_SOLVES random v.
 
     `bound` caps the degree of the minimal polynomial of A (default: dim).
     With `pairs`, A is the diag(D+, D-, I) of a ReversalSplit: each v is
-    uniform on the rows of D+ and D- and 0 on the identity rows, and
-    Lanczos runs on both blocks at once.  Otherwise a symmetric A gets
-    Lanczos on uniform v.  Lanczos takes every right-hand side together,
-    for at most bound + 1 products (_lanczos).  Each v_j that Lanczos did
-    not solve (a breakdown, the cap, or a failed exact check) stays pending
-    with the same v_j, as does every v_j of a non-symmetric A.  Pending
-    right-hand sides go to random projections: one Krylov sequence
-    u . A^k v of 2 bound + 2 terms and one BM pass give its minimal
-    generator g, which annihilates A for almost every u and v, so g is
-    shared by the pending right-hand sides (_solution).  A v whose exact
-    check fails gets a fresh sequence of its own, with up to 3 random
-    projections u each.  The v_j are never redrawn, and 'invertible' needs
-    A w_j = v_j verified exactly for every uniform v_j, so the error bound
-    p^-WIEDEMANN_SOLVES holds whichever method found w_j.  A bound below
-    the true degree can only produce a false 'singular-mod-p', never a
-    false 'invertible'.
+    uniform on the rows of D+ and D- and 0 on the identity rows, and each
+    lane runs on both blocks at once.  Otherwise A is symmetric and v
+    uniform.  Raises ValueError unless A is self-adjoint (_self_adjoint).
+
+    One Lanczos pass takes every right-hand side, for at most bound + 1
+    products.  Each v that it did not solve (a breakdown, the cap, or a
+    failed exact check) gets one more pass, on D A D for a random diagonal
+    D of nonzero residues drawn after the v's: it solves D A D y = D v
+    under the same cap, and x = D y must pass A x = v for the same v
+    object.  A v unsolved after both passes makes the verdict
+    'singular-mod-p'.  The v's are never redrawn, and 'invertible' needs
+    A x_j = v_j verified exactly for every uniform v_j, so the error bound
+    p^-WIEDEMANN_SOLVES holds whichever pass found x_j.  A bound below the
+    true degree can only produce a false 'singular-mod-p', never a false
+    'invertible'.
     """
+    if not _self_adjoint(matrix, pairs):
+        raise ValueError("the black-box check needs a self-adjoint matrix")
     p, dim = matrix.p, matrix.dim
     bound = dim if bound is None else bound
     support = dim if pairs is None else dim // 2 + pairs
     rng = random.Random(WIEDEMANN_SEED * 1000003 + p * 31 + dim)
-
-    def uniform():
-        v = np.zeros(dim, dtype=np.int64)
+    rhs = [np.zeros(dim, dtype=np.int64) for _ in range(WIEDEMANN_SOLVES)]
+    for v in rhs:
         v[:support] = [rng.randrange(p) for _ in range(support)]
-        return v
-
-    pending = [uniform() for _ in range(WIEDEMANN_SOLVES)]
-    if pairs is not None or (matrix.entries != matrix.entries.T).nnz == 0:
-        solved = _lanczos(matrix, pending, bound + 1, pairs)
-        pending = [v for v, w in zip(pending, solved) if not _is_solution(matrix, w, v)]
-    tries = 0
-    while pending:
-        if tries == 3:
-            return VERDICT_SINGULAR
-        tries += 1
-        seq = _krylov_sequence(matrix, uniform(), pending[0], 2 * bound + 2)
-        c = _berlekamp_massey(seq, p)
-        if len(c) == 1 or c[-1] == 0 or not _solves(matrix, c, pending[0]):
-            continue
-        tries = 0
-        pending = [v for v in pending[1:] if not _solves(matrix, c, v)]
-    return VERDICT_INVERTIBLE
+    solved = _lanczos(matrix, rhs, bound + 1, pairs)
+    pending = [v for v, x in zip(rhs, solved) if not _is_solution(matrix, x, v)]
+    if not pending:
+        return VERDICT_INVERTIBLE
+    d = np.array([rng.randrange(1, p) for _ in range(dim)], dtype=np.int64)
+    scaled = _lanczos(_rescaled(matrix, d), [d * v % p for v in pending], bound + 1, pairs)
+    if all(_is_solution(matrix, d * y % p, v) for v, y in zip(pending, scaled)):
+        return VERDICT_INVERTIBLE
+    return VERDICT_SINGULAR
 
 
 # ---------------------------------------------------------------------------
@@ -684,7 +633,9 @@ def invertible_mod_p(matrix, p: int) -> str:
     nothing and should be retried at another prime.
 
     Accepts dense square rows (ints or Fractions) or an ActionMatrix, which
-    is certified through its ReversalSplit.
+    is certified through its ReversalSplit.  Rows are eliminated densely up
+    to DENSE_LIMIT, and at any dimension when they are not symmetric mod p;
+    symmetric rows above it take the black-box check.
     """
     _check_prime(p)
     if isinstance(matrix, ActionMatrix):
@@ -699,9 +650,10 @@ def _verdict(det: int) -> str:
 
 
 def _certify(matrix: ModPMatrix, bound: int | None = None) -> tuple[str, str]:
-    """Verdict and method; `bound` caps the degree of the minimal polynomial
-    (see _certify_wiedemann)."""
-    if matrix.dim <= DENSE_LIMIT:
+    """Verdict and method: the black-box check for a symmetric matrix above
+    DENSE_LIMIT, dense elimination otherwise.  `bound` caps the degree of the
+    minimal polynomial (see _certify_wiedemann)."""
+    if matrix.dim <= DENSE_LIMIT or not _self_adjoint(matrix):
         return _verdict(_det_mod_dense(matrix)), "dense-elimination"
     return _certify_wiedemann(matrix, bound), "wiedemann"
 
@@ -829,7 +781,10 @@ def obstruction_irreps(n: int, mu, use_list: str = "computed",
                        primes=DEFAULT_PRIMES,
                        check_limit: int = IRREP_CHECK_LIMIT) -> ObstructionReport:
     """Irrep route: invertibility of T-hat on every constituent of the
-    tabloid module of mu (all partitions dominating mu, by Young's rule)."""
+    tabloid module of mu (all partitions dominating mu, by Young's rule).
+
+    A block above DENSE_LIMIT is certified as the symmetric W T-hat
+    (_invariant_form), whose verdict is T-hat's at every p > n."""
     mu = check_partition(mu)
     if young.partition_n(mu) != n:
         raise ValueError("mu is not a partition of n")
@@ -859,6 +814,9 @@ def obstruction_irreps(n: int, mu, use_list: str = "computed",
             skipped += 1
             continue
         t_hat = young.irrep_T_matrix(lam)
+        if dim > DENSE_LIMIT:
+            w = _invariant_form(dim, t_hat)
+            t_hat = {(i, j): w[i] * value for (i, j), value in t_hat.items()}
         check, more = _check_one(
             label, dim, lambda p: _certify(modp_from_entries(dim, t_hat, p, n=n)), primes)
         checks.append(check)

@@ -1,3 +1,4 @@
+import csv
 import json
 
 import pytest
@@ -115,6 +116,24 @@ def test_bound_text_and_csv(capsys):
     code, out, _ = run(capsys, "--format", "csv", "bound", "6")
     assert code == 0
     assert out.splitlines()[0] == "method,shape,value,provenance"
+
+
+@pytest.mark.parametrize("argv", [("bound", "6"), ("perfect", "coset", "5", "4,1"),
+                                  ("perfect", "irreps", "4", "3,1"),
+                                  ("ilp", "solve", "5", "3,2")], ids=" ".join)
+def test_csv_rows_parse_to_one_field_count(capsys, argv):
+    # tables keep their header's field count through commas in provenance
+    # and labels; key/value payloads are pairs, lists joined by spaces
+    code, out, _ = run(capsys, "--format", "csv", *argv)
+    assert code == 0
+    rows = list(csv.reader(out.splitlines()))
+    width = 2 if argv[0] == "ilp" else len(rows[0])
+    assert len(rows) > 1 and all(len(row) == width for row in rows), rows
+    if argv[0] == "ilp":
+        assert dict(rows)["shape"] == "3 2"
+        assert all(v.isdigit() for v in dict(rows)["argmax"].split())
+    else:
+        assert any("," in field for row in rows[1:] for field in row)
 
 
 def test_perfect_coset_exit_codes(capsys):
