@@ -35,9 +35,7 @@ class CliConfig:
         # exact types: JSON true is a bool, which isinstance(v, int) accepts
         if not (type(self.dimension_limit) is int and self.dimension_limit >= 1):
             raise ValueError("dimension limit must be a positive integer")
-        t = self.time_limit
-        if t is not None and not (type(t) in (int, float) and t > 0):
-            raise ValueError(f"time limit must be a positive number, got {t!r}")
+        ilp.check_time_limit(self.time_limit)
         if self.output_format not in ("json", "csv", "text"):
             raise ValueError(f"unknown output format {self.output_format!r}")
         if not (type(self.prime_list) is tuple

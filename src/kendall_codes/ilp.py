@@ -74,9 +74,11 @@ _HEURISTIC_NODE_LIMIT = 100_000
 #: largest coset ILP (number of tabloids) that build_coset_ilp accepts.  The
 #: model and the tree hold dense dim x dim arrays of 8-byte entries at once:
 #: the int64 model matrix, BoxSimplex's float G = [M | I] (two) and B^-1
-#: with its rank-one update (two), four _propagate temporaries and HiGHS's
-#: float copy of the matrix, about 80 bytes per entry.  2500 tabloids keep
-#: them under 512 MiB; the shape is refused before it is enumerated.
+#: with its rank-one update (two) and four _propagate temporaries, about 72
+#: bytes per entry.  The heuristic runs before the tree and holds less: the
+#: model's rows at one tabloid per orbit and the folded k x k matrix that
+#: HiGHS copies, k <= dim orbits.  2500 tabloids keep them under 512 MiB;
+#: the shape is refused before it is enumerated.
 ILP_DIMENSION_LIMIT = 2500
 
 
@@ -196,29 +198,54 @@ def _certified_bound(y, cols, rhs: int, scale: int, l, u):
 
 
 def _milp_heuristic(model: IlpModel, u0, time_limit: float | None):
-    """Float MILP as an incumbent heuristic; the candidate is only adopted
-    after an exact feasibility check, so this stays outside the certified
-    path."""
+    """Incumbent from the shape's symmetries: one small HiGHS model per
+    conjugacy class of involutions g of <w0> x prod S_(m_k)
+    (young.involution_classes), over the points with x = x o g.
+
+    P M P = M for the permutation P of g, so rows i and g(i) of M with each
+    orbit {i, g(i)}'s columns summed coincide: the folded model keeps one
+    variable z and one row per orbit, weighs z by the orbit's size and
+    bounds it by u0 at the orbit's first tabloid.  Each solve gets
+    _HEURISTIC_NODE_LIMIT HiGHS nodes and the time left of time_limit
+    (seconds), and none starts once that is spent.  A solution lifts back
+    by x_i = z at i's orbit and is adopted only after an exact feasibility
+    check, so this stays outside the certified path.  Returns the best
+    lifted point, or None.
+    """
     from scipy.optimize import Bounds, LinearConstraint, milp
-    options = {"node_limit": _HEURISTIC_NODE_LIMIT}
-    if time_limit is not None:
-        options["time_limit"] = time_limit
-    try:
-        res = milp(-np.ones(model.dim),
-                   constraints=LinearConstraint(model.matrix,
-                                                ub=np.full(model.dim,
-                                                           float(model.rhs))),
-                   integrality=np.ones(model.dim),
-                   bounds=Bounds(0.0, np.asarray(u0, dtype=float)),
-                   options=options)
-    except Exception:
-        return None
-    if res.x is None:
-        return None
-    cand = [int(round(v)) for v in res.x]
-    if feasible(model, cand):
-        return cand
-    return None
+    deadline = None if time_limit is None else time.monotonic() + time_limit
+    u0 = np.asarray(u0, dtype=float)
+    best, best_value = None, -1
+    for g in young.involution_classes(model.shape):
+        options = {"node_limit": _HEURISTIC_NODE_LIMIT}
+        if deadline is not None:
+            options["time_limit"] = deadline - time.monotonic()
+            if options["time_limit"] <= 0:
+                break
+        reps = np.flatnonzero(np.arange(model.dim) <= g)
+        pair = g[reps] != reps
+        orbit = np.empty(model.dim, dtype=np.intp)
+        orbit[reps] = orbit[g[reps]] = np.arange(len(reps))
+        rows = model.matrix[reps]
+        folded = rows[:, reps]
+        folded[:, pair] += rows[:, g[reps[pair]]]
+        try:
+            res = milp(-np.where(pair, 2.0, 1.0),
+                       constraints=LinearConstraint(folded,
+                                                    ub=np.full(len(reps),
+                                                               float(model.rhs))),
+                       integrality=np.ones(len(reps)),
+                       bounds=Bounds(0.0, u0[reps]),
+                       options=options)
+        except Exception:
+            continue
+        if res.x is None:
+            continue
+        z = [int(round(v)) for v in res.x]
+        cand = [z[o] for o in orbit.tolist()]
+        if sum(cand) > best_value and feasible(model, cand):
+            best, best_value = cand, sum(cand)
+    return best
 
 
 def _bb_float(model: IlpModel, u0, root_bound: int, best_value: int,
@@ -382,6 +409,15 @@ def _bb_float(model: IlpModel, u0, root_bound: int, best_value: int,
     return best_value, best_point, nodes, None
 
 
+def check_time_limit(time_limit) -> None:
+    """Raise ValueError unless time_limit is None or a number above 0 (NaN,
+    which compares false with everything, and booleans are refused)."""
+    if time_limit is not None and (isinstance(time_limit, bool)
+                                   or not isinstance(time_limit, (int, float))
+                                   or not time_limit > 0):
+        raise ValueError(f"time limit must be a positive number, got {time_limit!r}")
+
+
 def ilp_solve(model: IlpModel, *, time_limit: float | None = None) -> IlpResult:
     """Certified branch-and-bound for the coset integer program.
 
@@ -393,12 +429,16 @@ def ilp_solve(model: IlpModel, *, time_limit: float | None = None) -> IlpResult:
     fits the tree's int64 bounds (larger models raise
     ``young.DimensionLimitError`` before any solve).  Deterministic:
     depth-first with fixed child order, branching by reliability pseudocosts
-    (lowest index on ties).  The HiGHS incumbent heuristic runs only while
-    rhs < 2**53, where float64 is exact.  ``time_limit`` (seconds) counts
-    from the call: the heuristic gets the time left after the root and the
-    tree stops at the deadline, returning status ``incumbent-only`` and a
-    valid dual bound instead of failing.
+    (lowest index on ties).  The incumbent heuristic (_milp_heuristic: one
+    small HiGHS model per class of involutions of the shape's symmetry
+    group, on the points that involution fixes) runs only while rhs <
+    2**53, where float64 is exact.  ``time_limit`` (seconds, a number above
+    0, else ValueError) counts from the call: the heuristic's solves share
+    the time left after the root, and the tree stops at the deadline,
+    returning status ``incumbent-only`` and a valid dual bound instead of
+    failing.
     """
+    check_time_limit(time_limit)
     deadline = None if time_limit is None else time.monotonic() + time_limit
     u0 = [model.rhs // d for d in model.matrix.diagonal().tolist()]
     # the tree's largest int64 intermediate is a row activity at the root
@@ -414,13 +454,13 @@ def ilp_solve(model: IlpModel, *, time_limit: float | None = None) -> IlpResult:
         raise ValueError(f"root LP unexpectedly {root.status}")
     root_bound = root.value.numerator // root.value.denominator
 
-    # incumbents: exact rounding ascent, then the float MILP heuristic
+    # incumbents: exact rounding ascent, then HiGHS on the fixed subspaces
     best_point = _heuristic_incumbent(model, root.point)
     best_value = sum(best_point)
     remaining = None if deadline is None else deadline - time.monotonic()
     # from 2**53 on float64 holds neither rhs nor the coordinates exactly,
     # and HiGHS writes diagnostics straight to file descriptor 1
-    if (remaining is None or remaining > 0) and model.rhs < 1 << 53:
+    if model.rhs < 1 << 53:
         cand = _milp_heuristic(model, u0, remaining)
         if cand is not None and sum(cand) > best_value:
             best_value = sum(cand)

@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from itertools import permutations
+from itertools import permutations, product
 from math import factorial
 
 import numpy as np
@@ -170,8 +170,10 @@ class ActionMatrix:
         return (self.entries != self.entries.T).nnz == 0
 
 
-def _image_index(tabloids: np.ndarray, keys: np.ndarray, columns) -> np.ndarray:
-    """Index of the image of every tabloid when its columns are permuted.
+def _image_index(tabloids: np.ndarray, keys: np.ndarray, columns,
+                 labels: np.ndarray | None = None) -> np.ndarray:
+    """Index of the image of every tabloid when its columns are permuted and
+    then, if labels is given, every block index b is replaced by labels[b].
 
     Each row of the dim x n array of block indices, read as a string of n
     bytes, is a base-256 code of its tabloid (block indices stay below 256:
@@ -179,7 +181,10 @@ def _image_index(tabloids: np.ndarray, keys: np.ndarray, columns) -> np.ndarray:
     first).  keys holds the codes, sorted because the tabloids are, and a
     binary search of the permuted codes gives the images' indices.
     """
-    image = np.ascontiguousarray(tabloids[:, columns])
+    image = tabloids[:, columns]
+    if labels is not None:
+        image = labels[image]
+    image = np.ascontiguousarray(image)
     return np.searchsorted(keys, image.view(keys.dtype).ravel())
 
 
@@ -214,15 +219,70 @@ def build_action_matrix(n: int, shape) -> ActionMatrix:
     return ActionMatrix(n=n, shape=shape, dim=dim, entries=mat)
 
 
+def _relabelling(shape: NumberPartition, dtype, swaps) -> np.ndarray:
+    """labels[b] for the block relabelling that swaps blocks b and b + 1 for
+    each b in swaps; labels[0] is unused."""
+    labels = np.arange(len(shape) + 1, dtype=dtype)
+    for b in swaps:
+        if not (1 <= b < len(shape) and shape[b - 1] == shape[b]):
+            raise ValueError(f"blocks {b} and {b + 1} of {shape} are not two blocks of equal size")
+        labels[[b, b + 1]] = b + 1, b
+    return labels
+
+
+def image_index(shape, reverse: bool = False, swaps=()) -> np.ndarray:
+    """Index of g t for every tabloid t, where g reverses the assignment
+    vector if reverse (w0: x -> n + 1 - x) and swaps blocks b and b + 1,
+    which must be of equal size, for each b in swaps.
+
+    Such relabellings and w0 commute with the action matrix M: a relabelling
+    commutes with every permutation of the elements, and w0 s_x w0 =
+    s_(n-x).  So the permutation P: t -> g t satisfies P M P^-1 = M.
+    """
+    shape = check_partition(shape)
+    tabloids, keys = _tabloid_keys(shape)
+    n = partition_n(shape)
+    columns = np.arange(n)[::-1] if reverse else np.arange(n)
+    labels = _relabelling(shape, tabloids.dtype, swaps) if swaps else None
+    return _image_index(tabloids, keys, columns, labels)
+
+
 def reversal_index(shape) -> np.ndarray:
     """Index of w0 t for every tabloid t, w0 the reversal x -> n + 1 - x.
 
     act(t, w0) reverses the assignment vector.  w0 s_x w0 = s_(n-x), so the
     permutation P: t -> w0 t satisfies P M P = M for the action matrix M.
     """
+    return image_index(shape, reverse=True)
+
+
+def involution_classes(shape) -> list[np.ndarray]:
+    """One involution per conjugacy class of G = <w0> x prod_k S_(m_k), as
+    the index of its image of every tabloid (image_index).
+
+    m_k is the multiplicity of the k-th distinct part size, and S_(m_k)
+    relabels the blocks of that size.  An involution of G is w0^r times
+    t_k disjoint transpositions in each S_(m_k), and (r, t_1, t_2, ...)
+    with 0 <= t_k <= m_k // 2 fixes its class, so there are
+    2 prod_k (m_k // 2 + 1) - 1 classes besides the identity; each is
+    represented by the swaps (b, b + 1), (b + 2, b + 3), ... at the first
+    block b of its run.  A class that fixes every tabloid is left out: w0
+    for the shape (n), and w0 with the swap of both blocks for (1, 1).
+    """
     shape = check_partition(shape)
-    tabloids, keys = _tabloid_keys(shape)
-    return _image_index(tabloids, keys, np.arange(partition_n(shape))[::-1])
+    runs = []  # [first block, multiplicity] of each part size
+    for b, part in enumerate(shape, start=1):
+        if b > 1 and part == shape[b - 2]:
+            runs[-1][1] += 1
+        else:
+            runs.append([b, 1])
+    out = []
+    for reverse, *counts in product((False, True), *(range(m // 2 + 1) for _, m in runs)):
+        swaps = [first + 2 * i for (first, _), t in zip(runs, counts) for i in range(t)]
+        index = image_index(shape, reverse, swaps)
+        if (index != np.arange(len(index))).any():
+            out.append(index)
+    return out
 
 
 def double_coset_oracle(n: int, shape, i: int, j: int) -> int:

@@ -1,5 +1,6 @@
 import time
 from fractions import Fraction
+from types import SimpleNamespace
 from math import factorial
 
 import numpy as np
@@ -77,10 +78,34 @@ def test_ilp_small_values(n, shape, want):
 
 @pytest.mark.parametrize("n,shape,want,nodes", [(7, (5, 2), 718, 10),
                                                 (5, (2, 2, 1), 22, 45),
-                                                (5, (3, 1, 1), 22, 39)])
+                                                (5, (3, 1, 1), 22, 39),
+                                                (7, (4, 3), 717, 121)])
 def test_tree_node_counts_are_pinned(n, shape, want, nodes):
     r = ilp_solve(build_coset_ilp(n, shape))
     assert (r.status, r.optimum, r.nodes_explored) == (PROVEN_OPTIMAL, want, nodes)
+
+
+@pytest.mark.parametrize("n,shape,want", [(7, (4, 3), 717), (7, (5, 2), 718),
+                                          (5, (2, 2, 1), 22), (5, (3, 1, 1), 22),
+                                          (7, (5, 1, 1), 716), (6, (2, 2, 2), 116)])
+def test_milp_heuristic_reaches_the_optimum_on_fixed_subspaces(n, shape, want,
+                                                               monkeypatch):
+    from scipy import optimize
+    sizes = []
+    real = optimize.milp
+
+    def counted(c, **kwargs):
+        sizes.append(len(c))
+        return real(c, **kwargs)
+
+    monkeypatch.setattr(optimize, "milp", counted)
+    m = build_coset_ilp(n, shape)
+    x = ilp._milp_heuristic(m, (m.rhs // m.matrix.diagonal()).tolist(), None)
+    assert feasible(m, x)
+    assert sum(x) == want
+    # one solve per class, each on the orbits of an involution, never M itself
+    assert len(sizes) == len(young.involution_classes(shape))
+    assert all(m.dim // 2 <= k < m.dim for k in sizes)
 
 
 def test_ilp_determinism():
@@ -120,9 +145,10 @@ def test_ilp_time_limit_returns_valid_incumbent(monkeypatch):
 
 @pytest.mark.parametrize("limit,heuristic", [(3.0, True), (1e-3, False)])
 def test_ilp_time_limit_bounds_every_phase(limit, heuristic, monkeypatch):
-    # with the heuristic on, HiGHS alone takes tens of seconds on this model
-    # and the deadline must reach it; a limit that passes during the exact
-    # root solve stops the tree at its root, whose bound must still hold
+    # with the heuristic on, the root (0.4 s) and the three orbit solves
+    # (about 2 s on 2 vCPUs) leave the 3 s deadline to land in the tree; a
+    # limit that passes during the exact root solve stops the tree at its
+    # root, whose bound must still hold
     if not heuristic:
         _no_milp_heuristic(monkeypatch)
     m = build_coset_ilp(6, (2, 2, 2))
@@ -134,6 +160,49 @@ def test_ilp_time_limit_bounds_every_phase(limit, heuristic, monkeypatch):
     assert sum(r.argmax) == r.optimum
     # 116 is the proven optimum (acceptance criterion 2)
     assert r.optimum <= 116 <= r.dual_bound <= 120
+
+
+def test_no_orbit_solve_starts_after_the_deadline(monkeypatch):
+    # a clock of ilp's own that moves one second per HiGHS solve: the
+    # deadline of 1.5 s passes during the second of the three orbit solves
+    # of (2,2,2)@6, so the third never starts and the tree stops at its root
+    from scipy import optimize
+    clock = [0.0]
+    calls = []
+    real = optimize.milp
+
+    def timed(c, *, options, **kwargs):
+        calls.append((clock[0], options["time_limit"]))
+        res = real(c, options=options, **kwargs)
+        clock[0] += 1.0
+        return res
+
+    monkeypatch.setattr(optimize, "milp", timed)
+    monkeypatch.setattr(ilp, "time", SimpleNamespace(monotonic=lambda: clock[0]))
+    m = build_coset_ilp(6, (2, 2, 2))
+    assert len(young.involution_classes(m.shape)) == 3
+    r = ilp_solve(m, time_limit=1.5)
+    assert len(calls) == 2
+    for start, limit in calls:
+        assert start < 1.5
+        assert 0 < limit <= 1.5 - start
+    assert r.status == INCUMBENT_ONLY
+    assert feasible(m, r.argmax)
+    assert r.optimum <= 116 <= r.dual_bound <= 120
+
+
+@pytest.mark.parametrize("limit", [float("nan"), 0, -1.0, float("-inf"), True, "3"],
+                         ids=repr)
+def test_time_limit_must_be_a_positive_number(limit, monkeypatch):
+    # NaN once skipped the heuristic and never reached its deadline
+    def no_root(model):
+        raise AssertionError("the root LP must not run")
+
+    monkeypatch.setattr(ilp, "lp_relax", no_root)
+    with pytest.raises(ValueError, match="time limit must be a positive number"):
+        ilp_solve(build_coset_ilp(7, (4, 3)), time_limit=limit)
+    with pytest.raises(ValueError, match="time limit must be a positive number"):
+        bound_report(7, [(4, 3)], time_limit=limit)
 
 
 def test_node_whose_float_lps_both_fail_is_still_certified(monkeypatch):

@@ -1,13 +1,15 @@
 import gc
+from collections import Counter
 from fractions import Fraction
 from itertools import permutations
-from math import factorial
+from math import factorial, prod
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
 from kendall_codes import perms, young
+from kendall_codes.ilp import ILP_DIMENSION_LIMIT
 from kendall_codes.young import (
     ActionMatrix,
     DimensionLimitError,
@@ -209,6 +211,44 @@ def test_reversal_is_an_involution_that_commutes_with_the_action(shape):
                          shape=(dim, dim))
     action = build_action_matrix(n, shape).entries
     assert (perm @ action @ perm != action).nnz == 0
+
+
+@pytest.mark.parametrize("shape,reverse,swaps", [
+    ((2, 2, 2), False, (1,)), ((2, 2, 2), True, (2,)), ((5, 1, 1), True, (2,)),
+    ((3, 3, 1, 1), True, (1, 3)), ((1, 1, 1, 1), False, (1, 3)), ((4, 3), True, ())],
+    ids=str)
+def test_image_index_reverses_then_relabels(shape, reverse, swaps):
+    labels = list(range(len(shape) + 1))
+    for b in swaps:
+        labels[b], labels[b + 1] = labels[b + 1], labels[b]
+    tabloids = enumerate_tabloids(shape)
+    want = [tuple(labels[b] for b in (t[::-1] if reverse else t)) for t in tabloids]
+    assert [tabloids[i] for i in young.image_index(shape, reverse, swaps)] == want
+
+
+@pytest.mark.parametrize("swaps", [(1,), (0,), (3,)], ids=str)
+def test_image_index_swaps_only_blocks_of_equal_size(swaps):
+    with pytest.raises(ValueError, match="not two blocks of equal size"):
+        young.image_index((3, 2, 2), swaps=swaps)
+
+
+@pytest.mark.parametrize("shape", [shape for n in range(1, 8) for shape in all_partitions(n)
+                                   if tabloid_count(shape) <= ILP_DIMENSION_LIMIT], ids=str)
+def test_involution_classes_are_symmetries_of_the_action(shape):
+    n = sum(shape)
+    classes = young.involution_classes(shape)
+    # (r, t_1, t_2, ...) less the identity; the one class of (n), and
+    # w0 with the swap of both blocks of (1, 1), fix every tabloid
+    want = 2 * prod(m // 2 + 1 for m in Counter(shape).values()) - 1
+    assert len(classes) == want - (shape in ((n,), (1, 1)))
+    if len(set(shape)) == len(shape) > 1:
+        assert len(classes) == 1
+    action = build_action_matrix(n, shape).entries.toarray()
+    everything = np.arange(len(action))
+    for g in classes:
+        assert np.array_equal(g[g], everything)
+        assert not np.array_equal(g, everything)
+        assert np.array_equal(action[g][:, g], action)
 
 
 def test_action_matrix_limit_is_checked_before_enumeration(monkeypatch):
