@@ -7,20 +7,22 @@ certified by modular arithmetic: a nonzero determinant mod p is already a
 proof of rational invertibility, while singularity mod p says nothing and is
 retried with the next prime from the configured list.
 
-Each matrix is reduced mod p at its known dimension: an irreducible block
-T-hat_lam from its exact rational entries at dimension f^lam (hook length
+Each matrix is reduced mod p at its known dimension.  An irreducible block
+T-hat_lam is built straight mod p from the integer structure of the standard
+tableaux (young.irrep_T_matrix with p: axial distances, partner tableaux and
+a table of 1/d mod p, no rational entry), at dimension f^lam (hook length
 formula), so that an all-zero block is a singular f^lam x f^lam matrix,
 never an empty one.  A coset matrix M is certified through its reversal
 split (ReversalSplit).  The reversal w0: i -> n + 1 - i conjugates s_i to
 s_(n-i), so the tabloid permutation P: t -> w0 t satisfies P M P = M.  On
-the P-invariant vectors (e_f for a fixed tabloid, e_r + e_(w0 r) for a
-pair) M acts by an integer matrix D+, on the anti-invariant ones
-e_r - e_(w0 r) by a symmetric integer matrix D- (the symmetry-adapted basis
-of Fassler & Stiefel, "Group Theoretical Methods and Their Applications",
-1992), each with about dim / 2 rows.  D = diag(D+, D-) = Q^-1 M Q over Q for
-the matrix Q of that basis, so det D = det M as integers: a verdict on D is
-a verdict on M at every prime, p = 2 included.  The engine is chosen by M's
-dimension, and the report names M.
+the P-invariant vectors (e_f for a fixed tabloid, e_r + e_(w0 r) for a pair)
+M acts by an integer matrix D+, on the anti-invariant ones e_r - e_(w0 r) by
+a symmetric integer matrix D- (the symmetry-adapted basis of Fassler &
+Stiefel, "Group Theoretical Methods and Their Applications", 1992), each
+with about dim / 2 rows.  D = diag(D+, D-) = Q^-1 M Q over Q for the matrix
+Q of that basis, so det D = det M as integers: a verdict on D is a verdict
+on M at every prime, p = 2 included.  The engine is chosen by M's dimension,
+and the report names M.
 
 Two matrix engines are provided.  Dense elimination gives a deterministic
 determinant for dimensions up to DENSE_LIMIT; on a coset matrix it takes
@@ -53,10 +55,11 @@ a self-adjoint A, and the engine raises ValueError on any other matrix:
   lanes share one CSR product of w_0 + 2^32 w_1.
 - A seminormal block T-hat_lam is not symmetric, but S = W T-hat_lam is,
   for the positive diagonal W of the invariant form of Young's seminormal
-  representation (_invariant_form).  Each W_i is a product of factors
-  (d-1)(d+1)/d^2 and their inverses over axial distances 1 < d < n, so
-  det W != 0 mod p for every p > n, which the seminormal reduction already
-  demands, and a verdict on S is a verdict on T-hat_lam.  S takes a lane
+  representation, computed mod p from T-hat_lam's own 2x2 pairs
+  (_invariant_form).  Each W_i is a product of factors (d-1)(d+1)/d^2 and
+  their inverses over axial distances 1 < d < n, so det W != 0 mod p for
+  every p > n, which the seminormal reduction already demands, and a
+  verdict on S is a verdict on T-hat_lam.  S takes a lane
   of one block under the plain dot product, as do symmetric rows given to
   invertible_mod_p; non-symmetric rows are eliminated densely at any
   dimension, since their dense rows are already in memory.
@@ -248,14 +251,8 @@ def reversal_split(action: ActionMatrix) -> ReversalSplit:
     return ReversalSplit(dim=action.dim, pairs=pairs, fixed=len(fixed), entries=entries)
 
 
-def modp_from_entries(dim: int, entries, p: int, n: int | None = None) -> ModPMatrix:
-    """Sparse dict {(i,j): value} -> ModPMatrix; values may be Fractions.
-
-    For seminormal matrices pass n: reduction demands p > n so that no axial
-    distance (hence no denominator) vanishes mod p.
-    """
-    if n is not None and p <= n:
-        raise ValueError(f"seminormal reduction mod {p} needs p > n = {n}")
+def modp_from_entries(dim: int, entries, p: int) -> ModPMatrix:
+    """Sparse dict {(i,j): value} -> ModPMatrix; values may be Fractions."""
     ii, jj, vv = [], [], []
     for (i, j), value in entries.items():
         r = _residue(value, p)
@@ -412,32 +409,56 @@ def _self_adjoint(matrix: ModPMatrix, pairs: int | None = None) -> bool:
     return not ((weighted - weighted.T).data % matrix.p).any()
 
 
-def _invariant_form(dim: int, t_hat: dict) -> list[Fraction]:
-    """The positive diagonal W with W T-hat symmetric, from T-hat's own 2x2
-    pairs.
+def _invariant_form(t_hat: ModPMatrix) -> np.ndarray:
+    """The diagonal W mod p, W_0 = 1, with W T-hat symmetric, from T-hat's
+    own 2x2 pairs.
 
-    A pair t' = s_i t of tableaux, d > 1 the axial distance on t, has
-    T[t, t'] = 1 - 1/d^2 and T[t', t] = 1 (young._seminormal_entries), so
-    W_t' = W_t T[t, t'] / T[t', t].  W is walked breadth-first from W_0 = 1
-    over the off-diagonal entries, which connect the tableaux.  Raises
-    ValueError unless every W_i is set and W T-hat is exactly symmetric.
+    A pair t' = s_i t of tableaux has T[t, t'] = 1 - 1/d^2 and T[t', t] = 1
+    for the axial distance d > 1 on t (young.irrep_T_matrix), so
+    W_t' = W_t T[t, t'] T[t', t]^-1.  The off-diagonal entries connect the
+    tableaux, and each vectorised sweep sets W_t' for every entry (t, t')
+    with W_t set and W_t' unset, until none is left.  Every off-diagonal
+    residue and every W_t is nonzero mod p > n, so 0 marks an unset W_t.
+    Raises ValueError unless T-hat's off-diagonal pattern is symmetric and
+    every W_t is set.
     """
-    linked = [[] for _ in range(dim)]
-    for i, j in t_hat:
-        if i != j:
-            linked[i].append(j)
-    w = [None] * dim
-    w[0] = Fraction(1)
-    queue = [0]
-    for i in queue:
-        for j in linked[i]:
-            if w[j] is None and t_hat.get((j, i)):
-                w[j] = w[i] * t_hat[i, j] / t_hat[j, i]
-                queue.append(j)
-    if None in w or any(w[i] * value != w[j] * t_hat.get((j, i), 0)
-                        for (i, j), value in t_hat.items()):
+    p, dim = t_hat.p, t_hat.dim
+    ent, back = t_hat.entries, t_hat.entries.T.tocsr()
+    ent.sort_indices()
+    back.sort_indices()
+    if not (np.array_equal(ent.indptr, back.indptr)
+            and np.array_equal(ent.indices, back.indices)):
+        raise ValueError("T-hat has no diagonal W with W T-hat symmetric")
+    rows = np.repeat(np.arange(dim), np.diff(ent.indptr))
+    off = rows != ent.indices
+    t, t2 = rows[off], ent.indices[off]  # back.data[e] = T[t2, t]
+    values, position = np.unique(back.data[off], return_inverse=True)
+    inverses = np.array([pow(int(v), -1, p) for v in values.tolist()], dtype=np.int64)
+    ratio = ent.data[off] * inverses[position] % p
+    w = np.zeros(dim, dtype=np.int64)
+    w[0] = 1
+    while len(t):
+        step = w[t] != 0
+        if not step.any():
+            break
+        w[t2[step]] = w[t[step]] * ratio[step] % p
+        left = w[t2] == 0
+        t, t2, ratio = t[left], t2[left], ratio[left]
+    if not w.all():
         raise ValueError("T-hat has no diagonal W with W T-hat symmetric")
     return w
+
+
+def _symmetrised(t_hat: ModPMatrix) -> ModPMatrix:
+    """W T-hat mod p for the W of _invariant_form: its rows scaled by W.
+    Raises ValueError unless it is symmetric mod p."""
+    entries = t_hat.entries.copy()
+    rows = np.repeat(np.arange(t_hat.dim), np.diff(entries.indptr))
+    entries.data = entries.data * _invariant_form(t_hat)[rows] % t_hat.p
+    scaled = ModPMatrix(dim=t_hat.dim, p=t_hat.p, entries=entries)
+    if not _self_adjoint(scaled):
+        raise ValueError("T-hat has no diagonal W with W T-hat symmetric")
+    return scaled
 
 
 def _packs(row_max: int, p: int) -> bool:
@@ -729,6 +750,14 @@ def perfect_counting_condition(n: int, r: int) -> bool:
     return factorial(n) % ball_size(n, r) == 0
 
 
+def _seminormal_block(lam, dim: int, p: int) -> ModPMatrix:
+    """T-hat_lam mod p (young.irrep_T_matrix) at dimension f^lam = dim.
+    Above DENSE_LIMIT it is the symmetric W T-hat_lam (_symmetrised), whose
+    verdict is T-hat_lam's: det W != 0 mod p for every p > n."""
+    t_hat = ModPMatrix(dim=dim, p=p, entries=young.irrep_T_matrix(lam, p))
+    return _symmetrised(t_hat) if dim > DENSE_LIMIT else t_hat
+
+
 def _check_one(label: str, dim: int, certify, primes):
     """Run the certificate at successive primes; one MatrixCheck plus notes.
 
@@ -783,12 +812,18 @@ def obstruction_irreps(n: int, mu, use_list: str = "computed",
     """Irrep route: invertibility of T-hat on every constituent of the
     tabloid module of mu (all partitions dominating mu, by Young's rule).
 
-    A block above DENSE_LIMIT is certified as the symmetric W T-hat
-    (_invariant_form), whose verdict is T-hat's at every p > n."""
+    Each block is built straight mod p, once per prime tried
+    (_seminormal_block); no exact rational entry is formed.  Every prime
+    must exceed n, and a prime p <= n anywhere in primes is refused
+    (ValueError) before any block is built, as is one at or above
+    PRIME_LIMIT."""
     mu = check_partition(mu)
     if young.partition_n(mu) != n:
         raise ValueError("mu is not a partition of n")
     primes = _checked_primes(primes)
+    small = [p for p in primes if p <= n]
+    if small:
+        raise ValueError(f"seminormal reduction mod {small[0]} needs p > n = {n}")
     if use_list == "computed":
         lams = young.constituents_dominating(mu)
     elif use_list == "published":
@@ -813,12 +848,8 @@ def obstruction_irreps(n: int, mu, use_list: str = "computed",
             checks.append(MatrixCheck(label, dim, None, VERDICT_SKIPPED, "skipped"))
             skipped += 1
             continue
-        t_hat = young.irrep_T_matrix(lam)
-        if dim > DENSE_LIMIT:
-            w = _invariant_form(dim, t_hat)
-            t_hat = {(i, j): w[i] * value for (i, j), value in t_hat.items()}
-        check, more = _check_one(
-            label, dim, lambda p: _certify(modp_from_entries(dim, t_hat, p, n=n)), primes)
+        check, more = _check_one(label, dim, lambda p: _certify(_seminormal_block(lam, dim, p)),
+                                 primes)
         checks.append(check)
         notes.extend(more)
     all_inv = all(c.verdict == VERDICT_INVERTIBLE for c in checks)

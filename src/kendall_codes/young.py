@@ -18,10 +18,12 @@ codes.  For the hook shape (n-1, 1) it is the path matrix
 tridiagonal_reference(n) itself: in lexicographic order the singleton sits
 at n, n-1, ..., 1.
 
-Irreducible representations are realized in Young's seminormal form with
-exact rational entries (the orthogonal form needs square roots, which would
-break mod-p reduction).  T-hat, the identity plus every generator matrix, is
-built from a single enumeration of the standard tableaux.
+Irreducible representations are realized in Young's seminormal form (the
+orthogonal form needs square roots, which would break mod-p reduction).  One
+array pass over the standard tableaux gives the axial distance of every
+generator on every tableau and the partner tableau it pairs with; T-hat,
+the identity plus every generator matrix, is read off it either with exact
+rational entries or straight mod p as a CSR of residues.
 """
 
 from __future__ import annotations
@@ -422,61 +424,91 @@ def hook_length_dimension(shape) -> int:
     return factorial(n) // hooks
 
 
-def enumerate_syt(shape) -> list[StandardYoungTableau]:
-    """All standard Young tableaux of the shape, in last-letter order.
+def _syt_words(shape: NumberPartition) -> np.ndarray:
+    """The standard tableaux of a checked shape in last-letter order, as the
+    rows of an f x n array: word[k, j] is the row (0-based) of entry n - j
+    in tableau k.
 
     Removing n, n-1, ..., 1 from corners, row r may lose its last cell
     while it is longer than row r+1.  A word lists the rows of n, n-1, ...,
-    1, so lexicographic order of the words is last-letter order.  Within a
-    row the entries increase along the columns, so a stable sort of the
-    entries by row lists them in row-major order of their cells.  All
-    tableaux share the n cell tuples.
+    1, so _lex_words yields them in last-letter order.
     """
-    shape = check_partition(shape)
     dim = hook_length_dimension(shape)
     if dim > IRREP_DIMENSION_LIMIT:
         raise DimensionLimitError(f"dimension {dim} exceeds limit {IRREP_DIMENSION_LIMIT}")
-    n = partition_n(shape)
-    rows = _lex_words(shape, n, lambda left: np.diff(left, append=0) < 0, -1)[:, ::-1]
+    return _lex_words(shape, partition_n(shape), lambda left: np.diff(left, append=0) < 0, -1)
+
+
+def enumerate_syt(shape) -> list[StandardYoungTableau]:
+    """All standard Young tableaux of the shape, in last-letter order.
+
+    Within a row the entries increase along the columns, so a stable sort of
+    the entries by row lists them in row-major order of their cells.  All
+    tableaux share the n cell tuples.
+    """
+    shape = check_partition(shape)
+    rows = _syt_words(shape)[:, ::-1]
     cell_number = np.argsort(np.argsort(rows, axis=1, kind="stable"), axis=1)
     cells = [(r, c) for r, size in enumerate(shape) for c in range(size)]
     return [tuple(map(cells.__getitem__, t)) for t in cell_number.tolist()]
 
 
-def _axial_distance(t: StandardYoungTableau, i: int) -> int:
-    """content(i+1) - content(i) where content = col - row."""
-    r1, c1 = t[i - 1]
-    r2, c2 = t[i]
-    return (c2 - r2) - (c1 - r1)
+def _seminormal_structure(shape: NumberPartition) -> tuple[np.ndarray, np.ndarray]:
+    """Axial distances and partner tableaux of every generator on every
+    standard tableau of a checked shape, as two f x (n-1) arrays.
 
+    d[k, i-1] = c(i+1) - c(i) on tableau k, for the content c = col - row.
+    d = 1 when i and i+1 share a row and d = -1 when they share a column;
+    then s_i t_k is not standard and partner[k, i-1] = k.  Otherwise
+    partner[k, i-1] is the index of s_i t_k, the tableau with i and i+1
+    swapped.
 
-def _swap_entries(t: StandardYoungTableau, i: int) -> StandardYoungTableau:
-    cells = list(t)
-    cells[i - 1], cells[i] = cells[i], cells[i - 1]
-    return tuple(cells)
-
-
-def _seminormal_entries(tableaux: list[StandardYoungTableau],
-                        index: dict[StandardYoungTableau, int], i: int):
-    """Yield ((row, col), value) for Young's seminormal matrix of (i, i+1).
-
-    On a basis tableau t: entries i, i+1 in the same row give a +1 diagonal,
-    same column -1; otherwise t pairs with t' = t with i, i+1 swapped and the
-    2x2 block is determined by the axial distance d:
-    (taking d > 0 on t) M[t][t] = 1/d, M[t][t'] = 1 - 1/d^2, M[t'][t] = 1,
-    M[t'][t'] = -1/d.  Every position is yielded at most once.
+    Columns come from one sweep over the entries 1..n with a counter per
+    (tableau, row), in O(f n) time and memory.  s_i swaps two letters of
+    the word.  Each word, read as a string of big-endian letters plus one,
+    is a code that sorts like the word (letters are never zero bytes, as in
+    _image_index), and a binary search of the swapped codes among the
+    sorted codes gives the partners.
     """
-    for k, t in enumerate(tableaux):
-        d = _axial_distance(t, i)
-        if abs(d) == 1:
-            # same row (+1) or same column (-1); partner is not standard
-            yield (k, k), Fraction(d)
-        elif d > 0:  # d < 0 is handled from the other member of the pair
-            kp = index[_swap_entries(t, i)]
-            yield (k, k), Fraction(1, d)
-            yield (k, kp), 1 - Fraction(1, d * d)
-            yield (kp, k), Fraction(1)
-            yield (kp, kp), Fraction(-1, d)
+    words = _syt_words(shape)
+    dim, n = words.shape
+    tableau = np.arange(dim)
+    used = np.zeros((dim, len(shape)), dtype=np.int64)
+    content = np.empty((dim, n), dtype=np.int64)
+    for x in range(n):
+        row = words[:, n - 1 - x]  # the row of entry x + 1
+        content[:, x] = used[tableau, row] - row
+        used[tableau, row] += 1
+    d = np.diff(content, axis=1)
+    codes = np.ascontiguousarray(words + 1, dtype=words.dtype.newbyteorder(">"))
+    key = f"S{n * codes.itemsize}"
+    keys = codes.view(key).ravel()
+    partner = np.repeat(tableau[:, None], n - 1, axis=1)
+    for i in range(1, n):
+        moved = np.flatnonzero(abs(d[:, i - 1]) > 1)
+        image = codes[moved]
+        # entries i and i+1 are letters n - i and n - i - 1 of the word
+        image[:, [n - i - 1, n - i]] = image[:, [n - i, n - i - 1]]
+        partner[moved, i - 1] = np.searchsorted(keys, image.view(key).ravel())
+    return d, partner
+
+
+def _seminormal_entries(d: np.ndarray, partner: np.ndarray, i: int):
+    """Yield ((row, col), value) for Young's seminormal matrix of (i, i+1),
+    from the arrays of _seminormal_structure.
+
+    On a basis tableau t with axial distance d: d = +1 or -1 gives the
+    diagonal d; otherwise t pairs with t' = s_i t, whose distance is -d, and
+    the 2x2 block (taking d > 0 on t) is M[t][t] = 1/d, M[t][t'] = 1 - 1/d^2,
+    M[t'][t] = 1, M[t'][t'] = -1/d.  Each tableau yields its own row, so
+    every position is yielded once.
+    """
+    for k, (dk, kp) in enumerate(zip(d[:, i - 1].tolist(), partner[:, i - 1].tolist())):
+        if abs(dk) == 1:
+            yield (k, k), Fraction(dk)
+        else:
+            yield (k, k), Fraction(1, dk)
+            yield (k, kp), 1 - Fraction(1, dk * dk) if dk > 0 else Fraction(1)
 
 
 def seminormal_generator(shape, i: int) -> dict[tuple[int, int], Fraction]:
@@ -489,26 +521,48 @@ def seminormal_generator(shape, i: int) -> dict[tuple[int, int], Fraction]:
     n = partition_n(shape)
     if not 1 <= i <= n - 1:
         raise ValueError(f"generator index must be in 1..{n - 1}, got {i}")
-    tableaux = enumerate_syt(shape)
-    index = {t: k for k, t in enumerate(tableaux)}
-    return dict(_seminormal_entries(tableaux, index, i))
+    return dict(_seminormal_entries(*_seminormal_structure(shape), i))
 
 
-def irrep_T_matrix(shape) -> dict[tuple[int, int], Fraction]:
+def irrep_T_matrix(shape, p: int | None = None
+                   ) -> dict[tuple[int, int], Fraction] | sp.csr_matrix:
     """Identity plus the sum of all seminormal generator matrices.
 
-    Sparse dict of exact rationals; at most 2(n-1)+1 nonzeros per row.  The
-    tableaux are enumerated once and every generator is added in one pass.
+    Without p: a sparse dict of exact rationals, at most 2(n-1)+1 nonzeros
+    per row.  With a prime p > n: the same matrix mod p as an int64 CSR of
+    residues in [0, p), zeros dropped; ValueError for p <= n, where an axial
+    distance, hence a denominator, may vanish mod p.  Both come from one
+    pass over the tableaux (_seminormal_structure).  Row k holds the
+    diagonal 1 + sum_i 1/d[k, i-1] (1/d = d for d = +1 or -1) and, for each
+    i with |d| > 1, (d^2 - 1)/d^2 at s_i t_k if d > 0, else 1; the residues
+    come from a table of 1/d mod p.
     """
     shape = check_partition(shape)
-    tableaux = enumerate_syt(shape)
-    index = {t: k for k, t in enumerate(tableaux)}
-    total: dict[tuple[int, int], Fraction] = {
-        (k, k): Fraction(1) for k in range(len(tableaux))}
-    for i in range(1, partition_n(shape)):
-        for key, value in _seminormal_entries(tableaux, index, i):
-            total[key] = total.get(key, Fraction(0)) + value
-    return {key: value for key, value in total.items() if value != 0}
+    n = partition_n(shape)
+    if p is not None and p <= n:
+        raise ValueError(f"seminormal reduction mod {p} needs p > n = {n}")
+    d, partner = _seminormal_structure(shape)
+    dim = len(d)
+    if p is None:
+        total: dict[tuple[int, int], Fraction] = {(k, k): Fraction(1) for k in range(dim)}
+        for i in range(1, n):
+            for key, value in _seminormal_entries(d, partner, i):
+                total[key] = total.get(key, Fraction(0)) + value
+        return {key: value for key, value in total.items() if value != 0}
+    # residues of 1/d and of the entry at the partner, indexed by d + n - 1
+    inverse = np.array([pow(x, -1, p) if x else 0 for x in range(1 - n, n)], dtype=np.int64)
+    paired = np.array([(x * x - 1) * pow(x, -2, p) % p if x > 1 else 1 for x in range(1 - n, n)],
+                      dtype=np.int64)
+    index = d + (n - 1)
+    k, i = np.nonzero(abs(d) > 1)
+    diagonal = np.arange(dim)
+    mat = sp.csr_matrix((np.concatenate(((1 + inverse[index].sum(axis=1)) % p,
+                                         paired[index[k, i]])),
+                         (np.concatenate((diagonal, k)),
+                          np.concatenate((diagonal, partner[k, i])))),
+                        shape=(dim, dim))
+    mat.eliminate_zeros()
+    return mat
 
 
 # ---------------------------------------------------------------------------

@@ -264,6 +264,18 @@ def test_config_rejects_prime_above_limit(tmp_path, capsys, monkeypatch):
     assert "not below" in err
 
 
+def test_irreps_rejects_prime_at_or_below_n(tmp_path, capsys, monkeypatch):
+    def no_block(shape, p=None):
+        raise AssertionError("block built")
+
+    monkeypatch.setattr(young, "irrep_T_matrix", no_block)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"primeList": [1000003, 3]}))
+    code, _, err = run(capsys, "--config", str(cfg), "perfect", "irreps", "4", "3,1")
+    assert code == 2
+    assert err == "error: seminormal reduction mod 3 needs p > n = 4\n"
+
+
 #: certificate outputs pinned byte for byte: the black-box engine on
 #: (6,3,2)@11 and dense elimination on (10,2,1)@13
 PINNED_CERTIFICATES = [

@@ -12,9 +12,11 @@ from kendall_codes.perfect import (
     CONCLUSION_INCONCLUSIVE,
     CONCLUSION_NO_CODE,
     DEFAULT_PRIMES,
+    DENSE_LIMIT,
     PRIME_LIMIT,
     VERDICT_INVERTIBLE,
     VERDICT_SINGULAR,
+    ModPMatrix,
     conjecture_check,
     divisibility_precondition,
     integer_determinant,
@@ -24,6 +26,8 @@ from kendall_codes.perfect import (
     obstruction_irreps,
     perfect_counting_condition,
 )
+
+from exact_sparse import invariant_form
 
 
 def test_default_primes_are_prime():
@@ -68,9 +72,13 @@ def _no_matrix_work(*args, **kwargs):
     raise AssertionError("matrix work started")
 
 
+def _no_block(shape, p=None):
+    raise AssertionError(f"block {shape} built")
+
+
 def test_primes_at_or_above_limit_are_rejected(monkeypatch):
-    for name in ("build_action_matrix", "irrep_T_matrix"):
-        monkeypatch.setattr(young, name, _no_matrix_work)
+    monkeypatch.setattr(young, "build_action_matrix", _no_matrix_work)
+    monkeypatch.setattr(young, "irrep_T_matrix", _no_block)
     for name in ("modp_from_action", "modp_from_entries", "modp_from_rows"):
         monkeypatch.setattr(perfect, name, _no_matrix_work)
     for p in (1048583, 2147483647):  # the first prime >= 2**20, and 2**31 - 1
@@ -96,9 +104,46 @@ def test_fraction_entries_and_bad_denominator():
 
 
 def test_seminormal_prime_gate():
-    m = young.irrep_T_matrix((2, 1))
-    with pytest.raises(ValueError):
-        modp_from_entries(2, m, 3, n=3)
+    # an axial distance, hence a denominator, may vanish mod p <= n
+    for p in (2, 3):
+        with pytest.raises(ValueError, match="p > n"):
+            young.irrep_T_matrix((2, 1), p)
+    assert young.irrep_T_matrix((2, 1), 5).shape == (2, 2)
+
+
+def test_primes_at_or_below_n_are_refused_before_any_block(monkeypatch):
+    monkeypatch.setattr(young, "irrep_T_matrix", _no_block)
+    for primes in ((DEFAULT_PRIMES[0], 3), (3, DEFAULT_PRIMES[0])):
+        with pytest.raises(ValueError, match="p > n = 4"):
+            obstruction_irreps(4, (3, 1), primes=primes)
+    with pytest.raises(ValueError, match="p > n = 8"):
+        obstruction_irreps(8, (4, 4), primes=(7,))
+
+
+def _smallest_prime_above(n):
+    return next(p for p in range(n + 1, 2 * n + 3) if perfect._is_prime(p))
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_residue_block_equals_exact_block_reduced(n):
+    for lam in young.all_partitions(n):
+        dim = young.hook_length_dimension(lam)
+        exact = young.irrep_T_matrix(lam)
+        for p in (*DEFAULT_PRIMES, _smallest_prime_above(n)):
+            block = young.irrep_T_matrix(lam, p)
+            reduced = modp_from_entries(dim, exact, p).entries
+            assert block.dtype == np.int64 and block.shape == (dim, dim), (lam, p)
+            assert block.nnz == reduced.nnz and (block != reduced).nnz == 0, (lam, p)
+            assert ((0 <= block.data) & (block.data < p)).all(), (lam, p)
+
+
+def test_zero_residue_block_is_singular():
+    # the sign irrep of S_2: a 1 x 1 zero matrix at every prime
+    for p in (3, *DEFAULT_PRIMES):
+        block = young.irrep_T_matrix((1, 1), p)
+        assert block.shape == (1, 1) and block.nnz == 0
+        assert perfect._certify(ModPMatrix(1, p, block)) == (VERDICT_SINGULAR,
+                                                             "dense-elimination")
 
 
 # -- dense engine -----------------------------------------------------------------
@@ -527,16 +572,26 @@ def test_krylov_degree_within_young_bound(shape, monkeypatch):
 def test_invariant_form_symmetrises_every_seminormal_block():
     for n in range(1, 9):
         for lam in young.all_partitions(n):
+            dim = young.hook_length_dimension(lam)
             t_hat = young.irrep_T_matrix(lam)
-            w = perfect._invariant_form(young.hook_length_dimension(lam), t_hat)
+            w = invariant_form(dim, t_hat)
             assert all(x > 0 for x in w), lam
             assert all(w[i] * value == w[j] * t_hat[j, i]
                        for (i, j), value in t_hat.items()), lam
+            # mod p, W is the exact W reduced and W T-hat is symmetric
+            for p in (*DEFAULT_PRIMES, _smallest_prime_above(n)):
+                block = ModPMatrix(dim, p, young.irrep_T_matrix(lam, p))
+                assert (perfect._invariant_form(block).tolist()
+                        == [perfect._residue(x, p) for x in w]), (lam, p)
+                scaled = perfect._symmetrised(block).entries
+                assert not ((scaled - scaled.T).data % p).any(), (lam, p)
     # a cycle of ratios that does not close, and an unlinked row, have none
     skew = {(0, 1): 1, (1, 0): 1, (1, 2): 1, (2, 1): 2, (0, 2): 1, (2, 0): 1}
     for dim, entries in ((3, skew), (2, {(0, 0): 1, (1, 1): 2})):
         with pytest.raises(ValueError, match="symmetric"):
-            perfect._invariant_form(dim, entries)
+            invariant_form(dim, entries)
+        with pytest.raises(ValueError, match="symmetric"):
+            perfect._symmetrised(modp_from_entries(dim, entries, DEFAULT_PRIMES[0]))
 
 
 @pytest.mark.parametrize("n", range(2, 8))
@@ -755,12 +810,30 @@ def test_irrep_limit_is_checked_before_any_block_is_built(monkeypatch):
     # 50 and the default check limit (4096) some block is too large to build
     monkeypatch.setattr(young, "IRREP_DIMENSION_LIMIT", 50)
 
-    def no_build(shape):
-        raise AssertionError(f"block {shape} built before the limit check")
-
-    monkeypatch.setattr(young, "irrep_T_matrix", no_build)
+    monkeypatch.setattr(young, "irrep_T_matrix", _no_block)
     with pytest.raises(young.DimensionLimitError):
         obstruction_irreps(8, (2, 2, 2, 2))
+
+
+def test_irreps_route_builds_no_fraction(monkeypatch):
+    # every block is built straight mod p, as T-hat or, above DENSE_LIMIT,
+    # as W T-hat: no Fraction and no reduction of an entry dict
+    primes = (11, *DEFAULT_PRIMES)
+    expected = {}
+    for dense in (DENSE_LIMIT, 0):
+        monkeypatch.setattr(perfect, "DENSE_LIMIT", dense)
+        expected[dense] = obstruction_irreps(7, (3, 2, 2), primes=primes)
+
+    def no_fraction(cls, *args, **kwargs):
+        raise AssertionError("Fraction built on the certificate path")
+
+    monkeypatch.setattr(Fraction, "__new__", no_fraction)
+    monkeypatch.setattr(perfect, "modp_from_entries", _no_matrix_work)
+    for dense, report in expected.items():
+        monkeypatch.setattr(perfect, "DENSE_LIMIT", dense)
+        assert obstruction_irreps(7, (3, 2, 2), primes=primes) == report
+    with pytest.raises(AssertionError, match="Fraction built"):
+        young.irrep_T_matrix((3, 2, 2))
 
 
 def test_obstruction_irreps_skip_reporting():

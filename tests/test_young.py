@@ -31,7 +31,7 @@ from kendall_codes.young import (
     young_subgroup_order,
 )
 
-from exact_sparse import add, identity, matmul, sparse
+from exact_sparse import add, identity, matmul, seminormal_reference, sparse
 
 
 # -- partitions and tabloids -------------------------------------------------
@@ -375,6 +375,14 @@ def test_irrep_T_matrix_is_identity_plus_generators(n):
         t_hat = irrep_T_matrix(lam)
         assert all(isinstance(v, Fraction) and v != 0 for v in t_hat.values())
         assert sparse(t_hat) == expected
+
+
+@pytest.mark.parametrize("shape", [*SHAPES_TO_8, pytest.param((2,) + (1,) * 255, id="(2, 1^255)")],
+                         ids=str)
+def test_irrep_T_matrix_matches_the_tableau_loop(shape):
+    # the array pass against a loop over the tableau tuples; (2, 1^255) has
+    # 256 rows, so its words take two-byte letters
+    assert irrep_T_matrix(shape) == seminormal_reference(shape)
 
 
 def test_trivial_and_sign_t_matrices():
