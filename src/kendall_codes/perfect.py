@@ -7,22 +7,31 @@ certified by modular arithmetic: a nonzero determinant mod p is already a
 proof of rational invertibility, while singularity mod p says nothing and is
 retried with the next prime from the configured list.
 
-Each matrix is reduced mod p at its known dimension.  An irreducible block
-T-hat_lam is built straight mod p from the integer structure of the standard
-tableaux (young.irrep_T_matrix with p: axial distances, partner tableaux and
-a table of 1/d mod p, no rational entry), at dimension f^lam (hook length
-formula), so that an all-zero block is a singular f^lam x f^lam matrix,
-never an empty one.  A coset matrix M is certified through its reversal
-split (ReversalSplit).  The reversal w0: i -> n + 1 - i conjugates s_i to
-s_(n-i), so the tabloid permutation P: t -> w0 t satisfies P M P = M.  On
-the P-invariant vectors (e_f for a fixed tabloid, e_r + e_(w0 r) for a pair)
-M acts by an integer matrix D+, on the anti-invariant ones e_r - e_(w0 r) by
-a symmetric integer matrix D- (the symmetry-adapted basis of Fassler &
-Stiefel, "Group Theoretical Methods and Their Applications", 1992), each
-with about dim / 2 rows.  D = diag(D+, D-) = Q^-1 M Q over Q for the matrix
-Q of that basis, so det D = det M as integers: a verdict on D is a verdict
-on M at every prime, p = 2 included.  The engine is chosen by M's dimension,
-and the report names M.
+An irreducible block T-hat_lam is built straight mod p from the integer
+structure of the standard tableaux (young.irrep_T_matrix with p: axial
+distances, partner tableaux and a table of 1/d mod p, no rational entry),
+at dimension f^lam (hook length formula), so that an all-zero block is a
+singular f^lam x f^lam matrix, never an empty one.
+
+A coset matrix M of shape mu is certified in one of two ways, chosen by
+its dimension:
+
+- Up to DENSE_LIMIT, through its reversal split (ReversalSplit).  The
+  reversal w0: i -> n + 1 - i conjugates s_i to s_(n-i), so the tabloid
+  permutation P: t -> w0 t satisfies P M P = M.  On the P-invariant
+  vectors (e_f for a fixed tabloid, e_r + e_(w0 r) for a pair) M acts by
+  an integer matrix D+, on the anti-invariant ones e_r - e_(w0 r) by an
+  integer matrix D- (the symmetry-adapted basis of Fassler & Stiefel,
+  "Group Theoretical Methods and Their Applications", 1992).
+  D = diag(D+, D-) = Q^-1 M Q over Q for the matrix Q of that basis, so
+  det M = det D+ det D- as integers, at every prime.
+- Above DENSE_LIMIT, through its isotypic blocks; M itself is never
+  built.  By Young's rule M^mu = sum K_{lam,mu} S^lam over Q, for the
+  partitions lam dominating mu, so det M = prod det(T-hat_lam)^K_{lam,mu}
+  with every K_{lam,mu} >= 1.  Both sides are integral at p > n, so M is
+  invertible mod p exactly when every T-hat_lam is, and such a prime is
+  required (ValueError otherwise).  The report keeps one check at M's
+  dimension, method 'wiedemann', at the last prime any block needed.
 
 Two matrix engines are provided.  Dense elimination gives a deterministic
 determinant for dimensions up to DENSE_LIMIT; on a coset matrix it takes
@@ -32,73 +41,44 @@ Pernet, "FFLAS and FFPACK", ACM TOMS 35(3), 2008): panels of _BLOCK columns
 are eliminated with partial pivoting, and the trailing updates U = L^-1 A
 and A -= L U run as float64 BLAS products, reduced mod p once per panel.  An
 entry gains at most _BLOCK products of residues between reductions, so every
-sum stays below p + _BLOCK (p-1)^2 < 2^47 < 2^53 and float64 is exact.  Above
-DENSE_LIMIT a black-box check, reported as method 'wiedemann', is used
-instead.  It is one engine: scalar Lanczos (Lanczos, J. Res. Nat. Bur.
-Standards 49, 1952; LaMacchia & Odlyzko, CRYPTO 1990) on all
-WIEDEMANN_SOLVES right-hand sides v_j at once, one lane each.  Lanczos needs
-a self-adjoint A, and the engine raises ValueError on any other matrix:
+sum stays below p + _BLOCK (p-1)^2 < 2^47 < 2^53 and float64 is exact.
 
-- From w = v, a step takes t = <w, A w>, adds (<w, v> / t) w to the solve x,
-  and A-orthogonalises A w against the last two w.  One Krylov pass per
-  right-hand side gives the solve itself.  On a coset matrix a lane is a
-  (2, L) array over D+ and D- (padded with identity rows that v leaves at
-  0): D+ is self-adjoint for <a, b> = a . W b, W = diag(|orbit|), since
-  W D+ is symmetric, and D- for the plain dot product.  Each block stops on
-  its own, at t = 0 mod p, and one CSR product of diag(D+, D-) serves both,
-  so a lane takes about half the steps it would take on M.  Every lane
-  stops after B + 1 products, where B bounds the degree of the minimal
-  polynomial of A: for a coset matrix B = sum of f^lam over the partitions
-  lam dominating the shape (Young's rule: M^mu = sum K_{lam,mu} S^lam);
-  otherwise B = dim.  D's residues are signed, in (-p/2, p/2]; when
-  R (p-1) < 2^31, R the largest row sum of the absolute residues, two
-  lanes share one CSR product of w_0 + 2^32 w_1.
+Above DENSE_LIMIT, and on every block of a coset matrix above it, a
+black-box check runs instead, reported as method 'wiedemann'.  It is one
+Lanczos pass (Lanczos, J. Res. Nat. Bur. Standards 49, 1952) on a
+symmetric S of order f, from a seeded random v, of at most f products:
+
+- From w_0 = v, each step takes t = w . S w and S-orthogonalises S w
+  against the last two w.  If all f steps have t != 0 mod p, the w's form
+  a matrix K with K^T S K = diag(t), so det(K)^2 det S = prod t != 0 and
+  S is invertible mod p.  That is a proof, with no error bound: the
+  evidence is deterministic.  A singular S never gets a full pass.
 - A seminormal block T-hat_lam is not symmetric, but S = W T-hat_lam is,
   for the positive diagonal W of the invariant form of Young's seminormal
   representation, computed mod p from T-hat_lam's own 2x2 pairs
   (_invariant_form).  Each W_i is a product of factors (d-1)(d+1)/d^2 and
   their inverses over axial distances 1 < d < n, so det W != 0 mod p for
-  every p > n, which the seminormal reduction already demands, and a
-  verdict on S is a verdict on T-hat_lam.  S takes a lane
-  of one block under the plain dot product, as do symmetric rows given to
-  invertible_mod_p; non-symmetric rows are eliminated densely at any
-  dimension, since their dense rows are already in memory.
-- A lane that Lanczos leaves unsolved (a self-orthogonal w, the cap, or a
-  failed exact check) gets one more pass, on D A D for a seeded random
-  diagonal D of nonzero residues (a diagonal preconditioner, Eberly &
-  Kaltofen, ISSAC 1997).  That pass solves D A D y = D v, with another
-  Krylov space but the same v, and x = D y must pass A x = v for the very
-  same v.  D A D is self-adjoint wherever A is: D commutes with the weights
-  of a split.  The pass keeps the cap of B + 1 products, which stops a
-  singular A's second pass as early as its first.  D A D's minimal
-  polynomial is not bounded by B, so where B is below a block's L rows
-  (say (1^8)@8: B = 764, L = 20160) that pass can fail on an invertible A
-  too; that is a false 'singular-mod-p', never a false 'invertible'.  The
-  paper's shapes have B > L ((6,6,2)@14: 60581 against 42042), where the
-  cap never binds.  A lane still unsolved makes the verdict
-  'singular-mod-p': a singular A takes exactly two passes.
-- Every solve A x_j = v_j mod p is verified exactly.  The evidence is
-  randomized: with independent uniform v_j (from a fixed seed, never
-  redrawn), a singular matrix passes only if every v_j lies in range(A),
-  which has probability at most p^-2 for two solves.  On a coset matrix
-  both segments of each v_j, on D+ and on D-, are uniform, and a singular
-  D has a singular block, so the bound is the same.  The method only
-  decides whether a solve is found, never whether it is accepted.  An
-  invertible matrix can at worst be reported 'singular-mod-p', which
-  proves nothing.  At p = 2 or 3 that is common on a split: W vanishes on
-  D+'s pair rows mod 2 (and the only D is I), and self-orthogonal vectors
-  abound mod 3.  The dense engine is unaffected.
+  every p > n, and a verdict on S is a verdict on T-hat_lam.  Symmetric
+  rows given to invertible_mod_p take the pass as they are; non-symmetric
+  rows are eliminated densely at any dimension, since their dense rows are
+  already in memory.
+- A pass that stops short, at t = 0 before step f (w = 0, or a
+  self-orthogonal w), gets one more pass, from the same v, on D S D for a
+  seeded random diagonal D of nonzero residues (a diagonal preconditioner,
+  Eberly & Kaltofen, ISSAC 1997); det D != 0, so a full pass there proves
+  det S != 0 too.  If that pass stops short as well, the verdict is
+  'singular-mod-p' at this prime, which proves nothing: a singular S
+  takes exactly two passes, and an invertible one whose passes both break
+  down is retried at the next prime.
 
 Every certificate records the prime, the method that produced it and the
-kind of evidence: deterministic for dense elimination, randomized with error
-at most p^-2 for the black-box check.  Primes must lie below PRIME_LIMIT, so
-that the black-box sums stay exact in int64 and the dense engine's sums stay
-exact in float64.
+kind of evidence, deterministic for both engines.  Primes must lie below
+PRIME_LIMIT, so that the Lanczos sums stay exact in int64 and the dense
+engine's sums stay exact in float64.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
@@ -122,20 +102,15 @@ DENSE_LIMIT = 4096
 #: default skip threshold for per-matrix checks in the irrep route
 IRREP_CHECK_LIMIT = 4096
 #: primes must lie below this, for two bounds.  In the black-box engine,
-#: int64 stays exact for a dot product of two vectors of residues over at
-#: most 2^23 entries, since 2^23 (p-1)^2 < 2^63:
-#: - a product of a vector in [0, p) is at most R (p-1) in absolute value,
-#:   R the largest absolute row sum; two Lanczos lanes packed as
-#:   w_0 + 2^32 w_1 share one product only when R (p-1) < 2^31, which keeps
-#:   it below 2^63;
-#: - Lanczos's dot products run per block of a ReversalSplit, over its L
-#:   rows: L = (dim + fixed) / 2 < 5 10^6 < 2^23 below
-#:   young.SPARSE_TABLOID_LIMIT (fixed, the palindromic tabloids, is at
-#:   most 2 sqrt(dim)); A w enters them unreduced only when
-#:   L (R (p-1))^2 < 2^63;
-#: - Lanczos's solve gains less than (p-1)^2 a step, over at most dim + 1
-#:   steps, before its one reduction;
-#: - D A D is scaled entry by entry, |r d_i d_j| < p^3 < 2^60.
+#: int64 stays exact for a sum of fewer than 2^23 products of residues in
+#: [0, p), since 2^23 (p-1)^2 < 2^63, and every order it meets is below
+#: 2^23 (young.IRREP_DIMENSION_LIMIT for a block; dense rows of that order
+#: would not fit in memory):
+#: - a row of S w sums at most f such products;
+#: - S w is reduced into [0, p) before its dot products, which run over f
+#:   entries; the update S w - alpha w - beta w_prev stays above
+#:   -2 (p-1)^2;
+#: - D S D is scaled entry by entry, r d_i d_j < p^3 < 2^60.
 #: In the dense engine, a residue plus _BLOCK residue products stays below
 #: 2^47, exact in float64 (< 2^53).
 PRIME_LIMIT = 2**20
@@ -147,8 +122,7 @@ _BLOCK = 128
 _SUBPANEL = 16
 #: fixed primes just above 10^6, below PRIME_LIMIT
 DEFAULT_PRIMES = (1000003, 1000033, 1000037)
-#: independent verified solves required by the black-box certificate
-WIEDEMANN_SOLVES = 2
+#: seed of the black-box engine's start vector and diagonal, with p and f
 WIEDEMANN_SEED = 0x5eed
 
 
@@ -173,8 +147,9 @@ def _residue(value, p: int) -> int:
 
 
 def modp_from_action(action: ActionMatrix, p: int) -> ModPMatrix:
-    """M mod p, unsplit.  Certificates take reversal_split(action) instead;
-    this is the reference that the split is checked against."""
+    """M mod p, unsplit.  Certificates take reversal_split(action) or the
+    isotypic blocks instead; this is the reference both are checked
+    against."""
     ent = action.entries.astype(np.int64)
     ent.data %= p
     return ModPMatrix(dim=action.dim, p=p, entries=ent)
@@ -198,7 +173,8 @@ class ReversalSplit:
 
     D+ has L = pairs + fixed rows, pairs first.  D- is padded with `fixed`
     identity rows, and `entries` holds the integer diag(D+, D-, I) of order
-    2 L: one CSR product serves both blocks.  `dim` is M's dimension.
+    2 L, whose first two diagonal blocks the dense engine eliminates.
+    `dim` is M's dimension.
     """
 
     dim: int
@@ -207,10 +183,9 @@ class ReversalSplit:
     entries: sp.csr_matrix
 
     def mod(self, p: int) -> ModPMatrix:
-        """diag(D+, D-, I) as signed residues in (-p/2, p/2]."""
+        """diag(D+, D-, I) as residues in [0, p)."""
         ent = self.entries.copy()
         ent.data %= p
-        ent.data[ent.data > p // 2] -= p
         ent.eliminate_zeros()
         return ModPMatrix(dim=ent.shape[0], p=p, entries=ent)
 
@@ -393,20 +368,9 @@ def _reduce_int(x: np.ndarray, p: int, scratch: np.ndarray | None = None) -> np.
     return x
 
 
-def _row_max(entries: sp.csr_matrix) -> int:
-    """R, the largest row sum of the absolute values of the residues:
-    |A y| <= R max|y| for every y.  A plain row sum would undercount a row
-    with negative entries."""
-    return int(abs(entries).sum(axis=1).max())
-
-
-def _self_adjoint(matrix: ModPMatrix, pairs: int | None = None) -> bool:
-    """Whether A is self-adjoint under the products _lanczos uses: W A is
-    symmetric mod p for W = 2 on the first `pairs` rows (D+'s pair rows of a
-    ReversalSplit) and 1 on the rest."""
-    weighted = matrix.entries.copy()
-    weighted.data[:weighted.indptr[pairs or 0]] *= 2
-    return not ((weighted - weighted.T).data % matrix.p).any()
+def _is_symmetric(matrix: ModPMatrix) -> bool:
+    """Whether A is symmetric mod p."""
+    return not ((matrix.entries - matrix.entries.T).data % matrix.p).any()
 
 
 def _invariant_form(t_hat: ModPMatrix) -> np.ndarray:
@@ -456,120 +420,46 @@ def _symmetrised(t_hat: ModPMatrix) -> ModPMatrix:
     rows = np.repeat(np.arange(t_hat.dim), np.diff(entries.indptr))
     entries.data = entries.data * _invariant_form(t_hat)[rows] % t_hat.p
     scaled = ModPMatrix(dim=t_hat.dim, p=t_hat.p, entries=entries)
-    if not _self_adjoint(scaled):
+    if not _is_symmetric(scaled):
         raise ValueError("T-hat has no diagonal W with W T-hat symmetric")
     return scaled
 
 
-def _packs(row_max: int, p: int) -> bool:
-    """Whether two lanes can share one CSR product (see _lane_products)."""
-    return row_max * (p - 1) < 2**31
+def _lanczos(matrix: ModPMatrix, v: np.ndarray) -> list[int]:
+    """The t of every step of one Lanczos pass over F_p on a symmetric S of
+    order f (Lanczos, J. Res. Nat. Bur. Standards 49, 1952), up to the
+    first t = 0 mod p and for at most f products.
 
+    From w_0 = v and w_-1 = 0, step i takes t_i = w_i . S w_i and
+        w_(i+1) = S w_i - alpha w_i - beta w_(i-1),
+        alpha = (S w_i . S w_i) / t_i,  beta = t_i / t_(i-1),
+    which makes w_(i+1) S-orthogonal to w_i and w_(i-1), and so, S being
+    symmetric, to every earlier w.  The pass is full length when it returns
+    f values: then K = (w_0 ... w_(f-1)) has K^T S K = diag(t), and
+    det(K)^2 det S = prod t != 0.  A shorter list ends at w = 0 (v lies in
+    an invariant subspace of S) or at a self-orthogonal w (a breakdown).
 
-def _lane_products(entries: sp.csr_matrix, w: np.ndarray, packed: bool,
-                   out: np.ndarray) -> np.ndarray:
-    """out[j] = A w_j for every lane (row) w_j of w, whose entries lie in
-    [0, p); A may hold negative residues.
-
-    Packed, lanes 2i and 2i+1 share one CSR product of w_2i + 2^32 w_2i+1:
-    each product has |A w| <= R (p-1) < 2^31 (_packs), so the word
-    lo + 2^32 hi is below 2^63 in absolute value.  With lo + 2^31 in
-    [0, 2^32), word + 2^31 holds lo + 2^31 in its low 32 bits and hi above
-    them (an arithmetic shift rounds towards -inf).  scipy multiplies one
-    vector about five times faster than two columns.
+    Arithmetic is int64 with w in [0, p) before each product (PRIME_LIMIT);
+    S w is reduced into [0, p) before its dot products.
     """
-    if not packed:
-        for lane, dest in zip(w, out):
-            dest[:] = entries.dot(lane)
-        return out
-    for j in range(0, len(w) - 1, 2):
-        word = entries.dot((w[j + 1] << 32) | w[j])
-        word += 2**31
-        np.right_shift(word, 32, out=out[j + 1])
-        np.bitwise_and(word, 0xFFFFFFFF, out=out[j])
-        out[j] -= 2**31
-    if len(w) % 2:
-        out[-1] = entries.dot(w[-1])
-    return out
-
-
-def _lanczos(matrix: ModPMatrix, rhs: list[np.ndarray], steps: int,
-             pairs: int | None = None) -> np.ndarray:
-    """Candidate solves x_j of A x = v_j mod p for a self-adjoint A, one lane
-    per right-hand side v_j (Lanczos, J. Res. Nat. Bur. Standards 49, 1952;
-    LaMacchia & Odlyzko, CRYPTO 1990).
-
-    With pairs None, A is symmetric and a lane is one block of dim entries
-    under the plain dot product.  Otherwise A is the diag(D+, D-, I) of a
-    ReversalSplit with that many pairs, and a lane is a (2, L) array: D+
-    under <a, b> = a . W b, W = diag(2 on the pair rows, 1 on the rest), and
-    D- with its zero padding under the plain dot product.  Each dot runs in
-    int64 over the L entries of a block, and W is applied after it: the dot
-    over D+'s pair rows is added once more, mod p.
-
-    From w_0 = v and w_-1 = 0, each step takes t = <w, A w> per block and
-        x += (<w, v> / t) w,
-        w' = A w - alpha w - beta w_prev,  alpha = <A w, A w> / t,
-        beta = t / t_prev,
-    which keeps every w A-orthogonal to the earlier ones, so that x solves
-    A x = v once w = 0, unless A x - v is a nonzero vector orthogonal to
-    itself.  A block stops when its t = 0 mod p: w = 0, or a self-orthogonal
-    w (a breakdown); its w is then zeroed, and the other block goes on.
-    Every lane stops after `steps` products.  Whether a lane's x solves
-    A x = v is left to the caller's exact check.
-
-    Arithmetic is int64, with w in [0, p) before each product.  |A w| is at
-    most R (p-1) for the largest absolute row sum R, and A w is reduced
-    before the dot products only when L (R (p-1))^2 could reach 2^63.  x
-    gains less than (p-1)^2 a step and is reduced once, at the end: exact
-    while steps (p-1)^2 < 2^63.
-    """
-    p = matrix.p
-    cut = pairs or 0
-    v = np.stack(rhs).reshape(len(rhs), 1 if pairs is None else 2, -1)
-    row_max = _row_max(matrix.entries)
-    packed = _packs(row_max, p)
-    reduce_aw = v.shape[2] * (row_max * (p - 1))**2 >= 2**63
-    w, w_prev, x = v.copy(), np.zeros_like(v), np.zeros_like(v)
-    aw, scratch = np.empty_like(v), np.empty_like(v)
-
-    def lanes(a):  # one row of dim entries per lane
-        return a.reshape(len(a), -1)
-
-    def inner(a, b):  # <a, b> mod p, one per (lane, block)
-        full = np.einsum("jbi,jbi->jb", a, b).tolist()
-        head = np.einsum("ji,ji->j", a[:, 0, :cut], b[:, 0, :cut]).tolist()
-        return [[(f[0] + h) % p] + [s % p for s in f[1:]] for f, h in zip(full, head)]
-
-    def times(values, scales):  # values * scales mod p, per (lane, block)
-        return [[a * b % p for a, b in zip(*rows)] for rows in zip(values, scales)]
-
-    inv_prev = np.zeros(v.shape[:2], dtype=np.int64).tolist()
-    for _ in range(steps):
-        _lane_products(matrix.entries, lanes(w), packed, lanes(aw))
-        if reduce_aw:
-            _reduce_int(aw, p, scratch)
-        t = inner(w, aw)
-        if not any(map(any, t)):
+    p, entries = matrix.p, matrix.entries
+    w, w_prev = v.copy(), np.zeros_like(v)
+    scratch = np.empty_like(v)
+    ts: list[int] = []
+    inv_prev = 0
+    for step in range(matrix.dim):
+        sw = _reduce_int(entries @ w, p, scratch)
+        t = int(w @ sw) % p
+        if not t:
             break
-        inv = [[pow(s, -1, p) if s else 0 for s in row] for row in t]
-        alpha, beta = times(inner(aw, aw), inv), times(t, inv_prev)
-        coef = np.array([times(inner(w, v), inv), alpha, beta], dtype=np.int64)[..., None]
-        x += np.multiply(w, coef[0], out=scratch)
-        aw -= np.multiply(w, coef[1], out=scratch)
-        aw -= np.multiply(w_prev, coef[2], out=scratch)
-        _reduce_int(aw, p, scratch)
-        for j, row in enumerate(t):
-            for k, s in enumerate(row):
-                if not s:
-                    aw[j, k] = 0
-        w_prev, w, aw, inv_prev = w, aw, w_prev, inv
-    return lanes(_reduce_int(x, p))
-
-
-def _is_solution(matrix: ModPMatrix, x: np.ndarray, v: np.ndarray) -> bool:
-    """Whether A x = v mod p, checked exactly."""
-    return bool((_reduce_int(matrix.entries.dot(x), matrix.p) == v).all())
+        ts.append(t)
+        if step + 1 == matrix.dim:
+            break
+        inv = pow(t, -1, p)
+        sw -= np.multiply(w, int(sw @ sw) % p * inv % p, out=scratch)
+        sw -= np.multiply(w_prev, t * inv_prev % p, out=scratch)
+        w_prev, w, inv_prev = w, _reduce_int(sw, p, scratch), inv
+    return ts
 
 
 def _rescaled(matrix: ModPMatrix, d: np.ndarray) -> ModPMatrix:
@@ -581,54 +471,31 @@ def _rescaled(matrix: ModPMatrix, d: np.ndarray) -> ModPMatrix:
     return ModPMatrix(dim=matrix.dim, p=matrix.p, entries=entries)
 
 
-def _certify_wiedemann(matrix: ModPMatrix, bound: int | None = None,
-                       pairs: int | None = None) -> str:
-    """Verified Lanczos solves of A x = v for WIEDEMANN_SOLVES random v.
+def _certify_wiedemann(matrix: ModPMatrix) -> str:
+    """The black-box verdict on a symmetric S: 'invertible' when a Lanczos
+    pass runs full length (_lanczos), which proves det S != 0 mod p.
 
-    `bound` caps the degree of the minimal polynomial of A (default: dim).
-    With `pairs`, A is the diag(D+, D-, I) of a ReversalSplit: each v is
-    uniform on the rows of D+ and D- and 0 on the identity rows, and each
-    lane runs on both blocks at once.  Otherwise A is symmetric and v
-    uniform.  Raises ValueError unless A is self-adjoint (_self_adjoint).
-
-    One Lanczos pass takes every right-hand side, for at most bound + 1
-    products.  Each v that it did not solve (a breakdown, the cap, or a
-    failed exact check) gets one more pass, on D A D for a random diagonal
-    D of nonzero residues drawn after the v's: it solves D A D y = D v
-    under the same cap, and x = D y must pass A x = v for the same v
-    object.  A v unsolved after both passes makes the verdict
-    'singular-mod-p'.  The v's are never redrawn, and 'invertible' needs
-    A x_j = v_j verified exactly for every uniform v_j, so the error bound
-    p^-WIEDEMANN_SOLVES holds whichever pass found x_j.  A bound below the
-    true degree can only produce a false 'singular-mod-p', never a false
-    'invertible'.
+    The pass starts from a seeded random v of nonzero residues.  A short
+    pass gets one more, from the same v, on D S D for a seeded random
+    diagonal D of nonzero residues; det D != 0, so a full pass there is a
+    proof too.  Two short passes give 'singular-mod-p', which proves
+    nothing.  Raises ValueError unless S is symmetric mod p.
     """
-    if not _self_adjoint(matrix, pairs):
-        raise ValueError("the black-box check needs a self-adjoint matrix")
+    if not _is_symmetric(matrix):
+        raise ValueError("the black-box check needs a symmetric matrix")
     p, dim = matrix.p, matrix.dim
-    bound = dim if bound is None else bound
-    support = dim if pairs is None else dim // 2 + pairs
-    rng = random.Random(WIEDEMANN_SEED * 1000003 + p * 31 + dim)
-    rhs = [np.zeros(dim, dtype=np.int64) for _ in range(WIEDEMANN_SOLVES)]
-    for v in rhs:
-        v[:support] = [rng.randrange(p) for _ in range(support)]
-    solved = _lanczos(matrix, rhs, bound + 1, pairs)
-    pending = [v for v, x in zip(rhs, solved) if not _is_solution(matrix, x, v)]
-    if not pending:
+    rng = np.random.default_rng((WIEDEMANN_SEED, p, dim))
+    v = rng.integers(1, p, dim, dtype=np.int64)
+    if len(_lanczos(matrix, v)) == dim:
         return VERDICT_INVERTIBLE
-    d = np.array([rng.randrange(1, p) for _ in range(dim)], dtype=np.int64)
-    scaled = _lanczos(_rescaled(matrix, d), [d * v % p for v in pending], bound + 1, pairs)
-    if all(_is_solution(matrix, d * y % p, v) for v, y in zip(pending, scaled)):
+    d = rng.integers(1, p, dim, dtype=np.int64)
+    if len(_lanczos(_rescaled(matrix, d), v)) == dim:
         return VERDICT_INVERTIBLE
     return VERDICT_SINGULAR
 
 
 # ---------------------------------------------------------------------------
 # public certificate interface
-
-_EVIDENCE = {"dense-elimination": "deterministic",
-             "wiedemann": f"randomized, error <= p^-{WIEDEMANN_SOLVES}"}
-
 
 @dataclass(frozen=True)
 class MatrixCheck:
@@ -640,8 +507,10 @@ class MatrixCheck:
 
     @property
     def evidence(self) -> str | None:
-        """What an 'invertible' verdict rests on; None for a skipped check."""
-        return _EVIDENCE.get(self.method)
+        """What an 'invertible' verdict rests on: a determinant or a
+        full-length Lanczos pass, both deterministic; None for a skipped
+        check."""
+        return None if self.method == "skipped" else "deterministic"
 
     def to_json_dict(self) -> dict:
         return {"label": self.label, "dim": self.dim, "prime": self.prime,
@@ -653,46 +522,47 @@ def invertible_mod_p(matrix, p: int) -> str:
     """'invertible' proves rational invertibility; 'singular-mod-p' proves
     nothing and should be retried at another prime.
 
-    Accepts dense square rows (ints or Fractions) or an ActionMatrix, which
-    is certified through its ReversalSplit.  Rows are eliminated densely up
-    to DENSE_LIMIT, and at any dimension when they are not symmetric mod p;
-    symmetric rows above it take the black-box check.
+    Accepts dense square rows (ints or Fractions) or an ActionMatrix.  An
+    ActionMatrix is certified through its ReversalSplit up to DENSE_LIMIT
+    and through its isotypic blocks above it, where p must exceed n and its
+    entries must be the tabloid action of its shape (ValueError otherwise).
+    Rows are eliminated densely up to DENSE_LIMIT, and at any dimension
+    when they are not symmetric mod p; symmetric rows above it take the
+    black-box check.
     """
     _check_prime(p)
-    if isinstance(matrix, ActionMatrix):
-        verdict, _method = _certify_split(reversal_split(matrix), p)
-    else:
-        verdict, _method = _certify(modp_from_rows(matrix, p))
-    return verdict
+    if not isinstance(matrix, ActionMatrix):
+        return _certify(modp_from_rows(matrix, p))[0]
+    if matrix.dim <= DENSE_LIMIT:
+        return _certify_split(reversal_split(matrix), p)
+    lams, dims = _isotypic_blocks(matrix.n, matrix.shape, (p,))
+    expected = young.build_action_matrix(matrix.n, matrix.shape).entries
+    if matrix.entries.shape != expected.shape or (matrix.entries != expected).nnz:
+        raise ValueError(f"entries are not the tabloid action of {matrix.shape}")
+    return _certify_blocks(f"action{matrix.shape}", matrix.dim, lams, dims, (p,))[0].verdict
 
 
 def _verdict(det: int) -> str:
     return VERDICT_INVERTIBLE if det else VERDICT_SINGULAR
 
 
-def _certify(matrix: ModPMatrix, bound: int | None = None) -> tuple[str, str]:
+def _certify(matrix: ModPMatrix) -> tuple[str, str]:
     """Verdict and method: the black-box check for a symmetric matrix above
-    DENSE_LIMIT, dense elimination otherwise.  `bound` caps the degree of the
-    minimal polynomial (see _certify_wiedemann)."""
-    if matrix.dim <= DENSE_LIMIT or not _self_adjoint(matrix):
+    DENSE_LIMIT, dense elimination otherwise."""
+    if matrix.dim <= DENSE_LIMIT or not _is_symmetric(matrix):
         return _verdict(_det_mod_dense(matrix)), "dense-elimination"
-    return _certify_wiedemann(matrix, bound), "wiedemann"
+    return _certify_wiedemann(matrix), "wiedemann"
 
 
-def _certify_split(split: ReversalSplit, p: int,
-                   bound: int | None = None) -> tuple[str, str]:
-    """Verdict and method for the coset matrix M of a ReversalSplit, from D
-    mod p.  The engine is chosen by M's dimension: dense elimination takes
-    det D+ det D-, the black-box check both blocks in one Lanczos pass."""
+def _certify_split(split: ReversalSplit, p: int) -> str:
+    """Dense verdict on the coset matrix M of a ReversalSplit, from
+    det D+ det D- mod p."""
     blocks = split.mod(p)
-    if split.dim <= DENSE_LIMIT:
-        size = split.pairs + split.fixed
-        det = 1
-        for lo, hi in ((0, size), (size, size + split.pairs)):
-            block = blocks.entries[lo:hi, lo:hi]
-            det = det * _det_mod_dense(ModPMatrix(hi - lo, p, block)) % p
-        return _verdict(det), "dense-elimination"
-    return _certify_wiedemann(blocks, bound, split.pairs), "wiedemann"
+    size = split.pairs + split.fixed
+    det = 1
+    for lo, hi in ((0, size), (size, size + split.pairs)):
+        det = det * _det_mod_dense(ModPMatrix(hi - lo, p, blocks.entries[lo:hi, lo:hi])) % p
+    return _verdict(det)
 
 
 def _check_prime(p: int) -> None:
@@ -750,12 +620,12 @@ def perfect_counting_condition(n: int, r: int) -> bool:
     return factorial(n) % ball_size(n, r) == 0
 
 
-def _seminormal_block(lam, dim: int, p: int) -> ModPMatrix:
-    """T-hat_lam mod p (young.irrep_T_matrix) at dimension f^lam = dim.
-    Above DENSE_LIMIT it is the symmetric W T-hat_lam (_symmetrised), whose
-    verdict is T-hat_lam's: det W != 0 mod p for every p > n."""
+def _seminormal_block(lam, dim: int, p: int, symmetric: bool) -> ModPMatrix:
+    """T-hat_lam mod p (young.irrep_T_matrix) at dimension f^lam = dim, or,
+    if symmetric, the W T-hat_lam of _symmetrised, whose verdict is
+    T-hat_lam's: det W != 0 mod p for every p > n."""
     t_hat = ModPMatrix(dim=dim, p=p, entries=young.irrep_T_matrix(lam, p))
-    return _symmetrised(t_hat) if dim > DENSE_LIMIT else t_hat
+    return _symmetrised(t_hat) if symmetric else t_hat
 
 
 def _check_one(label: str, dim: int, certify, primes):
@@ -772,33 +642,79 @@ def _check_one(label: str, dim: int, certify, primes):
     return MatrixCheck(label, dim, primes[-1], VERDICT_SINGULAR, method), notes
 
 
+def _refuse_small_primes(n: int, primes) -> None:
+    """The seminormal blocks of S_n reduce mod p only for p > n, where no
+    axial distance vanishes: refuse any other prime (ValueError)."""
+    small = [p for p in primes if p <= n]
+    if small:
+        raise ValueError(f"seminormal reduction mod {small[0]} needs p > n = {n}")
+
+
+def _isotypic_blocks(n: int, shape, primes) -> tuple[list, list[int]]:
+    """The partitions lam dominating the shape, whose T-hat_lam make up the
+    coset matrix (Young's rule), and their dimensions f^lam.  Refuses a
+    prime p <= n (ValueError) and a block above young.IRREP_DIMENSION_LIMIT
+    (DimensionLimitError) before any block is built."""
+    if young.partition_n(shape) != n:
+        raise ValueError("shape is not a partition of n")
+    _refuse_small_primes(n, primes)
+    lams = young.constituents_dominating(shape)
+    dims = [young.hook_length_dimension(lam) for lam in lams]
+    if max(dims) > young.IRREP_DIMENSION_LIMIT:
+        raise young.DimensionLimitError(f"dimension {max(dims)} exceeds "
+                                        f"limit {young.IRREP_DIMENSION_LIMIT}")
+    return lams, dims
+
+
+def _certify_blocks(label: str, dim: int, lams, dims, primes):
+    """One MatrixCheck, plus notes, for a coset matrix of dimension dim from
+    its blocks: each W T-hat_lam takes the black-box check at successive
+    primes until one certifies it.  The check is 'invertible' at the last
+    prime, in list order, that any block needed, and 'singular-mod-p' at
+    the last prime once a block is singular at every prime."""
+    notes = []
+    last = 0
+    for lam, f in zip(lams, dims):
+        for k, p in enumerate(primes):
+            block = _seminormal_block(lam, f, p, symmetric=True)
+            if _certify_wiedemann(block) == VERDICT_INVERTIBLE:
+                last = max(last, k)
+                break
+            notes.append(f"{label}: T-hat{lam} singular mod {p}, retrying")
+        else:
+            return MatrixCheck(label, dim, primes[-1], VERDICT_SINGULAR, "wiedemann"), notes
+    return MatrixCheck(label, dim, primes[last], VERDICT_INVERTIBLE, "wiedemann"), notes
+
+
 def obstruction_coset(n: int, shape, primes=DEFAULT_PRIMES) -> ObstructionReport:
     """Coset route: invertibility of the action matrix M on tabloids of shape.
 
-    M is certified through its ReversalSplit D = diag(D+, D-), similar to M
-    over Q, so det D = det M and every verdict on D is one on M.  Only D is
-    kept: M is dropped once D is built, and D is reduced at each prime.
+    Up to DENSE_LIMIT, M is certified through its ReversalSplit
+    D = diag(D+, D-), similar to M over Q: only D is kept, and D is reduced
+    at each prime.  Above it, M is certified through its isotypic blocks
+    T-hat_lam, lam dominating the shape, and never built; every prime must
+    then exceed n, and a prime p <= n is refused (ValueError) before any
+    block is built, as is a block above young.IRREP_DIMENSION_LIMIT.
     """
     shape = check_partition(shape)
     primes = _checked_primes(primes)
     div_ok = divisibility_precondition(n, shape)
     dim = young.tabloid_count(shape)
-    notes = []
+    label = f"action{shape}"
+    if dim > DENSE_LIMIT:
+        lams, dims = _isotypic_blocks(n, shape, primes)
     if not div_ok:
-        notes.append(f"{n} divides the Young subgroup order "
-                     f"{young.young_subgroup_order(shape)}; the counting "
-                     "argument does not apply")
+        note = (f"{n} divides the Young subgroup order {young.young_subgroup_order(shape)}; "
+                "the counting argument does not apply")
         return ObstructionReport(n=n, route=f"coset{shape}", divisibility_ok=False,
                                  matrices=(), conclusion=CONCLUSION_INCONCLUSIVE,
-                                 notes=tuple(notes))
-    split = reversal_split(young.build_action_matrix(n, shape))
-    # Young's rule: the minimal polynomial of T on M^shape is the lcm of those
-    # of T on the constituents S^lam, lam dominating shape
-    bound = sum(young.hook_length_dimension(lam)
-                for lam in young.constituents_dominating(shape))
-    check, more = _check_one(f"action{shape}", dim,
-                             lambda p: _certify_split(split, p, bound), primes)
-    notes.extend(more)
+                                 notes=(note,))
+    if dim > DENSE_LIMIT:
+        check, notes = _certify_blocks(label, dim, lams, dims, primes)
+    else:
+        split = reversal_split(young.build_action_matrix(n, shape))
+        check, notes = _check_one(label, dim, lambda p: (_certify_split(split, p),
+                                                         "dense-elimination"), primes)
     ok = check.verdict == VERDICT_INVERTIBLE
     return ObstructionReport(
         n=n, route=f"coset{shape}", divisibility_ok=True, matrices=(check,),
@@ -821,9 +737,7 @@ def obstruction_irreps(n: int, mu, use_list: str = "computed",
     if young.partition_n(mu) != n:
         raise ValueError("mu is not a partition of n")
     primes = _checked_primes(primes)
-    small = [p for p in primes if p <= n]
-    if small:
-        raise ValueError(f"seminormal reduction mod {small[0]} needs p > n = {n}")
+    _refuse_small_primes(n, primes)
     if use_list == "computed":
         lams = young.constituents_dominating(mu)
     elif use_list == "published":
@@ -848,8 +762,9 @@ def obstruction_irreps(n: int, mu, use_list: str = "computed",
             checks.append(MatrixCheck(label, dim, None, VERDICT_SKIPPED, "skipped"))
             skipped += 1
             continue
-        check, more = _check_one(label, dim, lambda p: _certify(_seminormal_block(lam, dim, p)),
-                                 primes)
+        check, more = _check_one(
+            label, dim, lambda p: _certify(_seminormal_block(lam, dim, p, dim > DENSE_LIMIT)),
+            primes)
         checks.append(check)
         notes.extend(more)
     all_inv = all(c.verdict == VERDICT_INVERTIBLE for c in checks)

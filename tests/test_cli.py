@@ -257,11 +257,30 @@ def test_config_rejects_prime_above_limit(tmp_path, capsys, monkeypatch):
         raise AssertionError("matrix work started")
 
     monkeypatch.setattr(young, "build_action_matrix", no_matrix_work)
+    monkeypatch.setattr(young, "irrep_T_matrix", no_matrix_work)
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"primeList": [2147483647]}))
     code, _, err = run(capsys, "--config", str(cfg), "perfect", "coset", "11", "6,3,2")
     assert code == 2
     assert "not below" in err
+
+
+def test_coset_above_dense_limit_refuses_before_any_block(tmp_path, capsys, monkeypatch):
+    # (6,3,2)@11 has 4620 tabloids: its blocks need p > 11, each at most
+    # IRREP_DIMENSION_LIMIT
+    def no_block(shape, p=None):
+        raise AssertionError("block built")
+
+    monkeypatch.setattr(young, "irrep_T_matrix", no_block)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"primeList": [1000003, 11]}))
+    code, _, err = run(capsys, "--config", str(cfg), "perfect", "coset", "11", "6,3,2")
+    assert code == 2
+    assert err == "error: seminormal reduction mod 11 needs p > n = 11\n"
+    monkeypatch.setattr(young, "IRREP_DIMENSION_LIMIT", 989)
+    code, _, err = run(capsys, "perfect", "coset", "11", "6,3,2")
+    assert code == 4
+    assert err == "error: dimension 990 exceeds limit 989\n"
 
 
 def test_irreps_rejects_prime_at_or_below_n(tmp_path, capsys, monkeypatch):
@@ -276,8 +295,8 @@ def test_irreps_rejects_prime_at_or_below_n(tmp_path, capsys, monkeypatch):
     assert err == "error: seminormal reduction mod 3 needs p > n = 4\n"
 
 
-#: certificate outputs pinned byte for byte: the black-box engine on
-#: (6,3,2)@11 and dense elimination on (10,2,1)@13
+#: certificate outputs pinned byte for byte: the black-box engine on the
+#: blocks of (6,3,2)@11 and dense elimination on (10,2,1)@13
 PINNED_CERTIFICATES = [
     (("--format", "json", "perfect", "coset", "11", "6,3,2"), """{
   "n": 11,
@@ -290,7 +309,7 @@ PINNED_CERTIFICATES = [
       "prime": 1000003,
       "verdict": "invertible",
       "method": "wiedemann",
-      "evidence": "randomized, error <= p^-2"
+      "evidence": "deterministic"
     }
   ],
   "conclusion": "no-1-perfect-code",

@@ -264,22 +264,15 @@ def _symmetric_matrices(draw):
     return p, rows
 
 
-def _solves(matrix, x, v) -> bool:
-    """Whether A x = v mod p, in Python integers."""
-    rows = matrix.entries.toarray().tolist()
-    return all((sum(a * int(xi) for a, xi in zip(row, x)) - int(vi)) % matrix.p == 0
-               for row, vi in zip(rows, v))
-
-
 def _record_lanczos(mp):
-    """Wrap _lanczos: returns a list of (matrix, rhs, x) per call."""
+    """Wrap _lanczos: returns a list of (matrix, v, ts) per pass."""
     calls = []
     real = perfect._lanczos
 
-    def recorded(matrix, rhs, steps, *split):
-        x = real(matrix, rhs, steps, *split)
-        calls.append((matrix, rhs, x))
-        return x
+    def recorded(matrix, v):
+        ts = real(matrix, v)
+        calls.append((matrix, v, ts))
+        return ts
 
     mp.setattr(perfect, "_lanczos", recorded)
     return calls
@@ -297,6 +290,18 @@ def _count_calls(monkeypatch, name):
     return calls
 
 
+def _start_vector(p: int, dim: int) -> np.ndarray:
+    """The v that _certify_wiedemann draws first at (p, dim)."""
+    rng = np.random.default_rng((perfect.WIEDEMANN_SEED, p, dim))
+    return rng.integers(1, p, dim, dtype=np.int64)
+
+
+def _products(ts, dim: int) -> int:
+    """Products a pass took: one per t != 0, plus the one that gave t = 0
+    when it stopped short."""
+    return min(len(ts) + 1, dim)
+
+
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(_symmetric_matrices())
 def test_symmetric_wiedemann_verdict_matches_integer_determinant(case):
@@ -306,70 +311,57 @@ def test_symmetric_wiedemann_verdict_matches_integer_determinant(case):
     with pytest.MonkeyPatch.context() as mp:
         lanczos = _record_lanczos(mp)
         assert perfect._certify_wiedemann(perfect.modp_from_rows(rows, p)) == expected
-    (matrix, rhs, x), *retry = lanczos
-    # only the right-hand sides the first pass left unsolved reach a second
-    failed = [v for v, xj in zip(rhs, x) if not _solves(matrix, xj, v)]
-    assert len(retry) == (1 if failed else 0)
-    assert all(len(r[1]) == len(failed) for r in retry)
+    (matrix, v, ts), *retry = lanczos
+    # a full first pass is the proof; a short one gets exactly one more, on
+    # D S D from the same v, and a singular matrix never gets a full pass
+    assert len(retry) == (0 if len(ts) == matrix.dim else 1)
+    assert all(r[1] is v and r[0].dim == matrix.dim for r in retry)
+    if expected == VERDICT_SINGULAR:
+        assert all(len(c[2]) < matrix.dim for c in lanczos)
 
 
 def test_lanczos_takes_at_most_bound_plus_one_products(monkeypatch):
+    # the w with t != 0 are S-orthogonal, hence independent, in the Krylov
+    # space of v, whose dimension is at most the degree B of the minimal
+    # polynomial: a pass on M stops within B + 1 products.  By Young's rule
+    # that degree is at most sum f^lam over the blocks, which the block
+    # route runs one full pass each
     shape = (3, 2, 1)
     bound = _young_bound(shape)
     m = perfect.modp_from_action(young.build_action_matrix(6, shape), DEFAULT_PRIMES[0])
     assert m.dim == 60 and bound == 46
-    assert _action_determinant(shape) % m.p  # invertible: no second pass expected
-    products = _count_calls(monkeypatch, "_lane_products")
-    lanczos = _count_calls(monkeypatch, "_lanczos")
-    assert perfect._certify_wiedemann(m, bound) == VERDICT_INVERTIBLE
-    assert 0 < len(products) <= bound + 1
-    assert all(packed for _entries, _w, packed, _out in products)  # R = 6
-    assert len(lanczos) == 1
-    # split: each block stops at its own degree, at most its 30 rows
-    unsplit = len(products)
-    products.clear()
-    split = perfect.reversal_split(young.build_action_matrix(6, shape))
-    assert (split.pairs, split.fixed) == (30, 0)
-    assert perfect._certify_split(split, m.p, bound) == (VERDICT_INVERTIBLE, "dense-elimination")
-    assert perfect._certify_wiedemann(split.mod(m.p), bound, split.pairs) == VERDICT_INVERTIBLE
-    assert 0 < len(products) <= split.pairs + 1 < unsplit
-    assert all(packed for _entries, _w, packed, _out in products)
-    assert len(lanczos) == 2
+    assert _action_determinant(shape) % m.p  # invertible: every block certifies
+    ts = perfect._lanczos(m, _start_vector(m.p, m.dim))
+    assert len(ts) < m.dim and _products(ts, m.dim) <= bound + 1
+    lanczos = _record_lanczos(monkeypatch)
+    monkeypatch.setattr(perfect, "DENSE_LIMIT", 0)
+    assert invertible_mod_p(young.build_action_matrix(6, shape), m.p) == VERDICT_INVERTIBLE
+    assert [len(c[2]) for c in lanczos] == [c[0].dim for c in lanczos]
+    assert sum(_products(c[2], c[0].dim) for c in lanczos) == bound
 
 
-def test_packed_product_equals_per_lane_products():
-    p = 1048573
-    unsigned = [[512 + (i == j) for j in range(4)] for i in range(4)]  # R = 2049
-    signed = [[-512] * 4, [512, -512, 512, -512], [512] * 4, [-512, 512, -512, 512]]
-    cancelling = [[1200 * (-1)**(i + j) for j in range(4)] for i in range(4)]
-    # R (p-1) just below 2^31 at R = 2048 (packed) and just above at 2049;
-    # the cancelling rows sum to 0 but R = 4800 (unpacked): a plain row sum
-    # would pack them and overflow
-    for rows, row_max in [([[512] * 4] * 4, 2048), (unsigned, 2049), (signed, 2048),
-                          (cancelling, 4800)]:
-        assert perfect._packs(row_max, p) == (row_max == 2048)
-        entries = sp.csr_matrix(np.array(rows, dtype=np.int64))
-        assert perfect._row_max(entries) == row_max
-        rng = np.random.default_rng(row_max)
-        for k in (2, 3, 4):
-            w = rng.integers(0, p, (k, 4), dtype=np.int64)
-            w[:2] = p - 1  # the largest row sums, in the low and the high half
-            if k == 4:  # a second word of alternating lanes: 2400 (p-1) on
-                w[2:] = [[p - 1, 0, p - 1, 0], [0, p - 1, 0, p - 1]]  # the cancelling rows
-            expected = np.stack([entries.dot(lane) for lane in w])
-            if rows is signed:  # both extremes, -R (p-1) and R (p-1), in both halves
-                for lane in expected[:2]:
-                    assert -lane.min() == lane.max() == row_max * (p - 1)
-            got = perfect._lane_products(entries, w, perfect._packs(row_max, p),
-                                         np.empty_like(w))
-            assert np.array_equal(got, expected)
-            if row_max > 2048 and k == 4:  # the bound is tight: packing would overflow
-                packed = perfect._lane_products(entries, w, True, np.empty_like(w))
-                assert not np.array_equal(packed, expected)
+def _exact_lanczos(rows, v, p) -> list[int]:
+    """_lanczos in Python integers, on dense rows."""
+    dim = len(rows)
+    w, w_prev, inv_prev, ts = [int(x) for x in v], [0] * dim, 0, []
+    for _ in range(dim):
+        sw = [sum(a * b for a, b in zip(row, w)) % p for row in rows]
+        t = sum(a * b for a, b in zip(w, sw)) % p
+        if not t:
+            break
+        ts.append(t)
+        inv = pow(t, -1, p)
+        alpha, beta = sum(x * x for x in sw) * inv % p, t * inv_prev % p
+        w, w_prev, inv_prev = [(a - alpha * b - beta * c) % p
+                               for a, b, c in zip(sw, w, w_prev)], w, inv
+    return ts
 
 
 @pytest.mark.parametrize("packed", [False, True], ids=["unpacked", "packed"])
 def test_lanczos_is_exact_where_a_w_must_be_reduced(packed):
+    # R (p-1), R the largest absolute row sum, fits in 31 bits ("packed",
+    # two lanes of S w could share an int64 word) or exceeds it; on both,
+    # S w . S w overflows int64 unless S w is reduced first
     p = 1048573
     if packed:  # 2032 I + J: row sums 2048, R (p-1) just below 2^31
         d = 16
@@ -378,14 +370,29 @@ def test_lanczos_is_exact_where_a_w_must_be_reduced(packed):
         d = 8
         rows = [[(p - 1) * (i != j) for j in range(d)] for i in range(d)]
     assert integer_determinant(rows) % p
+    row_max = max(sum(abs(a) for a in row) for row in rows)
+    assert (row_max * (p - 1) < 2**31) == packed
+    assert d * (row_max * (p - 1))**2 >= 2**63
     m = perfect.modp_from_rows(rows, p)
-    row_max = perfect._row_max(m.entries)
-    assert perfect._packs(row_max, p) == packed
-    assert d * (row_max * (p - 1))**2 >= 2**63  # A w . A w needs A w reduced
-    rhs = [np.full(d, p - 1, dtype=np.int64),
-           np.random.default_rng(d).integers(0, p, d, dtype=np.int64)]
-    x = perfect._lanczos(m, rhs, d + 1)
-    assert all(perfect._is_solution(m, xj, vj) for xj, vj in zip(x, rhs))
+    for v in (np.full(d, p - 1, dtype=np.int64), _start_vector(p, d)):
+        assert perfect._lanczos(m, v) == _exact_lanczos(rows, v, p)
+
+
+def test_lanczos_is_exact_at_the_largest_residues():
+    # (p-1) J + I at the largest admissible prime: every term of a product
+    # or a dot product is as large as a residue allows
+    p, d = 1048573, 12
+    rows = [[(p - 1) + (i == j) for j in range(d)] for i in range(d)]
+    assert integer_determinant(rows) % p
+    m = perfect.modp_from_rows(rows, p)
+    for v in (np.full(d, p - 1, dtype=np.int64), _start_vector(p, d)):
+        ts = perfect._lanczos(m, v)
+        assert ts == _exact_lanczos(m.entries.toarray().tolist(), v, p)
+    # a seminormal block at the largest prime: full length, as exact
+    s = perfect._seminormal_block((4, 2, 1), 35, p, symmetric=True)
+    v = _start_vector(p, 35)
+    assert perfect._lanczos(s, v) == _exact_lanczos(s.entries.toarray().tolist(), v, p)
+    assert len(perfect._lanczos(s, v)) == 35
 
 
 def _refuse_symmetric(*args):
@@ -397,17 +404,15 @@ def test_nonsymmetric_matrix_never_takes_the_symmetric_path(monkeypatch):
     p = DEFAULT_PRIMES[0]
     tri = young.tridiagonal_reference(9).to_dense()
     tri[0][8] = 1  # one entry off the symmetric pattern
-    with pytest.raises(ValueError, match="self-adjoint"):
+    with pytest.raises(ValueError, match="symmetric"):
         perfect._certify_wiedemann(perfect.modp_from_rows(tri, p))
-    # a split is self-adjoint under the W-weighted product of D+, not the
-    # plain one, and any entry off that pattern is refused
+    # a split's D+ is self-adjoint only under the W-weighted product, and a
+    # seminormal block only after _symmetrised: both are refused as they are
     split = perfect.reversal_split(young.build_action_matrix(5, (4, 1))).mod(p)
-    assert (perfect._self_adjoint(split, 2), perfect._self_adjoint(split)) == (True, False)
-    bent = split.entries.tolil()
-    bent[0, 3] += 1  # D- of (4,1) starts at row 3
-    bent = perfect.ModPMatrix(split.dim, p, bent.tocsr())
-    with pytest.raises(ValueError, match="self-adjoint"):
-        perfect._certify_wiedemann(bent, None, 2)
+    block = ModPMatrix(35, p, young.irrep_T_matrix((4, 2, 1), p))
+    for matrix in (split, block):
+        with pytest.raises(ValueError, match="symmetric"):
+            perfect._certify_wiedemann(matrix)
 
 
 def test_invertible_mod_p_eliminates_nonsymmetric_rows_at_any_dimension(monkeypatch):
@@ -429,84 +434,111 @@ def test_invertible_mod_p_eliminates_nonsymmetric_rows_at_any_dimension(monkeypa
 
 def test_singular_matrix_takes_exactly_two_lanczos_passes(monkeypatch):
     p = DEFAULT_PRIMES[0]
-    lanczos = _count_calls(monkeypatch, "_lanczos")
+    lanczos = _record_lanczos(monkeypatch)
     sing = perfect.modp_from_rows([[1, 1, 0], [1, 1, 0], [0, 0, 1]], p)
     assert perfect._certify_wiedemann(sing) == VERDICT_SINGULAR
     assert len(lanczos) == 2
-    # (2,2,2)@6 is singular over Q; its split takes the same two passes
+    # (2,2,2)@6 is singular over Q through its block T-hat(2,2,2), the last
+    # of its seven: six full passes, then the two short ones of that block
     shape = (2, 2, 2)
     assert _action_determinant(shape) == 0
-    split = perfect.reversal_split(young.build_action_matrix(6, shape))
+    lanczos.clear()
     monkeypatch.setattr(perfect, "DENSE_LIMIT", 0)
-    assert perfect._certify_split(split, p, _young_bound(shape)) == (VERDICT_SINGULAR, "wiedemann")
-    assert len(lanczos) == 4
+    assert invertible_mod_p(young.build_action_matrix(6, shape), p) == VERDICT_SINGULAR
+    assert [(c[0].dim, len(c[2]) == c[0].dim) for c in lanczos] == [
+        (1, True), (5, True), (9, True), (10, True), (5, True), (16, True), (5, False),
+        (5, False)]
 
 
-def _isotropic_diagonal(p: int, dim: int, monkeypatch) -> list[list[int]]:
+def _isotropic_diagonal(p: int, dim: int) -> list[list[int]]:
     """A diagonal matrix D, invertible mod p, with v . D v = 0 mod p for the
-    first right-hand side v that _certify_wiedemann draws at (p, dim)."""
-    with monkeypatch.context() as mp:
-        lanczos = _record_lanczos(mp)
-        perfect._certify_wiedemann(perfect.modp_from_rows(np.eye(dim, dtype=int).tolist(), p))
-    v = [int(x) for x in lanczos[0][1][0]]
+    first v that _certify_wiedemann draws at (p, dim)."""
+    v = [int(x) for x in _start_vector(p, dim)]
     diag = [0] + [1] * (dim - 1)
     diag[0] = -sum(x * x for x in v[1:]) * pow(v[0] * v[0], -1, p) % p
     assert diag[0] and sum(d * x * x for d, x in zip(diag, v)) % p == 0
     return [[diag[i] if i == j else 0 for j in range(dim)] for i in range(dim)]
 
 
-def _assert_one_rescaled_pass(lanczos, rescaled, checks):
-    """The second of exactly two Lanczos calls runs on D A D for one
-    diagonal D of nonzero residues, with D v for each v the first left
-    unsolved, and each x = D y is checked against the same v object.
-    Returns the unsolved v's."""
-    (matrix, rhs, x), (scaled, retried, y) = lanczos
+def _assert_one_rescaled_pass(lanczos, rescaled):
+    """The second of exactly two Lanczos passes runs on D S D for one
+    diagonal D of nonzero residues, from the very v of the first."""
+    (matrix, v, ts), (scaled, v2, _) = lanczos
     [(unscaled, d)] = rescaled
     p, d = matrix.p, [int(di) for di in d]
     assert unscaled is matrix and all(0 < di < p for di in d)
     a = matrix.entries.toarray().tolist()
     assert scaled.entries.toarray().tolist() == [
         [d[i] * a[i][j] * d[j] % p for j in range(len(d))] for i in range(len(d))]
-    pending = [v for v, xj in zip(rhs, x) if not _solves(matrix, xj, v)]
-    assert len(retried) == len(pending) > 0
-    for vj, dvj in zip(pending, retried):
-        assert [int(c) for c in dvj] == [di * int(b) % p for di, b in zip(d, vj)]
-    # x = D y goes to the exact check with the v object itself, never redrawn
-    after = checks[len(rhs):]
-    assert after and all(args[2] is vj for args, vj in zip(after, pending))
-    for (_, xj, _), yj in zip(after, y):
-        assert [int(c) for c in xj] == [di * int(b) % p for di, b in zip(d, yj)]
-    return pending
+    assert len(ts) < matrix.dim and v2 is v
 
 
-@pytest.mark.parametrize("failure", ["breakdown", "past-the-cap", "check-fails"])
+@pytest.mark.parametrize("failure", ["breakdown", "short-pass"])
 def test_failed_lanczos_lane_falls_back_with_the_same_right_hand_side(monkeypatch, failure):
     p = DEFAULT_PRIMES[0]
-    if failure == "breakdown":  # t = v . A v = 0 on the first lane, first step
-        m = perfect.modp_from_rows(_isotropic_diagonal(p, 9, monkeypatch), p)
-    else:  # the first pass only is capped at one product, or its x spoiled
-        m = perfect.modp_from_action(young.tridiagonal_reference(9), p)
-        real = perfect._lanczos
-        first = []
-
-        def failing_first_pass(matrix, rhs, steps, *split):
-            if first:
-                return real(matrix, rhs, steps, *split)
-            first.append(rhs)
-            if failure == "past-the-cap":
-                return real(matrix, rhs, 1)
-            return real(matrix, rhs, steps) + 1
-
-        monkeypatch.setattr(perfect, "_lanczos", failing_first_pass)
+    if failure == "breakdown":  # t = v . S v = 0 at the first step, with v != 0
+        m = perfect.modp_from_rows(_isotropic_diagonal(p, 9), p)
+    else:  # S = 3 I: w_1 = 0, a one-step pass; D S D = 3 D^2 has 9 eigenvalues
+        m = perfect.modp_from_rows((3 * np.eye(9, dtype=int)).tolist(), p)
     lanczos = _record_lanczos(monkeypatch)
     rescaled = _count_calls(monkeypatch, "_rescaled")
-    checks = _count_calls(monkeypatch, "_is_solution")
     assert perfect._certify_wiedemann(m) == VERDICT_INVERTIBLE
-    pending = _assert_one_rescaled_pass(lanczos, rescaled, checks)
-    rhs = lanczos[0][1]
-    assert pending[0] is rhs[0]
-    if failure == "breakdown":
-        assert pending == [rhs[0]]  # the other lane solved in the first pass
+    _assert_one_rescaled_pass(lanczos, rescaled)
+    assert len(lanczos[0][2]) == (0 if failure == "breakdown" else 1)
+    assert len(lanczos[1][2]) == 9
+
+
+def test_forced_breakdown_retries_once_and_never_certifies(monkeypatch):
+    # every pass breaks down one step short: the invertible block T-hat(4,2,1)
+    # is retried once on D S D, then reported 'singular-mod-p'
+    p = DEFAULT_PRIMES[0]
+    real = perfect._lanczos
+    monkeypatch.setattr(perfect, "_lanczos", lambda matrix, v: real(matrix, v)[:-1])
+    lanczos = _record_lanczos(monkeypatch)
+    rescaled = _count_calls(monkeypatch, "_rescaled")
+    s = perfect._seminormal_block((4, 2, 1), 35, p, symmetric=True)
+    assert perfect._certify_wiedemann(s) == VERDICT_SINGULAR
+    _assert_one_rescaled_pass(lanczos, rescaled)
+    # a coset on the block route then moves to the next prime, and no prime
+    # certifies it
+    monkeypatch.setattr(perfect, "DENSE_LIMIT", 0)
+    report = obstruction_coset(7, (4, 2, 1))
+    assert report.matrices[0].verdict == VERDICT_SINGULAR
+    assert report.matrices[0].prime == DEFAULT_PRIMES[-1]
+    assert report.conclusion == CONCLUSION_INCONCLUSIVE
+    assert report.notes == tuple(f"action(4, 2, 1): T-hat(7,) singular mod {p}, retrying"
+                                 for p in DEFAULT_PRIMES)
+
+
+def test_full_pass_runs_iff_the_block_is_invertible():
+    # at DEFAULT_PRIMES[0], for every lam |- n <= 8: the first pass on
+    # S = W T-hat_lam is full length exactly when T-hat_lam is invertible,
+    # and then prod t = det(K)^2 det S, so prod t * det S is a nonzero
+    # square (Euler's criterion)
+    p = DEFAULT_PRIMES[0]
+    for n in range(1, 9):
+        for lam in young.all_partitions(n):
+            f = young.hook_length_dimension(lam)
+            t_hat = ModPMatrix(f, p, young.irrep_T_matrix(lam, p))
+            s = perfect._symmetrised(t_hat)
+            ts = perfect._lanczos(s, _start_vector(p, f))
+            assert (len(ts) == f) == bool(perfect._det_mod_dense(t_hat)), lam
+            if len(ts) == f:
+                square = functools.reduce(lambda a, b: a * b % p, ts, perfect._det_mod_dense(s))
+                assert square and pow(square, (p - 1) // 2, p) == 1, lam
+
+
+def test_singular_matrix_is_never_certified_at_a_small_prime(monkeypatch):
+    # the singular (1,1)@2 on the black box at p = 3, from 60 seeds: no
+    # full pass exists, so the verdict is never 'invertible'; the block
+    # route says the same, through the zero block T-hat(1,1)
+    m = perfect.modp_from_action(young.build_action_matrix(2, (1, 1)), 3)
+    assert integer_determinant(m.entries.toarray().tolist()) == 0
+    for seed in range(60):
+        monkeypatch.setattr(perfect, "WIEDEMANN_SEED", seed)
+        assert perfect._certify_wiedemann(m) == VERDICT_SINGULAR
+    monkeypatch.setattr(perfect, "DENSE_LIMIT", 0)
+    assert invertible_mod_p(young.build_action_matrix(2, (1, 1)), 3) == VERDICT_SINGULAR
 
 
 SMALL_COSET_SHAPES = [shape for n in range(2, 8) for shape in young.all_partitions(n)]
@@ -540,33 +572,80 @@ def _action_determinant(shape) -> int:
 
 
 @pytest.mark.parametrize("shape", SMALL_COSET_SHAPES, ids=str)
-def test_wiedemann_matches_integer_determinant_on_action_matrices(shape):
+def test_wiedemann_matches_integer_determinant_on_action_matrices(shape, monkeypatch):
+    # forced onto the block route, the black box certifies M exactly when
+    # its integer determinant is nonzero mod p
     p = DEFAULT_PRIMES[0]
-    m = perfect.modp_from_action(young.build_action_matrix(sum(shape), shape), p)
+    action = young.build_action_matrix(sum(shape), shape)
     expected = VERDICT_INVERTIBLE if _action_determinant(shape) % p else VERDICT_SINGULAR
-    assert perfect._certify_wiedemann(m, _young_bound(shape)) == expected
+    monkeypatch.setattr(perfect, "DENSE_LIMIT", 0)
+    assert invertible_mod_p(action, p) == expected
 
 
 @pytest.mark.parametrize("shape", SMALL_COSET_SHAPES, ids=str)
-def test_krylov_degree_within_young_bound(shape, monkeypatch):
-    # the w of a lane with t != 0 are A-orthogonal, hence independent, in the
-    # Krylov space of v, whose dimension is at most the degree B of the
-    # minimal polynomial: with no cap in the way, every lane stops within
-    # B + 1 products, on M and on its split alike
+def test_krylov_degree_within_young_bound(shape):
+    # the w with t != 0 are S-orthogonal, hence independent, in the Krylov
+    # space of v, whose dimension is at most the degree of the minimal
+    # polynomial of M: at most B = sum f^lam by Young's rule, so a pass on
+    # M stops within B + 1 products
     p = DEFAULT_PRIMES[0]
-    action = young.build_action_matrix(sum(shape), shape)
-    split = perfect.reversal_split(action)
+    m = perfect.modp_from_action(young.build_action_matrix(sum(shape), shape), p)
     bound = _young_bound(shape)
-    rng = np.random.default_rng(sum(shape) * 1000 + action.dim)
-    products = _count_calls(monkeypatch, "_lane_products")
-    for m, pairs, support in ((perfect.modp_from_action(action, p), None, action.dim),
-                              (split.mod(p), split.pairs, action.dim)):
-        rhs = [np.zeros(m.dim, dtype=np.int64) for _ in range(2)]
-        for v in rhs:
-            v[:support] = rng.integers(0, p, support)
-        products.clear()
-        perfect._lanczos(m, rhs, m.dim + 1, pairs)
-        assert 0 < len(products) <= bound + 1
+    ts = perfect._lanczos(m, _start_vector(p, m.dim))
+    assert 0 < _products(ts, m.dim) <= bound + 1
+    assert len(ts) <= bound
+
+
+def _kostka(lam, mu) -> int:
+    """Semistandard tableaux of shape lam and content mu, counted by filling
+    the cells in row-major order: rows weakly increase, columns strictly."""
+    cells = [(r, c) for r, size in enumerate(lam) for c in range(size)]
+
+    def fill(k, left, grid):
+        if k == len(cells):
+            return 1
+        r, c = cells[k]
+        low = max(grid.get((r, c - 1), 0), grid.get((r - 1, c), -1) + 1)
+        count = 0
+        for x in range(low, len(mu)):
+            if left[x]:
+                left[x] -= 1
+                grid[r, c] = x
+                count += fill(k + 1, left, grid)
+                left[x] += 1
+        grid.pop((r, c), None)
+        return count
+
+    return fill(0, list(mu), {})
+
+
+def test_kostka_numbers_by_brute_force_count_small_cases():
+    assert _kostka((2, 1), (1, 1, 1)) == 2  # f^(2,1)
+    assert _kostka((3,), (1, 1, 1)) == 1
+    assert _kostka((2, 2), (2, 1, 1)) == 1 and _kostka((3, 1), (2, 1, 1)) == 2
+    assert _kostka((2, 1), (3,)) == 0
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_youngs_rule_gives_the_coset_determinant_from_the_blocks(n):
+    # M^mu = sum K_{lam,mu} S^lam: det M = prod det(T-hat_lam)^K_{lam,mu}
+    # mod p, both sides by dense elimination, for every mu |- n with
+    # dim M <= DENSE_LIMIT; K_{lam,mu} = 0 unless lam dominates mu
+    p = DEFAULT_PRIMES[0]
+    blocks = {lam: perfect._det_mod_dense(
+                  ModPMatrix(young.hook_length_dimension(lam), p, young.irrep_T_matrix(lam, p)))
+              for lam in young.all_partitions(n)}
+    for mu in young.all_partitions(n):
+        if young.tabloid_count(mu) > DENSE_LIMIT:
+            continue
+        kostka = {lam: _kostka(lam, mu) for lam in blocks}
+        assert all((k > 0) == young.dominance_geq(lam, mu) for lam, k in kostka.items()), mu
+        assert sum(k * young.hook_length_dimension(lam)
+                   for lam, k in kostka.items()) == young.tabloid_count(mu)
+        det = perfect._det_mod_dense(perfect.modp_from_action(young.build_action_matrix(n, mu), p))
+        product = functools.reduce(lambda a, b: a * b % p,
+                                   (pow(blocks[lam], k, p) for lam, k in kostka.items()), 1)
+        assert det == product, mu
 
 
 def test_invariant_form_symmetrises_every_seminormal_block():
@@ -651,75 +730,65 @@ def test_split_verdict_equals_unsplit_verdict(shape, monkeypatch):
     action = young.build_action_matrix(sum(shape), shape)
     split = perfect.reversal_split(action)
     size = split.pairs + split.fixed
-    bound = _young_bound(shape)
     for p in DEFAULT_PRIMES + (2, 3):
-        unsplit = perfect.modp_from_action(action, p)
-        det = perfect._det_mod_dense(unsplit)
+        det = perfect._det_mod_dense(perfect.modp_from_action(action, p))
         dense = VERDICT_INVERTIBLE if det else VERDICT_SINGULAR
         blocks = split.mod(p).entries
         dets = [perfect._det_mod_dense(perfect.ModPMatrix(hi - lo, p, blocks[lo:hi, lo:hi]))
                 for lo, hi in ((0, size), (size, size + split.pairs))]
         assert dets[0] * dets[1] % p == det
-        monkeypatch.setattr(perfect, "DENSE_LIMIT", 10**9)
-        assert perfect._certify_split(split, p, bound) == (dense, "dense-elimination")
+        assert perfect._certify_split(split, p) == dense
         if p == DEFAULT_PRIMES[0]:
             assert invertible_mod_p(action, p) == dense
-        monkeypatch.setattr(perfect, "DENSE_LIMIT", 0)
-        verdict, method = perfect._certify_split(split, p, bound)
-        assert method == "wiedemann"
-        if p > 3:
-            assert verdict == perfect._certify(unsplit, bound)[0] == dense
-        else:
-            # at p = 2 or 3 the black-box verdict is randomized with a large
-            # error: 'invertible' is wrong with probability up to p^-2 (the
-            # unsplit check certifies the singular (1,1)@2 at p = 3), and
-            # Lanczos breaks down so often (W = 0 on D+'s pair rows mod 2,
-            # D = I, many self-orthogonal vectors mod 3) that the split says
-            # 'singular-mod-p' on invertible matrices
-            assert verdict in (dense, VERDICT_SINGULAR)
-
-
-@pytest.mark.parametrize("shape", [(4, 1), (6, 1)], ids=str)
-def test_split_lanes_at_p_2_fall_back_with_the_same_right_hand_side(shape, monkeypatch):
-    # W = diag(2, ..., 2, 1, ..., 1) is 0 on D+'s pair rows mod 2: the
-    # weighted Lanczos lanes break down, and the only D of nonzero residues
-    # is I, so the D A D pass fails the same way.  The verdict is the sound
-    # 'singular-mod-p', never 'invertible', although M is invertible mod 2
-    p = 2
-    action = young.build_action_matrix(sum(shape), shape)
-    assert integer_determinant(action.to_dense()) % p
-    split = perfect.reversal_split(action)
-    lanczos = _record_lanczos(monkeypatch)
-    rescaled = _count_calls(monkeypatch, "_rescaled")
-    checks = _count_calls(monkeypatch, "_is_solution")
-    monkeypatch.setattr(perfect, "DENSE_LIMIT", 0)
-    assert perfect._certify_split(split, p, _young_bound(shape)) == (
-        VERDICT_SINGULAR, "wiedemann")
-    pending = _assert_one_rescaled_pass(lanczos, rescaled, checks)
-    assert pending[0] is lanczos[0][1][0]
-    assert set(map(int, rescaled[0][1])) == {1}
+        # above DENSE_LIMIT the block route takes over: the same verdict at
+        # every p > n, and a prime p <= n refused before any block
+        with monkeypatch.context() as mp:
+            mp.setattr(perfect, "DENSE_LIMIT", 0)
+            if p > sum(shape):
+                assert invertible_mod_p(action, p) == dense
+            else:
+                mp.setattr(young, "irrep_T_matrix", _no_block)
+                with pytest.raises(ValueError, match="p > n"):
+                    invertible_mod_p(action, p)
 
 
 @pytest.mark.parametrize("n", [5, 11, 41])
 def test_a_block_that_stops_long_before_the_other_still_solves(n, monkeypatch):
-    # (n-1,1): D+ has ceil(n/2) rows and D- floor(n/2).  Lane 0 is 0 on D-,
-    # lane 1 is 0 on D+, so in each lane one block stops at the first
-    # product and the other runs on; lane 2 is uniform on both blocks
+    # (n-1,1) on the block route: T-hat(n) is 1 x 1 and its pass stops at
+    # the first product, long before the n - 1 products of T-hat(n-1,1);
+    # each block is certified on its own, and M with them
     p = DEFAULT_PRIMES[0]
-    split = perfect.reversal_split(young.build_action_matrix(n, (n - 1, 1)))
-    assert (split.pairs, split.fixed) == (n // 2, n % 2)
-    m = split.mod(p)
-    size = split.pairs + split.fixed
-    rng = np.random.default_rng(n)
-    rhs = [np.zeros(2 * size, dtype=np.int64) for _ in range(3)]
-    rhs[0][:size] = rng.integers(0, p, size)
-    rhs[1][size:size + split.pairs] = rng.integers(0, p, split.pairs)
-    rhs[2][:size + split.pairs] = rng.integers(0, p, size + split.pairs)
-    products = _count_calls(monkeypatch, "_lane_products")
-    x = perfect._lanczos(m, rhs, 2 * size + 1, split.pairs)
-    assert all(perfect._is_solution(m, xj, vj) for xj, vj in zip(x, rhs))
-    assert not x[0][size:].any() and not x[1][:size].any()
-    assert len(products) <= size + 1
+    action = young.build_action_matrix(n, (n - 1, 1))
+    assert perfect._det_mod_dense(perfect.modp_from_action(action, p))
+    lanczos = _record_lanczos(monkeypatch)
+    monkeypatch.setattr(perfect, "DENSE_LIMIT", 0)
+    assert invertible_mod_p(action, p) == VERDICT_INVERTIBLE
+    assert [(c[0].dim, len(c[2])) for c in lanczos] == [(1, 1), (n - 1, n - 1)]
+
+
+def test_block_route_guards_come_before_any_block(monkeypatch):
+    monkeypatch.setattr(young, "irrep_T_matrix", _no_block)
+    # a prime p <= n, anywhere in the list
+    for primes in ((7,), (DEFAULT_PRIMES[0], 11)):
+        with pytest.raises(ValueError, match="p > n = 11"):
+            obstruction_coset(11, (6, 3, 2), primes=primes)
+    with pytest.raises(ValueError, match="p > n = 11"):
+        invertible_mod_p(young.build_action_matrix(11, (6, 3, 2)), 7)
+    # a constituent too large to build
+    monkeypatch.setattr(young, "IRREP_DIMENSION_LIMIT", 500)
+    with pytest.raises(young.DimensionLimitError, match="990"):
+        obstruction_coset(11, (6, 3, 2))
+    monkeypatch.undo()
+    # entries that are not the tabloid action of the shape: M + I commutes
+    # with the reversal, so only the block route can tell
+    monkeypatch.setattr(perfect, "DENSE_LIMIT", 0)
+    monkeypatch.setattr(young, "irrep_T_matrix", _no_block)
+    action = young.build_action_matrix(5, (4, 1))
+    shifted = action.entries + sp.identity(5, dtype=np.int64, format="csr")
+    wrong = young.ActionMatrix(n=5, shape=(4, 1), dim=5, entries=shifted)
+    assert perfect.reversal_split(wrong).pairs == 2
+    with pytest.raises(ValueError, match="tabloid action"):
+        invertible_mod_p(wrong, DEFAULT_PRIMES[0])
 
 
 # -- preconditions ----------------------------------------------------------------
@@ -874,4 +943,4 @@ def test_report_json_shape(monkeypatch):
     monkeypatch.setattr(perfect, "DENSE_LIMIT", 0)
     check = obstruction_coset(5, (4, 1)).matrices[0]
     assert check.method == "wiedemann"
-    assert check.to_json_dict()["evidence"] == "randomized, error <= p^-2"
+    assert check.to_json_dict()["evidence"] == "deterministic"
