@@ -19,6 +19,7 @@ reproducible.
 
 from __future__ import annotations
 
+import numbers
 import random
 import time
 from dataclasses import dataclass
@@ -103,15 +104,17 @@ def model_from_action(action: ActionMatrix, rhs: int) -> IlpModel:
 
 
 def feasible(model: IlpModel, x) -> bool:
-    """True iff x >= 0 and M x <= rhs componentwise.
+    """True iff x is integral, x >= 0 and M x <= rhs componentwise.
 
-    Exact for any input: a coordinate above rhs already breaks its own row
-    (M >= 0 and M_jj >= 1), and the product runs on Python integers.
+    Exact for any input: a coordinate that is not a numbers.Integral (a
+    float, even 0.0, or a Fraction) is not a point of the integer program,
+    a coordinate above rhs already breaks its own row (M >= 0 and
+    M_jj >= 1), and the product runs on Python integers.
     """
     x = list(x)
     if len(x) != model.dim:
         raise ValueError(f"expected {model.dim} coordinates, got {len(x)}")
-    if any(v < 0 or v > model.rhs for v in x):
+    if any(not isinstance(v, numbers.Integral) or v < 0 or v > model.rhs for v in x):
         return False
     return bool((model.matrix @ np.array(x, dtype=object) <= model.rhs).all())
 

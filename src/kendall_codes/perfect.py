@@ -16,15 +16,16 @@ singular f^lam x f^lam matrix, never an empty one.
 A coset matrix M of shape mu is certified in one of two ways, chosen by
 its dimension:
 
-- Up to DENSE_LIMIT, through its reversal split (ReversalSplit).  The
+- Up to DENSE_LIMIT, through its reversal split (reversal_split).  The
   reversal w0: i -> n + 1 - i conjugates s_i to s_(n-i), so the tabloid
   permutation P: t -> w0 t satisfies P M P = M.  On the P-invariant
-  vectors (e_f for a fixed tabloid, e_r + e_(w0 r) for a pair) M acts by
-  an integer matrix D+, on the anti-invariant ones e_r - e_(w0 r) by an
-  integer matrix D- (the symmetry-adapted basis of Fassler & Stiefel,
-  "Group Theoretical Methods and Their Applications", 1992).
-  D = diag(D+, D-) = Q^-1 M Q over Q for the matrix Q of that basis, so
-  det M = det D+ det D- as integers, at every prime.
+  vectors E+ (e_f for a fixed tabloid, e_r + e_(w0 r) for a pair) M acts
+  by an integer block D+ = R M E+, on the anti-invariant ones
+  E- (e_r - e_(w0 r)) by an integer block D- = R' M E-, where R and R'
+  pick one row of each orbit and of each pair (the symmetry-adapted basis
+  of Fassler & Stiefel, "Group Theoretical Methods and Their
+  Applications", 1992).  diag(D+, D-) = Q^-1 M Q over Q for Q = (E+ E-),
+  so det M = det D+ det D- as integers, at every prime.
 - Above DENSE_LIMIT, through its isotypic blocks; M itself is never
   built.  By Young's rule M^mu = sum K_{lam,mu} S^lam over Q, for the
   partitions lam dominating mu, so det M = prod det(T-hat_lam)^K_{lam,mu}
@@ -81,7 +82,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import factorial, inf
 
 import numpy as np
 import scipy.sparse as sp
@@ -135,7 +136,7 @@ class ModPMatrix:
 
     dim: int
     p: int
-    entries: sp.csr_matrix  # int64 residues r, |r| < p
+    entries: sp.csr_matrix  # int64 residues r, |r| < p (dense engine: any |r| < 2^52)
 
 
 def _residue(value, p: int) -> int:
@@ -147,58 +148,31 @@ def _residue(value, p: int) -> int:
 
 
 def modp_from_action(action: ActionMatrix, p: int) -> ModPMatrix:
-    """M mod p, unsplit.  Certificates take reversal_split(action) or the
-    isotypic blocks instead; this is the reference both are checked
+    """M mod p, unsplit.  Certificates take the blocks of reversal_split
+    or the isotypic blocks instead; this is the reference both are checked
     against."""
     ent = action.entries.astype(np.int64)
     ent.data %= p
     return ModPMatrix(dim=action.dim, p=p, entries=ent)
 
 
-@dataclass(frozen=True)
-class ReversalSplit:
-    """A coset matrix M in the basis adapted to the reversal w0.
+def reversal_split(action: ActionMatrix) -> tuple[sp.csr_matrix, sp.csr_matrix]:
+    """The integer blocks D+ = R M E+ and D- = R' M E- of a coset matrix M.
 
     P: t -> w0 t is an involution with P M P = M (young.reversal_index).
-    Its orbits are the `fixed` tabloids with w0 t = t and `pairs` pairs
-    {r, w0 r}, r < w0 r.  On the basis of P-invariant vectors (e_f for each
-    fixed tabloid, e_r + e_(w0 r) for each pair) M acts by D+, and on the
-    anti-invariant vectors e_r - e_(w0 r) by D-:
+    Its orbits o are the pairs {r, w0 r}, r < w0 r, then the fixed tabloids
+    w0 t = t, each in increasing order of its least tabloid r_o.  E+ holds
+    the P-invariant vectors (e_r + e_(w0 r) for each pair, e_f for each
+    fixed tabloid) and E- the anti-invariant ones e_r - e_(w0 r); R and R'
+    pick row r_o of M for each orbit and for each pair, so that
         D+[o, o'] = sum of M[r_o, t'] over t' in o',
         D-[o, o'] = M[r_o, r_o'] - M[r_o, w0 r_o'].
     Rows of D+ sum to n, W D+ is symmetric for W = diag(|orbit|), and D- is
-    symmetric.  With Q the matrix of the basis, D = diag(D+, D-) = Q^-1 M Q
-    over Q, so det D = det M, an integer, and a verdict on D is a verdict
-    on M at every prime, p = 2 included.
-
-    D+ has L = pairs + fixed rows, pairs first.  D- is padded with `fixed`
-    identity rows, and `entries` holds the integer diag(D+, D-, I) of order
-    2 L, whose first two diagonal blocks the dense engine eliminates.
-    `dim` is M's dimension.
-    """
-
-    dim: int
-    pairs: int
-    fixed: int
-    entries: sp.csr_matrix
-
-    def mod(self, p: int) -> ModPMatrix:
-        """diag(D+, D-, I) as residues in [0, p)."""
-        ent = self.entries.copy()
-        ent.data %= p
-        ent.eliminate_zeros()
-        return ModPMatrix(dim=ent.shape[0], p=p, entries=ent)
-
-
-def reversal_split(action: ActionMatrix) -> ReversalSplit:
-    """The integer matrix diag(D+, D-, I) of a coset matrix (ReversalSplit).
-
-    Row o of D+ is row r_o of M with each column t' moved to its orbit; row
-    o of D- is the same row with the pair columns signed, +1 at r_o' and -1
-    at w0 r_o', and the fixed columns dropped.  The CSR arrays are built
-    from the rows of M directly, and sum_duplicates merges the columns of
-    an orbit.  Raises ValueError unless P M P = M, checked exactly on the
-    CSR: for any other entries D would not be similar to M.
+    symmetric.  With Q = (E+ E-), diag(D+, D-) = Q^-1 M Q over Q, so
+    det M = det D+ det D- as integers, and a verdict on the blocks is a
+    verdict on M at every prime, p = 2 included.  Raises ValueError unless
+    P M P = M, checked exactly on the CSR: for any other entries the blocks
+    would not be similar to M.
     """
     rev = young.reversal_index(action.shape)
     m = action.entries
@@ -207,23 +181,15 @@ def reversal_split(action: ActionMatrix) -> ReversalSplit:
     tabloid = np.arange(action.dim)
     reps, fixed = tabloid[tabloid < rev], tabloid[tabloid == rev]
     pairs, size = len(reps), len(reps) + len(fixed)
-    orbit = np.empty(action.dim, dtype=action.entries.indices.dtype)
+    orbit = np.empty(action.dim, dtype=np.intp)
     orbit[reps] = orbit[rev[reps]] = np.arange(pairs)
     orbit[fixed] = np.arange(pairs, size)
-    sign = np.zeros(action.dim, dtype=np.int64)
-    sign[reps], sign[rev[reps]] = 1, -1
-    rows = action.entries[np.concatenate((reps, fixed))]  # r_o for every orbit o
-    cut = rows.indptr[pairs]  # the rows of the pairs, which D- takes again
-    padding = np.arange(size + pairs, 2 * size, dtype=orbit.dtype)
-    indices = np.concatenate((orbit[rows.indices], size + orbit[rows.indices[:cut]], padding))
-    data = np.concatenate((rows.data, rows.data[:cut] * sign[rows.indices[:cut]],
-                           np.ones(len(fixed), dtype=rows.data.dtype)))
-    indptr = np.concatenate((rows.indptr, rows.nnz + rows.indptr[1:pairs + 1],
-                             rows.nnz + cut + np.arange(1, len(fixed) + 1)))
-    entries = sp.csr_matrix((data, indices, indptr), shape=(2 * size, 2 * size))
-    entries.sum_duplicates()
-    entries.eliminate_zeros()
-    return ReversalSplit(dim=action.dim, pairs=pairs, fixed=len(fixed), entries=entries)
+    e_plus = sp.csr_matrix((np.ones(action.dim, dtype=np.int64), (tabloid, orbit)),
+                           shape=(action.dim, size))
+    sign = np.where(tabloid < rev, 1, -1)  # -1 at w0 r, on the pair columns
+    e_minus = sp.csr_matrix((sign, (tabloid, orbit)), shape=(action.dim, size))[:, :pairs]
+    rows = m[np.concatenate((reps, fixed))]  # R M: row r_o of every orbit o
+    return rows @ e_plus, rows[:pairs] @ e_minus
 
 
 def modp_from_entries(dim: int, entries, p: int) -> ModPMatrix:
@@ -263,7 +229,7 @@ def integer_determinant(rows) -> int:
         raise ValueError("matrix is not square")
     sign = 1
     prev = 1
-    for k in range(d - 1):
+    for k in range(d):
         if a[k][k] == 0:
             swap = next((i for i in range(k + 1, d) if a[i][k] != 0), None)
             if swap is None:
@@ -275,7 +241,7 @@ def integer_determinant(rows) -> int:
                 a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
             a[i][k] = 0
         prev = a[k][k]
-    return sign * a[d - 1][d - 1]
+    return sign * prev
 
 
 def _reduce(x: np.ndarray, p: int, scratch: np.ndarray | None = None) -> np.ndarray:
@@ -314,7 +280,8 @@ def _det_mod_dense(matrix: ModPMatrix) -> int:
     use.  Beyond a sub-panel (and beyond the panel), U = L^-1 A and
     A -= L U are float64 matmuls, and the trailing matrix is reduced once per
     panel, in strips of _BLOCK rows.  Between reductions an entry gains at
-    most _BLOCK products of residues, so every sum is exact.
+    most _BLOCK products of residues, so every sum is exact.  The entries
+    are reduced first, so any integers |r| < 2^52 will do.
     """
     p, d = matrix.p, matrix.dim
     a = _reduce(matrix.entries.astype(np.float64).toarray(), p)
@@ -471,7 +438,7 @@ def _rescaled(matrix: ModPMatrix, d: np.ndarray) -> ModPMatrix:
     return ModPMatrix(dim=matrix.dim, p=matrix.p, entries=entries)
 
 
-def _certify_wiedemann(matrix: ModPMatrix) -> str:
+def _certify_wiedemann(matrix: ModPMatrix, checked: bool = False) -> str:
     """The black-box verdict on a symmetric S: 'invertible' when a Lanczos
     pass runs full length (_lanczos), which proves det S != 0 mod p.
 
@@ -479,9 +446,10 @@ def _certify_wiedemann(matrix: ModPMatrix) -> str:
     pass gets one more, from the same v, on D S D for a seeded random
     diagonal D of nonzero residues; det D != 0, so a full pass there is a
     proof too.  Two short passes give 'singular-mod-p', which proves
-    nothing.  Raises ValueError unless S is symmetric mod p.
+    nothing.  Raises ValueError unless S is symmetric mod p, which is
+    checked here unless the caller has `checked` it.
     """
-    if not _is_symmetric(matrix):
+    if not (checked or _is_symmetric(matrix)):
         raise ValueError("the black-box check needs a symmetric matrix")
     p, dim = matrix.p, matrix.dim
     rng = np.random.default_rng((WIEDEMANN_SEED, p, dim))
@@ -522,46 +490,36 @@ def invertible_mod_p(matrix, p: int) -> str:
     """'invertible' proves rational invertibility; 'singular-mod-p' proves
     nothing and should be retried at another prime.
 
-    Accepts dense square rows (ints or Fractions) or an ActionMatrix.  An
-    ActionMatrix is certified through its ReversalSplit up to DENSE_LIMIT
-    and through its isotypic blocks above it, where p must exceed n and its
-    entries must be the tabloid action of its shape (ValueError otherwise).
-    Rows are eliminated densely up to DENSE_LIMIT, and at any dimension
-    when they are not symmetric mod p; symmetric rows above it take the
-    black-box check.
+    Accepts dense square rows (ints or Fractions) or an ActionMatrix, whose
+    certificate _coset_certificate chooses.  Rows are eliminated densely up
+    to DENSE_LIMIT, and at any dimension when they are not symmetric mod p;
+    symmetric rows above it take the black-box check.
     """
     _check_prime(p)
     if not isinstance(matrix, ActionMatrix):
         return _certify(modp_from_rows(matrix, p))[0]
-    if matrix.dim <= DENSE_LIMIT:
-        return _certify_split(reversal_split(matrix), p)
-    lams, dims = _isotypic_blocks(matrix.n, matrix.shape, (p,))
-    expected = young.build_action_matrix(matrix.n, matrix.shape).entries
-    if matrix.entries.shape != expected.shape or (matrix.entries != expected).nnz:
-        raise ValueError(f"entries are not the tabloid action of {matrix.shape}")
-    return _certify_blocks(f"action{matrix.shape}", matrix.dim, lams, dims, (p,))[0].verdict
+    return _coset_certificate(matrix.n, matrix.shape, (p,), matrix)()[0].verdict
 
 
 def _verdict(det: int) -> str:
     return VERDICT_INVERTIBLE if det else VERDICT_SINGULAR
 
 
-def _certify(matrix: ModPMatrix) -> tuple[str, str]:
-    """Verdict and method: the black-box check for a symmetric matrix above
-    DENSE_LIMIT, dense elimination otherwise."""
-    if matrix.dim <= DENSE_LIMIT or not _is_symmetric(matrix):
+def _certify(matrix: ModPMatrix, checked: bool = False) -> tuple[str, str]:
+    """Verdict and method: the black-box check for a matrix above
+    DENSE_LIMIT that is symmetric mod p (checked here, unless the caller
+    has `checked` it), dense elimination otherwise."""
+    if matrix.dim <= DENSE_LIMIT or not (checked or _is_symmetric(matrix)):
         return _verdict(_det_mod_dense(matrix)), "dense-elimination"
-    return _certify_wiedemann(matrix), "wiedemann"
+    return _certify_wiedemann(matrix, checked=True), "wiedemann"
 
 
-def _certify_split(split: ReversalSplit, p: int) -> str:
-    """Dense verdict on the coset matrix M of a ReversalSplit, from
-    det D+ det D- mod p."""
-    blocks = split.mod(p)
-    size = split.pairs + split.fixed
+def _certify_split(blocks, p: int) -> str:
+    """Dense verdict on a coset matrix M from det D+ det D- mod p, for the
+    integer blocks of reversal_split, which the dense engine reduces."""
     det = 1
-    for lo, hi in ((0, size), (size, size + split.pairs)):
-        det = det * _det_mod_dense(ModPMatrix(hi - lo, p, blocks.entries[lo:hi, lo:hi])) % p
+    for block in blocks:
+        det = det * _det_mod_dense(ModPMatrix(block.shape[0], p, block)) % p
     return _verdict(det)
 
 
@@ -622,8 +580,9 @@ def perfect_counting_condition(n: int, r: int) -> bool:
 
 def _seminormal_block(lam, dim: int, p: int, symmetric: bool) -> ModPMatrix:
     """T-hat_lam mod p (young.irrep_T_matrix) at dimension f^lam = dim, or,
-    if symmetric, the W T-hat_lam of _symmetrised, whose verdict is
-    T-hat_lam's: det W != 0 mod p for every p > n."""
+    if symmetric, the W T-hat_lam of _symmetrised, which has checked that
+    it is symmetric, and whose verdict is T-hat_lam's: det W != 0 mod p for
+    every p > n."""
     t_hat = ModPMatrix(dim=dim, p=p, entries=young.irrep_T_matrix(lam, p))
     return _symmetrised(t_hat) if symmetric else t_hat
 
@@ -642,26 +601,31 @@ def _check_one(label: str, dim: int, certify, primes):
     return MatrixCheck(label, dim, primes[-1], VERDICT_SINGULAR, method), notes
 
 
-def _refuse_small_primes(n: int, primes) -> None:
-    """The seminormal blocks of S_n reduce mod p only for p > n, where no
-    axial distance vanishes: refuse any other prime (ValueError)."""
+def _constituents(n: int, mu, primes, use_list: str = "computed", check_limit=inf):
+    """The partitions lam whose T-hat_lam are checked for mu, and their
+    dimensions f^lam: every lam dominating mu (Young's rule), or, for the
+    use_list 'published', the published list of (4,4,4,3) in S_15.
+
+    Refuses, before any block is built, a prime p <= n (ValueError: the
+    seminormal blocks reduce mod p only for p > n, where no axial distance
+    vanishes) and a block of dimension up to check_limit, which is to be
+    checked, above young.IRREP_DIMENSION_LIMIT (DimensionLimitError).
+    """
     small = [p for p in primes if p <= n]
     if small:
         raise ValueError(f"seminormal reduction mod {small[0]} needs p > n = {n}")
-
-
-def _isotypic_blocks(n: int, shape, primes) -> tuple[list, list[int]]:
-    """The partitions lam dominating the shape, whose T-hat_lam make up the
-    coset matrix (Young's rule), and their dimensions f^lam.  Refuses a
-    prime p <= n (ValueError) and a block above young.IRREP_DIMENSION_LIMIT
-    (DimensionLimitError) before any block is built."""
-    if young.partition_n(shape) != n:
-        raise ValueError("shape is not a partition of n")
-    _refuse_small_primes(n, primes)
-    lams = young.constituents_dominating(shape)
+    if use_list == "computed":
+        lams = young.constituents_dominating(mu)
+    elif use_list == "published":
+        if n != 15 or mu != (4, 4, 4, 3):
+            raise ValueError("the published list is specific to mu=(4,4,4,3)")
+        lams = young.published_s15_list()
+    else:
+        raise ValueError(f"use_list must be 'computed' or 'published', got {use_list!r}")
     dims = [young.hook_length_dimension(lam) for lam in lams]
-    if max(dims) > young.IRREP_DIMENSION_LIMIT:
-        raise young.DimensionLimitError(f"dimension {max(dims)} exceeds "
+    too_large = [d for d in dims if young.IRREP_DIMENSION_LIMIT < d <= check_limit]
+    if too_large:
+        raise young.DimensionLimitError(f"dimension {max(too_large)} exceeds "
                                         f"limit {young.IRREP_DIMENSION_LIMIT}")
     return lams, dims
 
@@ -677,7 +641,7 @@ def _certify_blocks(label: str, dim: int, lams, dims, primes):
     for lam, f in zip(lams, dims):
         for k, p in enumerate(primes):
             block = _seminormal_block(lam, f, p, symmetric=True)
-            if _certify_wiedemann(block) == VERDICT_INVERTIBLE:
+            if _certify_wiedemann(block, checked=True) == VERDICT_INVERTIBLE:
                 last = max(last, k)
                 break
             notes.append(f"{label}: T-hat{lam} singular mod {p}, retrying")
@@ -686,35 +650,62 @@ def _certify_blocks(label: str, dim: int, lams, dims, primes):
     return MatrixCheck(label, dim, primes[last], VERDICT_INVERTIBLE, "wiedemann"), notes
 
 
+def _coset_certificate(n: int, shape, primes, action: ActionMatrix | None = None):
+    """The certificate of the coset matrix M of a shape, chosen by its
+    dimension: up to DENSE_LIMIT, dense elimination of the two blocks of
+    reversal_split; above it, the black-box check on the isotypic blocks
+    T-hat_lam, lam dominating the shape (_certify_blocks), and M is never
+    built.
+
+    The guards run here, before M or any block is built: above DENSE_LIMIT,
+    the shape must be a partition of n, every prime must exceed n and the
+    given `action`, if any, must hold the tabloid action of the shape
+    (ValueError; the split only checks P M P = M, which M + I also passes),
+    and no block may exceed young.IRREP_DIMENSION_LIMIT
+    (DimensionLimitError).  The function returned runs the certificate at
+    successive primes, on `action` or on M built from the shape, and gives
+    one MatrixCheck plus notes.
+    """
+    label = f"action{shape}"
+    dim = young.tabloid_count(shape) if action is None else action.dim
+    if dim <= DENSE_LIMIT:
+        def certify():
+            split = reversal_split(action if action is not None
+                                   else young.build_action_matrix(n, shape))
+            return _check_one(label, dim, lambda p: (_certify_split(split, p),
+                                                     "dense-elimination"), primes)
+        return certify
+    if young.partition_n(shape) != n:
+        raise ValueError("shape is not a partition of n")
+    lams, dims = _constituents(n, shape, primes)
+    if action is not None:
+        expected = young.build_action_matrix(n, shape).entries
+        if action.entries.shape != expected.shape or (action.entries != expected).nnz:
+            raise ValueError(f"entries are not the tabloid action of {shape}")
+    return lambda: _certify_blocks(label, dim, lams, dims, primes)
+
+
 def obstruction_coset(n: int, shape, primes=DEFAULT_PRIMES) -> ObstructionReport:
     """Coset route: invertibility of the action matrix M on tabloids of shape.
 
-    Up to DENSE_LIMIT, M is certified through its ReversalSplit
-    D = diag(D+, D-), similar to M over Q: only D is kept, and D is reduced
-    at each prime.  Above it, M is certified through its isotypic blocks
-    T-hat_lam, lam dominating the shape, and never built; every prime must
-    then exceed n, and a prime p <= n is refused (ValueError) before any
-    block is built, as is a block above young.IRREP_DIMENSION_LIMIT.
+    Up to DENSE_LIMIT, M is certified through the integer blocks D+ and D-
+    of its reversal split, and above it through its isotypic blocks
+    T-hat_lam, never building M (_coset_certificate).  Above DENSE_LIMIT, a
+    prime p <= n (ValueError) and a block above young.IRREP_DIMENSION_LIMIT
+    are refused before any block is built, even when the divisibility check
+    fails.
     """
     shape = check_partition(shape)
     primes = _checked_primes(primes)
     div_ok = divisibility_precondition(n, shape)
-    dim = young.tabloid_count(shape)
-    label = f"action{shape}"
-    if dim > DENSE_LIMIT:
-        lams, dims = _isotypic_blocks(n, shape, primes)
+    certify = _coset_certificate(n, shape, primes)
     if not div_ok:
         note = (f"{n} divides the Young subgroup order {young.young_subgroup_order(shape)}; "
                 "the counting argument does not apply")
         return ObstructionReport(n=n, route=f"coset{shape}", divisibility_ok=False,
                                  matrices=(), conclusion=CONCLUSION_INCONCLUSIVE,
                                  notes=(note,))
-    if dim > DENSE_LIMIT:
-        check, notes = _certify_blocks(label, dim, lams, dims, primes)
-    else:
-        split = reversal_split(young.build_action_matrix(n, shape))
-        check, notes = _check_one(label, dim, lambda p: (_certify_split(split, p),
-                                                         "dense-elimination"), primes)
+    check, notes = certify()
     ok = check.verdict == VERDICT_INVERTIBLE
     return ObstructionReport(
         n=n, route=f"coset{shape}", divisibility_ok=True, matrices=(check,),
@@ -737,22 +728,8 @@ def obstruction_irreps(n: int, mu, use_list: str = "computed",
     if young.partition_n(mu) != n:
         raise ValueError("mu is not a partition of n")
     primes = _checked_primes(primes)
-    _refuse_small_primes(n, primes)
-    if use_list == "computed":
-        lams = young.constituents_dominating(mu)
-    elif use_list == "published":
-        if n != 15 or mu != (4, 4, 4, 3):
-            raise ValueError("the published list is specific to mu=(4,4,4,3)")
-        lams = young.published_s15_list()
-    else:
-        raise ValueError(f"use_list must be 'computed' or 'published', got {use_list!r}")
+    lams, dims = _constituents(n, mu, primes, use_list, check_limit)
     div_ok = divisibility_precondition(n, mu)
-    dims = [young.hook_length_dimension(lam) for lam in lams]
-    # a block too large to build is refused before any block is built
-    too_large = [d for d in dims if young.IRREP_DIMENSION_LIMIT < d <= check_limit]
-    if too_large:
-        raise young.DimensionLimitError(f"dimension {max(too_large)} exceeds "
-                                        f"limit {young.IRREP_DIMENSION_LIMIT}")
     checks = []
     notes = []
     skipped = 0
@@ -762,8 +739,9 @@ def obstruction_irreps(n: int, mu, use_list: str = "computed",
             checks.append(MatrixCheck(label, dim, None, VERDICT_SKIPPED, "skipped"))
             skipped += 1
             continue
+        big = dim > DENSE_LIMIT  # symmetrised, and so checked, for the black box
         check, more = _check_one(
-            label, dim, lambda p: _certify(_seminormal_block(lam, dim, p, dim > DENSE_LIMIT)),
+            label, dim, lambda p: _certify(_seminormal_block(lam, dim, p, big), checked=big),
             primes)
         checks.append(check)
         notes.extend(more)

@@ -46,6 +46,17 @@ def test_feasible_trivial_cases():
         feasible(m, [0, 0])
 
 
+def test_feasible_rejects_fractional_points():
+    m = build_coset_ilp(5, (3, 2))
+    assert not feasible(m, [0.5] * m.dim)
+    assert not feasible(m, [0.0] * m.dim)
+    assert not feasible(m, [Fraction(1, 2)] + [0] * (m.dim - 1))
+    # Python and numpy integers are points of the program
+    assert feasible(m, [0] * m.dim)
+    assert feasible(m, np.zeros(m.dim, dtype=np.int64))
+    assert feasible(m, [np.int32(1)] + [0] * (m.dim - 1))
+
+
 def test_feasible_rejects_huge_coordinates_without_overflow():
     m = build_coset_ilp(5, (3, 2))
     assert not feasible(m, [2**70] + [0] * (m.dim - 1))

@@ -47,6 +47,14 @@ def test_integer_determinant_known_values():
         young.tridiagonal_reference(5).to_dense()) == 275
 
 
+def test_determinant_of_the_empty_matrix_is_one():
+    # the 0 x 0 matrix, e.g. D- of a shape whose tabloids w0 fixes all
+    assert integer_determinant([]) == 1
+    p = DEFAULT_PRIMES[0]
+    assert perfect._det_mod_dense(perfect.modp_from_rows([], p)) == 1
+    assert invertible_mod_p([], p) == VERDICT_INVERTIBLE
+
+
 @pytest.mark.parametrize("n", range(2, 13))
 def test_modular_verdict_matches_exact_determinant(n):
     rows = young.tridiagonal_reference(n).to_dense()
@@ -408,9 +416,9 @@ def test_nonsymmetric_matrix_never_takes_the_symmetric_path(monkeypatch):
         perfect._certify_wiedemann(perfect.modp_from_rows(tri, p))
     # a split's D+ is self-adjoint only under the W-weighted product, and a
     # seminormal block only after _symmetrised: both are refused as they are
-    split = perfect.reversal_split(young.build_action_matrix(5, (4, 1))).mod(p)
+    plus, _ = perfect.reversal_split(young.build_action_matrix(5, (4, 1)))
     block = ModPMatrix(35, p, young.irrep_T_matrix((4, 2, 1), p))
-    for matrix in (split, block):
+    for matrix in (ModPMatrix(plus.shape[0], p, plus), block):
         with pytest.raises(ValueError, match="symmetric"):
             perfect._certify_wiedemann(matrix)
 
@@ -687,27 +695,39 @@ def test_irreps_route_on_the_black_box_matches_the_dense_route(n, monkeypatch):
 
 # -- reversal split ---------------------------------------------------------------
 
+def _split_by_definition(action):
+    """D+ = R M E+ and D- = R' M E- by plain loops over the dense M: the
+    orbits of w0 are its pairs {r, w0 r}, r < w0 r, then its fixed
+    tabloids, each in increasing order of r."""
+    m, rev = action.to_dense(), young.reversal_index(action.shape).tolist()
+    reps = [t for t in range(action.dim) if t < rev[t]]
+    orbits = [[r, rev[r]] for r in reps] + [[t] for t in range(action.dim) if t == rev[t]]
+    plus = [[sum(m[o[0]][t] for t in o2) for o2 in orbits] for o in orbits]
+    minus = [[m[r][r2] - m[r][rev[r2]] for r2 in reps] for r in reps]
+    return plus, minus
+
+
 @pytest.mark.parametrize("shape", [shape for n in range(1, 13) for shape in young.all_partitions(n)
                                    if young.tabloid_count(shape) <= 60], ids=str)
 def test_split_determinant_equals_action_determinant(shape):
     n = sum(shape)
     action = young.build_action_matrix(n, shape)
-    split = perfect.reversal_split(action)
-    full = split.entries.toarray()
-    size, cut = split.pairs + split.fixed, 2 * split.pairs + split.fixed
-    plus, minus, padding = full[:size, :size], full[size:cut, size:cut], full[cut:, cut:]
-    assert split.dim == action.dim == 2 * split.pairs + split.fixed
+    plus, minus = (block.toarray() for block in perfect.reversal_split(action))
+    expected_plus, expected_minus = _split_by_definition(action)
+    assert plus.tolist() == expected_plus and minus.tolist() == expected_minus
+    pairs, fixed = len(minus), len(plus) - len(minus)
+    assert action.dim == 2 * pairs + fixed
     assert (plus.sum(axis=1) == n).all()
-    weights = np.array([2] * split.pairs + [1] * split.fixed)[:, None]
+    weights = np.array([2] * pairs + [1] * fixed)[:, None]
     assert np.array_equal(weights * plus, (weights * plus).T)
     assert np.array_equal(minus, minus.T)
-    assert np.array_equal(padding, np.eye(split.fixed, dtype=np.int64))
-    assert integer_determinant(full) == integer_determinant(action.to_dense())
+    assert (integer_determinant(plus.tolist()) * integer_determinant(minus.tolist())
+            == integer_determinant(action.to_dense()))
 
 
 def test_split_refuses_entries_that_do_not_commute_with_the_reversal():
     action = young.build_action_matrix(4, (3, 1))
-    assert perfect.reversal_split(action).pairs == 2
+    assert perfect.reversal_split(action)[1].shape == (2, 2)  # two pairs
     swapped = action.entries[[1, 0, 2, 3]]  # rows 0 and 1 exchanged: P M P != M
     for entries in (swapped, action.entries[:3, :3]):
         wrong = young.ActionMatrix(n=4, shape=(3, 1), dim=entries.shape[0], entries=entries)
@@ -729,13 +749,11 @@ SPLIT_SHAPES = [shape for n in range(2, 9) for shape in young.all_partitions(n)
 def test_split_verdict_equals_unsplit_verdict(shape, monkeypatch):
     action = young.build_action_matrix(sum(shape), shape)
     split = perfect.reversal_split(action)
-    size = split.pairs + split.fixed
     for p in DEFAULT_PRIMES + (2, 3):
         det = perfect._det_mod_dense(perfect.modp_from_action(action, p))
         dense = VERDICT_INVERTIBLE if det else VERDICT_SINGULAR
-        blocks = split.mod(p).entries
-        dets = [perfect._det_mod_dense(perfect.ModPMatrix(hi - lo, p, blocks[lo:hi, lo:hi]))
-                for lo, hi in ((0, size), (size, size + split.pairs))]
+        dets = [perfect._det_mod_dense(perfect.ModPMatrix(block.shape[0], p, block))
+                for block in split]
         assert dets[0] * dets[1] % p == det
         assert perfect._certify_split(split, p) == dense
         if p == DEFAULT_PRIMES[0]:
@@ -786,7 +804,7 @@ def test_block_route_guards_come_before_any_block(monkeypatch):
     action = young.build_action_matrix(5, (4, 1))
     shifted = action.entries + sp.identity(5, dtype=np.int64, format="csr")
     wrong = young.ActionMatrix(n=5, shape=(4, 1), dim=5, entries=shifted)
-    assert perfect.reversal_split(wrong).pairs == 2
+    assert perfect.reversal_split(wrong)[1].shape == (2, 2)  # P M P = M holds
     with pytest.raises(ValueError, match="tabloid action"):
         invertible_mod_p(wrong, DEFAULT_PRIMES[0])
 
