@@ -8,13 +8,16 @@ certified upper bound on the code size.
 
 Everything in the certified path is arbitrary-precision integer / rational
 arithmetic.  The root relaxation runs once on the exact simplex of
-:mod:`kendall_codes.exactlp`; the branch-and-bound descent uses a fast float
-LP (:mod:`kendall_codes.boxlp`) only as a guide, converting its duals into
-integer multipliers (scaled with the right-hand side) whose weak-duality
-bound is evaluated exactly, so no pruning decision ever rests on floating
-point.  One tree serves every right-hand side that fits its int64 bounds.
-All node and branching rules are deterministic, so results are
-reproducible.
+:mod:`kendall_codes.exactlp`, folded to one variable per orbit of the
+shape's symmetry group <w0> x prod S_(m_k), which leaves the LP invariant.
+One HiGHS solve on the fixed subspace of one involution of that group gives
+the incumbent, outside the certified path.  The branch-and-bound descent
+uses a fast float LP (:mod:`kendall_codes.boxlp`) only as a guide,
+converting its duals into integer multipliers (scaled with the right-hand
+side) whose weak-duality bound is evaluated exactly, so no pruning decision
+ever rests on floating point.  One tree serves every right-hand side that
+fits its int64 bounds.  All node and branching rules are deterministic, so
+results are reproducible.
 """
 
 from __future__ import annotations
@@ -119,14 +122,51 @@ def feasible(model: IlpModel, x) -> bool:
     return bool((model.matrix @ np.array(x, dtype=object) <= model.rhs).all())
 
 
+def _fold(matrix: np.ndarray, orbit: np.ndarray):
+    """The rows of matrix at the least tabloid of each orbit, with each
+    orbit's columns summed, the orbits' sizes and their least tabloids.
+
+    orbit numbers the orbits 0, 1, ... in order of their least tabloid
+    (young.orbit_labels).  When the orbits are those of a group whose
+    permutations P satisfy P M P^-1 = M, every row of an orbit folds to the
+    same row, so the folded rows are the constraints of M x <= b on the
+    points constant on each orbit.
+    """
+    reps = np.unique(orbit, return_index=True)[1]
+    folded = np.zeros((len(reps), len(reps)), dtype=matrix.dtype)
+    np.add.at(folded.T, orbit, matrix[reps].T)
+    return folded, np.bincount(orbit), reps
+
+
 def lp_relax(model: IlpModel) -> LpSolution:
-    """Exact rational optimum of the LP relaxation."""
-    sx = ExactSimplex(model.matrix.tolist(), [model.rhs] * model.dim,
-                      [1] * model.dim)
+    """Exact rational optimum of the LP relaxation, solved on its G-orbit
+    fold.
+
+    G = <w0> x prod_k S_(m_k) (young.symmetry_generators) permutes the
+    tabloids with P M P^-1 = M, so it maps the polytope onto itself and fixes
+    the objective 1.x; averaging an optimum over G gives an optimum that is
+    constant on every G-orbit (Bodi, Herr & Joswig, Math. Program. 137,
+    2013).  The exact simplex therefore runs on one variable per orbit,
+    weighed by the orbit's size, and one row per orbit (_fold).  The point
+    returned is that optimum lifted back to one value per tabloid: optimal
+    and G-invariant, though not in general a vertex of the unfolded LP.
+    Raises ValueError, before any simplex is built, unless
+    M[g][:, g] == M exactly for every generator g.
+    """
+    generators = young.symmetry_generators(model.shape)
+    for g in generators:
+        if not np.array_equal(model.matrix[g][:, g], model.matrix):
+            raise ValueError(f"the model matrix is not invariant under the "
+                             f"symmetries of the shape {model.shape}")
+    orbit = young.orbit_labels(generators)
+    folded, sizes, _ = _fold(model.matrix, orbit)
+    sx = ExactSimplex(folded.tolist(), [model.rhs] * len(sizes), sizes.tolist())
     status = sx.solve()
     if status != OPTIMAL:
         return LpSolution(status=status, value=None, point=None)
-    return LpSolution(status=OPTIMAL, value=sx.value(), point=tuple(sx.point()))
+    z = sx.point()
+    return LpSolution(status=OPTIMAL, value=sx.value(),
+                      point=tuple(z[o] for o in orbit.tolist()))
 
 
 def _heuristic_incumbent(model: IlpModel, lp_point) -> list[int]:
@@ -201,54 +241,42 @@ def _certified_bound(y, cols, rhs: int, scale: int, l, u):
 
 
 def _milp_heuristic(model: IlpModel, u0, time_limit: float | None):
-    """Incumbent from the shape's symmetries: one small HiGHS model per
-    conjugacy class of involutions g of <w0> x prod S_(m_k)
-    (young.involution_classes), over the points with x = x o g.
+    """Incumbent from the shape's symmetries: one small HiGHS model over the
+    points with x = x o g, for the involution g in young.involution_classes
+    with the most orbits, (dim + #fixed tabloids) / 2, the first on a tie
+    (the identity when every class fixes every tabloid).
 
-    P M P = M for the permutation P of g, so rows i and g(i) of M with each
-    orbit {i, g(i)}'s columns summed coincide: the folded model keeps one
-    variable z and one row per orbit, weighs z by the orbit's size and
-    bounds it by u0 at the orbit's first tabloid.  Each solve gets
-    _HEURISTIC_NODE_LIMIT HiGHS nodes and the time left of time_limit
-    (seconds), and none starts once that is spent.  A solution lifts back
-    by x_i = z at i's orbit and is adopted only after an exact feasibility
-    check, so this stays outside the certified path.  Returns the best
-    lifted point, or None.
+    The model is the fold of M over the orbits {i, g(i)} (_fold): one
+    variable z per orbit, weighed by the orbit's size and bounded by u0 at
+    the orbit's least tabloid.  The solve gets _HEURISTIC_NODE_LIMIT HiGHS
+    nodes and time_limit seconds (None: no limit); it does not start when
+    time_limit is 0 or less.  A solution lifts back by x_i = z at i's orbit
+    and is returned only after an exact feasibility check, so this stays
+    outside the certified path.  Returns None when HiGHS stops before any
+    solution, or its solution is not feasible.
     """
     from scipy.optimize import Bounds, LinearConstraint, milp
-    deadline = None if time_limit is None else time.monotonic() + time_limit
-    u0 = np.asarray(u0, dtype=float)
-    best, best_value = None, -1
-    for g in young.involution_classes(model.shape):
-        options = {"node_limit": _HEURISTIC_NODE_LIMIT}
-        if deadline is not None:
-            options["time_limit"] = deadline - time.monotonic()
-            if options["time_limit"] <= 0:
-                break
-        reps = np.flatnonzero(np.arange(model.dim) <= g)
-        pair = g[reps] != reps
-        orbit = np.empty(model.dim, dtype=np.intp)
-        orbit[reps] = orbit[g[reps]] = np.arange(len(reps))
-        rows = model.matrix[reps]
-        folded = rows[:, reps]
-        folded[:, pair] += rows[:, g[reps[pair]]]
-        try:
-            res = milp(-np.where(pair, 2.0, 1.0),
-                       constraints=LinearConstraint(folded,
-                                                    ub=np.full(len(reps),
-                                                               float(model.rhs))),
-                       integrality=np.ones(len(reps)),
-                       bounds=Bounds(0.0, u0[reps]),
-                       options=options)
-        except Exception:
-            continue
-        if res.x is None:
-            continue
-        z = [int(round(v)) for v in res.x]
-        cand = [z[o] for o in orbit.tolist()]
-        if sum(cand) > best_value and feasible(model, cand):
-            best, best_value = cand, sum(cand)
-    return best
+    options = {"node_limit": _HEURISTIC_NODE_LIMIT}
+    if time_limit is not None:
+        if time_limit <= 0:
+            return None
+        options["time_limit"] = time_limit
+    everything = np.arange(model.dim)
+    g = max(young.involution_classes(model.shape),
+            key=lambda g: int((g == everything).sum()), default=everything)
+    orbit = young.orbit_labels([g])
+    folded, sizes, reps = _fold(model.matrix, orbit)
+    res = milp(-sizes.astype(float),
+               constraints=LinearConstraint(folded,
+                                            ub=np.full(len(reps), float(model.rhs))),
+               integrality=np.ones(len(reps)),
+               bounds=Bounds(0.0, np.asarray(u0, dtype=float)[reps]),
+               options=options)
+    if res.x is None:
+        return None
+    z = [int(round(v)) for v in res.x]
+    cand = [z[o] for o in orbit.tolist()]
+    return cand if feasible(model, cand) else None
 
 
 def _bb_float(model: IlpModel, u0, root_bound: int, best_value: int,
@@ -424,22 +452,23 @@ def check_time_limit(time_limit) -> None:
 def ilp_solve(model: IlpModel, *, time_limit: float | None = None) -> IlpResult:
     """Certified branch-and-bound for the coset integer program.
 
-    The root relaxation is solved once on the exact rational simplex.  The
-    descent solves a float LP per node for guidance only: its duals become
-    integer multipliers, scaled with the right-hand side, whose weak-duality
-    bound is evaluated in exact arithmetic; all pruning, bound fixing, and
-    incumbent updates are exact, so the result is a proof at any rhs that
-    fits the tree's int64 bounds (larger models raise
-    ``young.DimensionLimitError`` before any solve).  Deterministic:
-    depth-first with fixed child order, branching by reliability pseudocosts
-    (lowest index on ties).  The incumbent heuristic (_milp_heuristic: one
-    small HiGHS model per class of involutions of the shape's symmetry
-    group, on the points that involution fixes) runs only while rhs <
+    The root relaxation is solved once on the exact rational simplex, on its
+    G-orbit fold (lp_relax).  The descent solves a float LP per node for
+    guidance only: its duals become integer multipliers, scaled with the
+    right-hand side, whose weak-duality bound is evaluated in exact
+    arithmetic; all pruning, bound fixing, and incumbent updates are exact,
+    so the result is a proof at any rhs that fits the tree's int64 bounds
+    (larger models raise ``young.DimensionLimitError`` before any solve).
+    Deterministic: depth-first with fixed child order, branching by
+    reliability pseudocosts (lowest index on ties).  The incumbent heuristic (_milp_heuristic: one
+    small HiGHS model per shape, on the points fixed by the involution of
+    the shape's symmetry group with the most orbits) runs only while rhs <
     2**53, where float64 is exact.  ``time_limit`` (seconds, a number above
-    0, else ValueError) counts from the call: the heuristic's solves share
-    the time left after the root, and the tree stops at the deadline,
-    returning status ``incumbent-only`` and a valid dual bound instead of
-    failing.
+    0, else ValueError) counts from the call: the HiGHS solve gets the time
+    left after the root and does not start when none is left, and the tree
+    stops at the deadline, returning status ``incumbent-only`` and a valid
+    dual bound instead of failing.  An error inside the heuristic
+    propagates.
     """
     check_time_limit(time_limit)
     deadline = None if time_limit is None else time.monotonic() + time_limit
@@ -457,7 +486,7 @@ def ilp_solve(model: IlpModel, *, time_limit: float | None = None) -> IlpResult:
         raise ValueError(f"root LP unexpectedly {root.status}")
     root_bound = root.value.numerator // root.value.denominator
 
-    # incumbents: exact rounding ascent, then HiGHS on the fixed subspaces
+    # incumbents: exact rounding ascent, then HiGHS on one fixed subspace
     best_point = _heuristic_incumbent(model, root.point)
     best_value = sum(best_point)
     remaining = None if deadline is None else deadline - time.monotonic()
@@ -525,12 +554,15 @@ def systemineq_check(x, p: int) -> tuple[bool, bool, bool]:
     2. with sum x = (p-1)! - k, at least p - k - 2 coordinates attain max x;
     3. sum x <= (p-1)! - ceil(p/3) + 2.
 
-    Raises if x is infeasible for the tridiagonal model.
+    Raises ValueError unless x is a feasible point of the tridiagonal
+    integer program (feasible: a fractional coordinate is refused, not
+    truncated).
     """
     model = model_from_action(young.tridiagonal_reference(p), factorial(p - 1))
-    x = [int(v) for v in x]
+    x = list(x)
     if not feasible(model, x):
         raise ValueError("vector is not feasible for the tridiagonal system")
+    x = [int(v) for v in x]  # numpy integers too: the sums below exceed int64
     bound = Fraction(factorial(p - 1), p)
     claim1 = sum(1 for v in x if v <= bound) >= _ceil_div(p, 3)
     k = factorial(p - 1) - sum(x)

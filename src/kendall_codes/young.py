@@ -287,6 +287,38 @@ def involution_classes(shape) -> list[np.ndarray]:
     return out
 
 
+def symmetry_generators(shape) -> list[np.ndarray]:
+    """Generators of G = <w0> x prod_k S_(m_k) as tabloid images
+    (image_index): the reversal w0, and the swap of blocks b and b + 1 for
+    every b with shape[b - 1] == shape[b], whose transpositions generate
+    each S_(m_k).  Every generator is an involution."""
+    shape = check_partition(shape)
+    return [image_index(shape, reverse=True)] + [
+        image_index(shape, swaps=(b,)) for b in range(1, len(shape))
+        if shape[b - 1] == shape[b]]
+
+
+def orbit_labels(generators) -> np.ndarray:
+    """Orbit of every tabloid under the group that the involutions in
+    generators (index arrays of one length) generate, numbered 0, 1, ... in
+    order of each orbit's least tabloid.
+
+    Labels start as the tabloids' own indices, and each pass lowers every
+    label to the least across one generator.  A label only takes values
+    from its orbit and never rises, so the orbit's least tabloid keeps its
+    own; at the fixpoint every label equals its images' (each generator is
+    an involution), so the whole orbit carries that least index.
+    """
+    label = np.arange(len(generators[0]))
+    while True:
+        new = label
+        for g in generators:
+            new = np.minimum(new, new[g])
+        if np.array_equal(new, label):
+            return np.unique(label, return_inverse=True)[1]
+        label = new
+
+
 def double_coset_oracle(n: int, shape, i: int, j: int) -> int:
     """Entry (i, j) by explicit double-coset counting: |T ^ a_i^-1 H a_j|.
 

@@ -1,4 +1,5 @@
 import time
+from dataclasses import replace
 from fractions import Fraction
 from types import SimpleNamespace
 from math import factorial
@@ -76,6 +77,43 @@ def test_lp_relax_point_is_feasible():
         assert sum(a * v for a, v in zip(row, sol.point)) <= m.rhs
 
 
+# every mu of n <= 6 whose unfolded LP is cheap (the unfolded (3,1,1,1)@6,
+# 120 tabloids, takes 1.1 s on the oracle and (2,1,1,1,1)@6 over a minute),
+# and the hooks up to n = 8; n = 7 non-hooks stay out, the unfolded
+# (3,2,2)@7 alone takes 11 s
+_FOLD_SHAPES = [(sum(mu), mu) for n in range(2, 7) for mu in young.all_partitions(n)
+                if young.tabloid_count(mu) <= 90] + [(n, (n - 1, 1)) for n in (7, 8)]
+
+
+@pytest.mark.parametrize("n,shape", _FOLD_SHAPES, ids=str)
+def test_lp_relax_on_the_orbit_fold_equals_the_unfolded_lp(n, shape):
+    m = build_coset_ilp(n, shape)
+    sol = lp_relax(m)
+    sx = ExactSimplex(m.matrix.tolist(), [m.rhs] * m.dim, [1] * m.dim)
+    assert sx.solve() == OPTIMAL
+    assert sol.status == OPTIMAL and sol.value == sx.value() == sum(sol.point)
+    assert all(v >= 0 for v in sol.point)
+    for row in m.matrix.tolist():
+        assert sum(a * v for a, v in zip(row, sol.point)) <= m.rhs
+    for g in young.symmetry_generators(shape):
+        assert [sol.point[i] for i in g] == list(sol.point)
+
+
+def test_lp_relax_refuses_a_matrix_off_the_tabloid_action(monkeypatch):
+    # one more fixed point on tabloid 0 breaks P M P = M for the reversal;
+    # the fold would then restrict the LP, so no simplex may be built
+    def no_simplex(*args):
+        raise AssertionError("the simplex must not be built")
+
+    action = young.build_action_matrix(5, (3, 2))
+    entries = action.entries.tolil()
+    entries[0, 0] += 1
+    m = ilp.model_from_action(replace(action, entries=entries.tocsr()), 6)
+    monkeypatch.setattr(ilp, "ExactSimplex", no_simplex)
+    with pytest.raises(ValueError, match="not invariant"):
+        lp_relax(m)
+
+
 @pytest.mark.parametrize("n,shape,want", [(4, (3, 1), 5), (5, (4, 1), 23),
                                           (5, (3, 2), 23)])
 def test_ilp_small_values(n, shape, want):
@@ -114,9 +152,9 @@ def test_milp_heuristic_reaches_the_optimum_on_fixed_subspaces(n, shape, want,
     x = ilp._milp_heuristic(m, (m.rhs // m.matrix.diagonal()).tolist(), None)
     assert feasible(m, x)
     assert sum(x) == want
-    # one solve per class, each on the orbits of an involution, never M itself
-    assert len(sizes) == len(young.involution_classes(shape))
-    assert all(m.dim // 2 <= k < m.dim for k in sizes)
+    # one solve, on the orbits of the class with the most of them
+    fixed = [int((g == np.arange(m.dim)).sum()) for g in young.involution_classes(shape)]
+    assert sizes == [(m.dim + max(fixed)) // 2]
 
 
 def test_ilp_determinism():
@@ -156,10 +194,10 @@ def test_ilp_time_limit_returns_valid_incumbent(monkeypatch):
 
 @pytest.mark.parametrize("limit,heuristic", [(3.0, True), (1e-3, False)])
 def test_ilp_time_limit_bounds_every_phase(limit, heuristic, monkeypatch):
-    # with the heuristic on, the root (0.4 s) and the three orbit solves
-    # (about 2 s on 2 vCPUs) leave the 3 s deadline to land in the tree; a
-    # limit that passes during the exact root solve stops the tree at its
-    # root, whose bound must still hold
+    # with the heuristic on, the root (a few ms on the orbit fold) and the
+    # one HiGHS solve (about 1 s on 2 vCPUs) leave the 3 s deadline to land
+    # in the tree; a limit that passes during the exact root solve stops the
+    # tree at its root, whose bound must still hold
     if not heuristic:
         _no_milp_heuristic(monkeypatch)
     m = build_coset_ilp(6, (2, 2, 2))
@@ -173,33 +211,64 @@ def test_ilp_time_limit_bounds_every_phase(limit, heuristic, monkeypatch):
     assert r.optimum <= 116 <= r.dual_bound <= 120
 
 
-def test_no_orbit_solve_starts_after_the_deadline(monkeypatch):
-    # a clock of ilp's own that moves one second per HiGHS solve: the
-    # deadline of 1.5 s passes during the second of the three orbit solves
-    # of (2,2,2)@6, so the third never starts and the tree stops at its root
+def _clocked_milp(monkeypatch, root_seconds: float):
+    """Give ilp a clock of its own that the root LP moves by root_seconds
+    and record (clock, options) at every HiGHS call."""
     from scipy import optimize
     clock = [0.0]
     calls = []
-    real = optimize.milp
+    real_milp, real_root = optimize.milp, ilp.lp_relax
 
     def timed(c, *, options, **kwargs):
-        calls.append((clock[0], options["time_limit"]))
-        res = real(c, options=options, **kwargs)
-        clock[0] += 1.0
-        return res
+        calls.append((clock[0], dict(options)))
+        return real_milp(c, options=options, **kwargs)
+
+    def slow_root(model):
+        clock[0] += root_seconds
+        return real_root(model)
 
     monkeypatch.setattr(optimize, "milp", timed)
+    monkeypatch.setattr(ilp, "lp_relax", slow_root)
     monkeypatch.setattr(ilp, "time", SimpleNamespace(monotonic=lambda: clock[0]))
+    return calls
+
+
+def test_no_orbit_solve_starts_after_the_deadline(monkeypatch):
+    # the root LP spends the whole 1.5 s: HiGHS never starts, and the tree
+    # stops at its root with the rounding incumbent
+    calls = _clocked_milp(monkeypatch, 2.0)
     m = build_coset_ilp(6, (2, 2, 2))
-    assert len(young.involution_classes(m.shape)) == 3
     r = ilp_solve(m, time_limit=1.5)
-    assert len(calls) == 2
-    for start, limit in calls:
-        assert start < 1.5
-        assert 0 < limit <= 1.5 - start
+    assert calls == []
     assert r.status == INCUMBENT_ONLY
     assert feasible(m, r.argmax)
     assert r.optimum <= 116 <= r.dual_bound <= 120
+
+
+def test_the_orbit_solve_gets_the_time_left(monkeypatch):
+    calls = _clocked_milp(monkeypatch, 0.5)
+    m = build_coset_ilp(7, (4, 3))
+    r = ilp_solve(m, time_limit=1.5)
+    assert len(calls) == 1
+    start, options = calls[0]
+    assert start == 0.5
+    assert 0 < options["time_limit"] <= 1.5 - start
+    assert options["node_limit"] == ilp._HEURISTIC_NODE_LIMIT
+    # the clock stands still, so the tree runs to the end
+    assert (r.status, r.optimum, r.nodes_explored) == (PROVEN_OPTIMAL, 717, 121)
+
+
+def test_a_failing_orbit_solve_is_not_swallowed(monkeypatch):
+    # the folded model is built from the model's own arrays, so an
+    # exception there is a fault, not a missing incumbent
+    from scipy import optimize
+
+    def broken(*args, **kwargs):
+        raise TypeError("broken milp")
+
+    monkeypatch.setattr(optimize, "milp", broken)
+    with pytest.raises(TypeError, match="broken milp"):
+        ilp_solve(build_coset_ilp(7, (4, 3)))
 
 
 @pytest.mark.parametrize("limit", [float("nan"), 0, -1.0, float("-inf"), True, "3"],
@@ -384,6 +453,14 @@ def test_systemineq_zero_vector():
 def test_systemineq_rejects_infeasible():
     with pytest.raises(ValueError):
         systemineq_check([factorial(6)] * 7, 7)
+
+
+def test_systemineq_refuses_fractional_vectors():
+    # a fractional vector is no point of the integer system, even where
+    # truncating it would give a feasible one
+    with pytest.raises(ValueError, match="not feasible"):
+        systemineq_check([0.5] * 5, 5)
+    assert systemineq_check(np.zeros(5, dtype=np.int64), 5) == (True, True, True)
 
 
 def test_systemineq_random_audit_small():

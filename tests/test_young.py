@@ -251,6 +251,34 @@ def test_involution_classes_are_symmetries_of_the_action(shape):
         assert np.array_equal(action[g][:, g], action)
 
 
+@pytest.mark.parametrize("shape", [shape for n in range(1, 8) for shape in all_partitions(n)
+                                   if tabloid_count(shape) <= ILP_DIMENSION_LIMIT], ids=str)
+def test_orbit_labels_are_the_orbits_of_the_symmetry_group(shape):
+    generators = young.symmetry_generators(shape)
+    labels = young.orbit_labels(generators)
+    action = build_action_matrix(sum(shape), shape).entries.toarray()
+    everything = np.arange(len(action))
+    for g in generators:
+        assert np.array_equal(g[g], everything)
+        assert np.array_equal(action[g][:, g], action)
+        assert np.array_equal(labels[g], labels)
+    # orbits by closure from each least tabloid, numbered in that order
+    want = np.full(len(action), -1)
+    for t in everything:
+        if want[t] < 0:
+            orbit, todo = {int(t)}, [int(t)]
+            while todo:
+                i = todo.pop()
+                new = {int(g[i]) for g in generators} - orbit
+                orbit |= new
+                todo.extend(new)
+            want[sorted(orbit)] = want.max() + 1
+    assert np.array_equal(labels, want)
+    # w0 with the blocks relabelled generates every involution class
+    for g in young.involution_classes(shape):
+        assert np.array_equal(labels[g], labels)
+
+
 def test_action_matrix_limit_is_checked_before_enumeration(monkeypatch):
     def no_enumeration(*args):
         raise AssertionError("tabloids enumerated before the limit check")
