@@ -1,9 +1,10 @@
 """Certified upper bounds for permutation codes in the Kendall tau metric.
 
 Submodules: perms (metric, codes, exhaustive oracle), young (tabloids, coset
-action matrices, seminormal representations), exactlp (exact rational
-simplex), ilp (coset integer programs and bound reports), perfect (mod-p
-invertibility certificates and 1-perfect-code obstructions), cli.
+action matrices, seminormal representations), exactlp (one-phase simplex
+on integer data, exact), ilp (coset integer programs and bound reports),
+perfect (mod-p invertibility certificates and 1-perfect-code obstructions),
+cli.
 """
 
 from kendall_codes.perms import (

@@ -309,7 +309,8 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config, args)
         return args.func(args, cfg)
-    except (ValueError, FileNotFoundError, json.JSONDecodeError) as exc:
+    except (ValueError, FileNotFoundError, IsADirectoryError,
+            NotADirectoryError, PermissionError) as exc:
         if isinstance(exc, (perms.EnumerationLimitError, young.DimensionLimitError)):
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_RESOURCE

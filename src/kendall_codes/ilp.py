@@ -23,7 +23,9 @@ results are reproducible.
 from __future__ import annotations
 
 import numbers
+import os
 import random
+import sys
 import time
 from dataclasses import dataclass
 from fractions import Fraction
@@ -266,12 +268,21 @@ def _milp_heuristic(model: IlpModel, u0, time_limit: float | None):
             key=lambda g: int((g == everything).sum()), default=everything)
     orbit = young.orbit_labels([g])
     folded, sizes, reps = _fold(model.matrix, orbit)
-    res = milp(-sizes.astype(float),
-               constraints=LinearConstraint(folded,
-                                            ub=np.full(len(reps), float(model.rhs))),
-               integrality=np.ones(len(reps)),
-               bounds=Bounds(0.0, np.asarray(u0, dtype=float)[reps]),
-               options=options)
+    # HiGHS writes some diagnostics straight to file descriptor 1; point it
+    # at stderr for the solve, so that stdout carries only the result
+    sys.stdout.flush()
+    saved_stdout = os.dup(1)
+    os.dup2(2, 1)
+    try:
+        res = milp(-sizes.astype(float),
+                   constraints=LinearConstraint(folded,
+                                                ub=np.full(len(reps), float(model.rhs))),
+                   integrality=np.ones(len(reps)),
+                   bounds=Bounds(0.0, np.asarray(u0, dtype=float)[reps]),
+                   options=options)
+    finally:
+        os.dup2(saved_stdout, 1)
+        os.close(saved_stdout)
     if res.x is None:
         return None
     z = [int(round(v)) for v in res.x]
@@ -452,7 +463,7 @@ def check_time_limit(time_limit) -> None:
 def ilp_solve(model: IlpModel, *, time_limit: float | None = None) -> IlpResult:
     """Certified branch-and-bound for the coset integer program.
 
-    The root relaxation is solved once on the exact rational simplex, on its
+    The root relaxation is solved once on the exact integer simplex, on its
     G-orbit fold (lp_relax).  The descent solves a float LP per node for
     guidance only: its duals become integer multipliers, scaled with the
     right-hand side, whose weak-duality bound is evaluated in exact
@@ -490,8 +501,7 @@ def ilp_solve(model: IlpModel, *, time_limit: float | None = None) -> IlpResult:
     best_point = _heuristic_incumbent(model, root.point)
     best_value = sum(best_point)
     remaining = None if deadline is None else deadline - time.monotonic()
-    # from 2**53 on float64 holds neither rhs nor the coordinates exactly,
-    # and HiGHS writes diagnostics straight to file descriptor 1
+    # from 2**53 on float64 holds neither rhs nor the coordinates exactly
     if model.rhs < 1 << 53:
         cand = _milp_heuristic(model, u0, remaining)
         if cand is not None and sum(cand) > best_value:

@@ -1,8 +1,14 @@
 import csv
+import errno
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import kendall_codes
 from kendall_codes import cli, ilp, young
 
 
@@ -214,6 +220,40 @@ def test_ilp_json_at_huge_rhs_is_one_document(capfd):
     code = cli.main(["--format", "json", "ilp", "solve", "21", "20,1"])
     assert code == 0
     assert json.loads(capfd.readouterr().out)["status"] == "proven-optimal"
+
+
+def test_ilp_json_below_2_53_is_one_document():
+    # rhs = 17!·2! < 2**53, so HiGHS runs, and on this model it writes a
+    # diagnostic line straight to file descriptor 1
+    src = str(Path(kendall_codes.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "kendall_codes.cli", "--format", "json",
+                           "--time-limit", "1", "ilp", "solve", "19", "17,2"],
+                          capture_output=True, text=True, env=env, timeout=120)
+    status = json.loads(proc.stdout)["status"]
+    assert (proc.returncode, status) in [(0, "proven-optimal"), (3, "incumbent-only")]
+
+
+@pytest.mark.parametrize("argv", [
+    ("--config", "DIR", "distance", "1,2", "1,2"),
+    ("verify", "3", "DIR"),
+    ("matrix", "5", "3,2", "--out", "DIR", "--matrix-format", "json"),
+    ("ilp", "export", "5", "3,2", "--out", "DIR"),
+], ids=["config", "verify", "matrix", "ilp-export"])
+def test_a_directory_as_a_file_is_bad_input(tmp_path, capsys, argv):
+    code, _, err = run(capsys, *(str(tmp_path) if a == "DIR" else a for a in argv))
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_an_io_failure_is_not_bad_input(tmp_path, monkeypatch):
+    # a full disk is no fault of the arguments, so it keeps its own exit
+    def full_disk(model, destination):
+        raise OSError(errno.ENOSPC, "No space left on device")
+    monkeypatch.setattr(ilp, "export_lp", full_disk)
+    with pytest.raises(OSError):
+        cli.main(["ilp", "export", "5", "3,2", "--out", str(tmp_path / "m.lp")])
 
 
 def test_config_rejects_bad_prime(tmp_path, capsys):

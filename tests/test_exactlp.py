@@ -2,13 +2,16 @@ from fractions import Fraction
 
 import pytest
 
-from kendall_codes.exactlp import (
-    INFEASIBLE,
-    OPTIMAL,
-    UNBOUNDED,
-    ExactSimplex,
-    solve_lp,
-)
+from kendall_codes.exactlp import OPTIMAL, UNBOUNDED, ExactSimplex
+
+
+def solve_lp(a_rows, b, c):
+    """(status, value, point) of max c.x, a_rows x <= b, x >= 0."""
+    sx = ExactSimplex(a_rows, b, c)
+    status = sx.solve()
+    if status != OPTIMAL:
+        return status, None, None
+    return status, sx.value(), sx.point()
 
 
 def test_simple_optimum():
@@ -19,40 +22,9 @@ def test_simple_optimum():
     assert point == [Fraction(8, 5), Fraction(6, 5)]
 
 
-def test_rational_input():
-    status, value, _ = solve_lp([[Fraction(1, 2), 1]], [Fraction(3, 2)],
-                                [1, 1])
-    assert status == OPTIMAL
-    assert value == 3  # put everything on x with coefficient 1/2
-
-
 def test_unbounded():
     status, _, _ = solve_lp([[1, -1]], [1], [1, 1])
     assert status == UNBOUNDED
-
-
-def test_infeasible_via_negative_rhs():
-    # x <= -1 with x >= 0
-    status, _, _ = solve_lp([[1]], [-1], [1])
-    assert status == INFEASIBLE
-
-
-def test_phase_one_with_lower_bound_row():
-    # max x, x <= 5, x >= 2 encoded as -x <= -2
-    status, value, point = solve_lp([[1], [-1]], [5, -2], [1])
-    assert status == OPTIMAL
-    assert value == 5
-    assert point == [5]
-
-
-def test_artificial_pivoted_out_on_a_negative_element():
-    # max x0+x1+x2 over a coset matrix with x0 <= 0, x1 <= 0, x2 >= 1: phase
-    # one leaves an artificial basic whose row has only negative entries
-    rows = [[2, 1, 0], [1, 1, 1], [0, 1, 2], [1, 0, 0], [0, 1, 0], [0, 0, -1]]
-    status, value, point = solve_lp(rows, [2, 2, 2, 0, 0, -1], [1, 1, 1])
-    assert status == OPTIMAL
-    assert value == 1
-    assert point == [0, 0, 1]
 
 
 def test_degenerate_does_not_cycle():
@@ -93,3 +65,16 @@ def test_gomory_cut_is_valid_and_violated():
 def test_ragged_matrix_rejected():
     with pytest.raises(ValueError):
         ExactSimplex([[1, 2], [1]], [1, 1], [1, 1])
+
+
+@pytest.mark.parametrize("a_rows,b,c,message", [
+    ([[Fraction(1, 2), 1]], [1], [1, 1], "not an integer"),
+    ([[1, 1]], [1.0], [1, 1], "not an integer"),
+    ([[1, 1]], [1], [1.0, 1], "not an integer"),
+    ([[1, 1]], [-1], [1, 1], "nonnegative"),
+], ids=["fraction-row", "float-b", "float-c", "negative-b"])
+def test_non_integer_or_negative_data_is_refused(a_rows, b, c, message):
+    # integer pivoting on a Fraction, or a start from the infeasible slack
+    # basis, would return a wrong optimum without an error
+    with pytest.raises(ValueError, match=message):
+        ExactSimplex(a_rows, b, c)

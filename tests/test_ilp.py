@@ -354,26 +354,29 @@ def test_largest_int64_model_still_solves():
     assert r.nodes_explored == 0  # the incumbent meets the root bound
 
 
-def _box_simplex(a_rows: list[list[int]], rhs: int, l, u, u_root) -> ExactSimplex:
-    """Exact simplex for max 1.x, a_rows x <= rhs, l <= x <= u, x >= 0.
+def _box_lp_value(a_rows: list[list[int]], rhs: int, l, u) -> Fraction | None:
+    """Exact optimum of max 1.x, a_rows x <= rhs, l <= x <= u, or None when
+    the box holds no LP point.
 
-    Bound rows are added only where the box is tighter than [0, u_root].
+    Solved on z = x - l >= 0: a_rows z <= rhs - a_rows.l and z <= u - l.
+    The rows are nonnegative, so a negative entry of rhs - a_rows.l leaves
+    no LP point, and otherwise the right-hand side is nonnegative, as the
+    one-phase simplex needs.
     """
     dim = len(a_rows)
+    l = [int(v) for v in l]
+    b = [rhs - sum(a * v for a, v in zip(row, l)) for row in a_rows]
+    if min(b) < 0:
+        return None
     rows = list(a_rows)
-    b = [rhs] * dim
     for j in range(dim):
-        if u[j] < u_root[j]:
-            row = [0] * dim
-            row[j] = 1
-            rows.append(row)
-            b.append(int(u[j]))
-        if l[j] > 0:
-            row = [0] * dim
-            row[j] = -1
-            rows.append(row)
-            b.append(-int(l[j]))
-    return ExactSimplex(rows, b, [1] * dim)
+        row = [0] * dim
+        row[j] = 1
+        rows.append(row)
+        b.append(int(u[j]) - l[j])
+    sx = ExactSimplex(rows, b, [1] * dim)
+    assert sx.solve() == OPTIMAL  # the box is bounded
+    return sx.value() + sum(l)
 
 
 # small models, plus the tridiagonal (16,1)@17 and (18,1)@19 whose rhs 16!
@@ -404,11 +407,9 @@ def test_certified_bound_never_below_the_box_lp_optimum(case):
     scale = ilp._dual_scale(model.rhs)
     bound, _coef = ilp._certified_bound(y, ilp._columns(model.matrix),
                                         model.rhs, scale, l, u)
-    # a root box above u makes every upper bound a row: the tree itself
-    # leaves x_j <= u0_j to row j, a looser relaxation than the box LP
-    sx = _box_simplex(model.matrix.tolist(), model.rhs, l, u, u + 1)
-    if sx.solve() == OPTIMAL:  # otherwise the box holds no LP point at all
-        assert bound >= scale * sx.value()
+    value = _box_lp_value(model.matrix.tolist(), model.rhs, l, u)
+    if value is not None:  # otherwise the box holds no LP point at all
+        assert bound >= scale * value
 
 
 def test_exhaustive_oracle_below_ilp_bound():
