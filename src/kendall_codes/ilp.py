@@ -7,17 +7,12 @@ a feasible point (coordinate i = codewords in coset i), so the optimum is a
 certified upper bound on the code size.
 
 Everything in the certified path is arbitrary-precision integer / rational
-arithmetic.  The root relaxation runs once on the exact simplex of
-:mod:`kendall_codes.exactlp`, folded to one variable per orbit of the
-shape's symmetry group <w0> x prod S_(m_k), which leaves the LP invariant.
-One HiGHS solve on the fixed subspace of one involution of that group gives
-the incumbent, outside the certified path.  The branch-and-bound descent
-uses a fast float LP (:mod:`kendall_codes.boxlp`) only as a guide,
-converting its duals into integer multipliers (scaled with the right-hand
-side) whose weak-duality bound is evaluated exactly, so no pruning decision
-ever rests on floating point.  One tree serves every right-hand side that
-fits its int64 bounds.  All node and branching rules are deterministic, so
-results are reproducible.
+arithmetic (ilp_solve): the right-hand side is reduced first (_shift), an
+exact root LP on the orbit fold of the shape's symmetry group and one HiGHS
+solve on a fixed subspace seed the search, and a deterministic depth-first
+tree takes float box-LP duals (:mod:`kendall_codes.boxlp`) only as a guide:
+their weak-duality bound is evaluated exactly, so no pruning decision ever
+rests on floating point.
 """
 
 from __future__ import annotations
@@ -27,7 +22,7 @@ import os
 import random
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import factorial
 
@@ -173,36 +168,23 @@ def lp_relax(model: IlpModel) -> LpSolution:
 
 def _heuristic_incumbent(model: IlpModel, lp_point) -> list[int]:
     """Floor the LP point (feasible, since M >= 0), then raise coordinates
-    as far as feasibility allows, lowest index first.
+    as far as feasibility allows, lowest index first (exact in int64).
 
     One pass reaches the fixpoint: after x_j is raised some row through j
     has slack below its coefficient, and slacks only shrink afterwards.
     """
-    rows = model.matrix.tolist()
-    x = [v.numerator // v.denominator for v in lp_point]
-    slack = [model.rhs - sum(a * v for a, v in zip(row, x)) for row in rows]
-    for j in range(model.dim):
-        inc = min(s // row[j] for s, row in zip(slack, rows) if row[j] > 0)
-        if inc > 0:
-            x[j] += inc
-            for i, row in enumerate(rows):
-                slack[i] -= row[j] * inc
-    return x
+    x = np.array([v.numerator // v.denominator for v in lp_point], dtype=np.int64)
+    slack = model.rhs - model.matrix @ x
+    for j, col in enumerate(model.matrix.T):
+        inc = (slack // np.maximum(col, 1))[col > 0].min()
+        x[j] += inc
+        slack -= col * inc
+    return x.tolist()
 
 
-def _dual_scale(rhs: int) -> int:
-    """Scale S turning float duals y into integer multipliers rint(S y).
-
-    A power of two above 2**10 * rhs (and at least 2**36), so rounding the
-    multipliers moves Y'b by less than dim / 2**11 objective units at any
-    right-hand side.
-    """
-    return 1 << max(36, rhs.bit_length() + 10)
-
-
-def _columns(mat: np.ndarray) -> list[list[tuple[int, int]]]:
-    """The nonzeros (i, mat_ij) of each column j, as Python ints."""
-    return [[(i, a) for i, a in enumerate(col) if a] for col in mat.T.tolist()]
+#: duals y, clipped to [0, _DUAL_CAP], become Y = rint(_DUAL_SCALE y); rounding
+#: moves Y'b by at most dim * rhs / 2**37, below dim / 2**13 at rhs < 2**24
+_DUAL_SCALE, _DUAL_CAP = 1 << 36, 100
 
 
 def _propagate(mat: np.ndarray, b: np.ndarray, l: np.ndarray, u: np.ndarray):
@@ -224,19 +206,17 @@ def _propagate(mat: np.ndarray, b: np.ndarray, l: np.ndarray, u: np.ndarray):
     return l, newu
 
 
-def _certified_bound(y, cols, rhs: int, scale: int, l, u):
+def _certified_bound(y, mat: np.ndarray, rhs: int, l, u):
     """Exact scaled upper bound from (possibly sloppy) float duals.
 
     For any integer Y >= 0, S.1'x <= Y'b + sum_j max over [l_j, u_j] of
-    (S - Y'M)_j x_j with S the scale and cols the columns of M.  Everything
-    after the rounding of y runs on Python integers, so the bound is valid
-    no matter how bad y is or how large S gets.  Returns (scaled bound,
-    coefficient list).
+    (S - Y'M)_j x_j with S = _DUAL_SCALE.  Y'M is exact in int64 on every
+    model the tree accepts (_solve_tree), the rest runs on Python integers,
+    so the bound holds however bad y is.  Returns (scaled bound, coef list).
     """
-    Y = [int(v) for v in
-         np.rint(np.clip(y, 0.0, 100.0) * float(scale)).tolist()]
-    coef = [scale - sum(a * Y[i] for i, a in col) for col in cols]
-    bound = sum(Y) * rhs
+    Y = np.rint(np.clip(y, 0.0, _DUAL_CAP) * _DUAL_SCALE).astype(np.int64)
+    coef = (_DUAL_SCALE - Y @ mat).tolist()
+    bound = int(Y.sum()) * rhs
     bound += sum(c * h if c > 0 else c * lo_j
                  for c, lo_j, h in zip(coef, l.tolist(), u.tolist()))
     return bound, coef
@@ -314,9 +294,7 @@ def _bb_float(model: IlpModel, u0, root_bound: int, best_value: int,
     dim = model.dim
     b = np.full(dim, model.rhs, dtype=np.int64)
     box = BoxSimplex(mat, b, np.ones(dim))
-    cols = _columns(mat)
-    scale = _dual_scale(model.rhs)
-    bounds_T = (best_value + 1) * scale
+    bounds_T = (best_value + 1) * _DUAL_SCALE
     nodes = 0
     # pseudocost accumulators: per-unit LP objective drop, down and up
     pcd = np.zeros(dim)
@@ -330,14 +308,14 @@ def _bb_float(model: IlpModel, u0, root_bound: int, best_value: int,
     # 1/n, optimal for the root LP of a coset model (rows sum to n), though
     # any y >= 0 would be sound
     stack = [(np.zeros(dim, dtype=np.int64), np.asarray(u0, dtype=np.int64),
-              None, np.full(dim, 1.0 / model.n), root_bound * scale, None)]
+              None, np.full(dim, 1.0 / model.n), root_bound * _DUAL_SCALE, None)]
     while stack:
         l, u, warm, y, parent_bound, pinfo = stack.pop()
         if parent_bound < bounds_T:
             continue
         if deadline is not None and time.monotonic() > deadline:
             top = max([parent_bound] + [entry[4] for entry in stack])
-            return best_value, best_point, nodes, Fraction(top, scale)
+            return best_value, best_point, nodes, Fraction(top, _DUAL_SCALE)
         prop = _propagate(mat, b, l, u)
         if prop is None:
             continue
@@ -352,8 +330,8 @@ def _bb_float(model: IlpModel, u0, root_bound: int, best_value: int,
                           bounds=np.column_stack([l, u]), method="highs")
             if res.status == 0:
                 x, y = res.x, np.maximum(-res.ineqlin.marginals, 0.0)
-        bound, coef = _certified_bound(y, cols, model.rhs, scale, l, u)
-        obj = bound / scale if x is None else float(x.sum())
+        bound, coef = _certified_bound(y, mat, model.rhs, l, u)
+        obj = bound / _DUAL_SCALE if x is None else float(x.sum())
         if pinfo is not None:
             pj, went_up, pobj, f = pinfo
             gain = max(pobj - obj, 0.0)
@@ -394,7 +372,7 @@ def _bb_float(model: IlpModel, u0, root_bound: int, best_value: int,
                 if sum(point) > best_value:
                     best_value = sum(point)
                     best_point = point
-                    bounds_T = (best_value + 1) * scale
+                    bounds_T = (best_value + 1) * _DUAL_SCALE
                 if bound < bounds_T:
                     continue  # the certified bound proves cand best here
             # no proven integral optimum: branch on the raw LP point's
@@ -460,33 +438,69 @@ def check_time_limit(time_limit) -> None:
         raise ValueError(f"time limit must be a positive number, got {time_limit!r}")
 
 
+def _shift(model: IlpModel) -> int | None:
+    """A t >= 0 with OPT = dim*t + OPT', OPT' the optimum at rhs - n*t
+    (x' -> x' + t*1 maps its points into the model), or None.
+
+    Needs 0 <= M <= n with rows and columns summing to n, checked exactly.
+    With q, r = divmod(rhs, n), q*1 is feasible.  If r = 0 the duals 1/n
+    bound the LP by dim*q, so t = q.  Else an optimum x has z = x - q*1 with
+    Mz <= r*1 and sum(Mz) = n*sum(z) >= 0, so |Mz|_inf <= (dim-1)*r.  If the
+    margin min_i(2 M_ii - n) is positive, M is strictly diagonally dominant
+    and Varah's |M^-1|_inf <= 1/margin (Linear Algebra Appl. 11, 1975) gives
+    x >= (q - K)*1, K = ceil((dim-1)*r / margin): t = q - K when K <= q.
+    """
+    mat, n = model.matrix, model.n
+    q, r = divmod(model.rhs, n)
+    if (q < 0 or ((mat < 0) | (mat > n)).any()
+            or (mat.sum(axis=0) != n).any() or (mat.sum(axis=1) != n).any()):
+        return None
+    if r == 0:
+        return q
+    margin = int((2 * mat.diagonal() - n).min())
+    k = _ceil_div((model.dim - 1) * r, margin) if margin > 0 else q + 1
+    return q - k if k <= q else None
+
+
 def ilp_solve(model: IlpModel, *, time_limit: float | None = None) -> IlpResult:
     """Certified branch-and-bound for the coset integer program.
 
-    The root relaxation is solved once on the exact integer simplex, on its
-    G-orbit fold (lp_relax).  The descent solves a float LP per node for
-    guidance only: its duals become integer multipliers, scaled with the
-    right-hand side, whose weak-duality bound is evaluated in exact
-    arithmetic; all pruning, bound fixing, and incumbent updates are exact,
-    so the result is a proof at any rhs that fits the tree's int64 bounds
-    (larger models raise ``young.DimensionLimitError`` before any solve).
-    Deterministic: depth-first with fixed child order, branching by
-    reliability pseudocosts (lowest index on ties).  The incumbent heuristic (_milp_heuristic: one
-    small HiGHS model per shape, on the points fixed by the involution of
-    the shape's symmetry group with the most orbits) runs only while rhs <
-    2**53, where float64 is exact.  ``time_limit`` (seconds, a number above
-    0, else ValueError) counts from the call: the HiGHS solve gets the time
-    left after the root and does not start when none is left, and the tree
-    stops at the deadline, returning status ``incumbent-only`` and a valid
-    dual bound instead of failing.  An error inside the heuristic
-    propagates.
+    The model is first reduced (_shift), so every model from
+    build_coset_ilp reaches the tree with rhs below 2**24, and none at all
+    when n divides rhs.  The root LP is solved once, exactly, on its G-orbit
+    fold (lp_relax); one small HiGHS model (_milp_heuristic) gives the
+    incumbent; per node a float box LP guides the descent, and its duals
+    become integer multipliers of one fixed scale whose weak-duality bound
+    is evaluated exactly, as is every pruning, bound fixing and incumbent
+    update.  So the result is a proof at any rhs that fits the tree's int64
+    bounds (larger models raise ``young.DimensionLimitError`` before any
+    solve).  Depth-first, branching by reliability pseudocosts (lowest index
+    on ties); the box LP never meets an rhs near 10**12, whose float noise
+    makes node counts depend on the BLAS thread count.  ``time_limit`` (a
+    number of seconds above 0, else ValueError) counts from the call: HiGHS
+    gets the time left after the root and does not start when none is left,
+    and the tree stops at the deadline with status ``incumbent-only`` and a
+    valid dual bound.  An error inside the heuristic propagates.
     """
     check_time_limit(time_limit)
     deadline = None if time_limit is None else time.monotonic() + time_limit
+    t = _shift(model)
+    if t is None:
+        return _solve_tree(model, deadline)
+    shifted = replace(model, rhs=model.rhs - model.n * t)
+    res = (_solve_tree(shifted, deadline) if shifted.rhs else  # x = 0 only
+           IlpResult(0, (0,) * model.dim, 0, PROVEN_OPTIMAL, Fraction(0)))
+    return IlpResult(res.optimum + model.dim * t, tuple(v + t for v in res.argmax),
+                     res.nodes_explored, res.status, res.dual_bound + model.dim * t)
+
+
+def _solve_tree(model: IlpModel, deadline: float | None) -> IlpResult:
+    """Root, incumbents and tree on the model as given (ilp_solve)."""
     u0 = [model.rhs // d for d in model.matrix.diagonal().tolist()]
-    # the tree's largest int64 intermediate is a row activity at the root
-    # box plus rhs (in _propagate); refuse the model if it would overflow
-    peak = model.rhs + max(model.matrix @ np.array(u0, dtype=object))
+    # refuse the model if a row activity at the root box plus rhs
+    # (_propagate, _heuristic_incumbent) or Y'M (_certified_bound) passes int64
+    peak = max(model.rhs + max(model.matrix @ np.array(u0, dtype=object)),
+               (_DUAL_CAP + 1) * _DUAL_SCALE * max(model.matrix.sum(axis=0, dtype=object)))
     if peak >= 1 << 63:
         raise young.DimensionLimitError(
             f"the coset ILP of {model.shape} at n={model.n} needs integers "
@@ -498,27 +512,16 @@ def ilp_solve(model: IlpModel, *, time_limit: float | None = None) -> IlpResult:
     root_bound = root.value.numerator // root.value.denominator
 
     # incumbents: exact rounding ascent, then HiGHS on one fixed subspace
-    best_point = _heuristic_incumbent(model, root.point)
-    best_value = sum(best_point)
-    remaining = None if deadline is None else deadline - time.monotonic()
-    # from 2**53 on float64 holds neither rhs nor the coordinates exactly
-    if model.rhs < 1 << 53:
-        cand = _milp_heuristic(model, u0, remaining)
-        if cand is not None and sum(cand) > best_value:
-            best_value = sum(cand)
-            best_point = cand
+    rounded = _heuristic_incumbent(model, root.point)
+    cand = _milp_heuristic(model, u0, None if deadline is None else deadline - time.monotonic())
+    best_point = max([rounded, cand or []], key=sum)  # rounded on a tie
 
     best_value, best_point, nodes, open_bound = _bb_float(
-        model, u0, root_bound, best_value, best_point, deadline)
-
-    if open_bound is None:
-        return IlpResult(optimum=best_value, argmax=tuple(best_point),
-                         nodes_explored=nodes, status=PROVEN_OPTIMAL,
-                         dual_bound=Fraction(best_value))
-    dual = min(root.value, max(open_bound, Fraction(best_value)))
-    return IlpResult(optimum=best_value, argmax=tuple(best_point),
-                     nodes_explored=nodes, status=INCUMBENT_ONLY,
-                     dual_bound=dual)
+        model, u0, root_bound, sum(best_point), best_point, deadline)
+    status, dual = PROVEN_OPTIMAL, Fraction(best_value)
+    if open_bound is not None:
+        status, dual = INCUMBENT_ONLY, min(root.value, max(open_bound, dual))
+    return IlpResult(best_value, tuple(best_point), nodes, status, dual)
 
 
 # ---------------------------------------------------------------------------
@@ -721,17 +724,12 @@ def bound_report(n: int, shapes=None, *,
                                   value=analytic_prime_bound(n),
                                   provenance="(p-1)! - ceil(p/3) + 2"))
     for shape in shapes or []:
-        model = build_coset_ilp(n, shape)
-        result = ilp_solve(model, time_limit=time_limit)
-        if result.status == PROVEN_OPTIMAL:
-            entries.append(BoundEntry(method="ilp", shape=tuple(shape),
-                                      value=result.optimum,
-                                      provenance="coset integer program, proven optimal"))
-        else:
-            dual = result.dual_bound
-            entries.append(BoundEntry(method="ilp", shape=tuple(shape),
-                                      value=dual.numerator // dual.denominator,
-                                      provenance="coset integer program, dual bound (time limit)"))
+        result = ilp_solve(build_coset_ilp(n, shape), time_limit=time_limit)
+        dual = result.dual_bound  # the optimum once proven
+        how = "proven optimal" if result.status == PROVEN_OPTIMAL else "dual bound (time limit)"
+        entries.append(BoundEntry(method="ilp", shape=tuple(shape),
+                                  value=dual.numerator // dual.denominator,
+                                  provenance=f"coset integer program, {how}"))
     for value, source in literature_upper_bounds(n):
         entries.append(BoundEntry(method="literature", value=value, provenance=source))
     return BoundReport(n=n, d=3, entries=tuple(entries))

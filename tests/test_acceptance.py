@@ -69,6 +69,8 @@ PRIME_ILP_BUDGET = 120.0  # seconds per coset ILP at p in {11, 13, 17, 19}
     (19, (18, 1), factorial(18) - 6),
     (11, (9, 2), factorial(10) - 10),
     (13, (11, 2), factorial(12) - 12),
+    # (p-2,2) again: 16! - 16 is below the paper's 16! - 5 from (16,1)
+    (17, (15, 2), factorial(16) - 16),
 ])
 def test_criterion_02_prime_ilp_values(n, shape, want):
     model = ilp.build_coset_ilp(n, shape)
@@ -79,6 +81,26 @@ def test_criterion_02_prime_ilp_values(n, shape, want):
     assert result.optimum == want
     assert ilp.feasible(model, result.argmax)
     print(f"PASS criterion 2 (primes): {shape}@{n} -> {want}, proven in "
+          f"{result.nodes_explored} nodes ({took:.1f}s)")
+
+
+@extended
+@needs_extended
+@pytest.mark.parametrize("n,shape,want", [
+    (19, (17, 2), factorial(18) - 18),
+    (23, (21, 2), factorial(22) - 22),
+])
+def test_criterion_02_extended_p_minus_2_2_values(n, shape, want):
+    # (p-1)! - (p-1) from (p-2,2), as at p = 11, 13 and 17: an observation,
+    # not a theorem; below analytic_prime_bound at both primes
+    model = ilp.build_coset_ilp(n, shape)
+    t0 = time.monotonic()
+    result = ilp.ilp_solve(model)
+    took = time.monotonic() - t0
+    assert result.status == ilp.PROVEN_OPTIMAL
+    assert result.optimum == want < ilp.analytic_prime_bound(n)
+    assert ilp.feasible(model, result.argmax)
+    print(f"PASS criterion 2 (extended): {shape}@{n} -> {want}, proven in "
           f"{result.nodes_explored} nodes ({took:.1f}s)")
 
 

@@ -1,6 +1,7 @@
 import csv
 import errno
 import json
+import math
 import os
 import subprocess
 import sys
@@ -189,10 +190,11 @@ def test_removed_knobs_are_rejected(tmp_path, capsys):
         assert exc.value.code == 2
 
 
-def test_ilp_beyond_int64_exits_4(capsys):
-    code, _, err = run(capsys, "ilp", "solve", "22", "21,1")
-    assert code == 4
-    assert "int64" in err
+def test_ilp_solve_at_rhs_divisible_by_n_exits_0(capsys):
+    # 22 divides |S_(21,1)| = 21!, so 21!/22 . 1 is optimal with no solve
+    code, out, _ = run(capsys, "ilp", "solve", "22", "21,1")
+    assert code == 0
+    assert out.startswith(f"optimum {math.factorial(21)} (proven-optimal), 0 nodes")
 
 
 def test_ilp_above_dimension_limit_exits_4(tmp_path, capsys, monkeypatch):
@@ -215,16 +217,36 @@ def test_ilp_shape_of_another_n_is_bad_input(capsys):
     assert "not a partition of 5" in err
 
 
+def test_ilp_json_is_one_document_when_highs_writes_to_fd_1(capfd, monkeypatch):
+    # HiGHS writes some diagnostics straight to file descriptor 1; a stub
+    # that does the same must land on stderr, not inside the JSON
+    from scipy import optimize
+    real = optimize.milp
+
+    def noisy(*args, **kwargs):
+        os.write(1, b"tmpSolver.run();\n")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(optimize, "milp", noisy)
+    code = cli.main(["--format", "json", "ilp", "solve", "7", "4,3"])
+    out, err = capfd.readouterr()
+    assert code == 0
+    assert json.loads(out)["status"] == "proven-optimal"
+    assert "tmpSolver.run();" in err
+
+
 def test_ilp_json_at_huge_rhs_is_one_document(capfd):
-    # HiGHS writes diagnostics straight to file descriptor 1 at rhs 20!
+    # rhs = 20!, which 21 divides: the answer comes without a solve, and the
+    # JSON report of a factorial-sized optimum is still one document
     code = cli.main(["--format", "json", "ilp", "solve", "21", "20,1"])
     assert code == 0
-    assert json.loads(capfd.readouterr().out)["status"] == "proven-optimal"
+    doc = json.loads(capfd.readouterr().out)
+    assert doc["status"] == "proven-optimal"
 
 
 def test_ilp_json_below_2_53_is_one_document():
-    # rhs = 17!·2! < 2**53, so HiGHS runs, and on this model it writes a
-    # diagnostic line straight to file descriptor 1
+    # rhs = 17!·2! is shifted to a small rhs' on which HiGHS runs; the report
+    # of the lifted result, from a fresh process, is one JSON document
     src = str(Path(kendall_codes.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))

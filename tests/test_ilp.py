@@ -325,13 +325,21 @@ def test_propagate_keeps_the_root_box_when_no_row_is_tight():
 
 
 def test_models_beyond_int64_are_refused_before_solving(monkeypatch):
+    # hand-built models off the shift (r = 1, and (2,2) is not diagonally
+    # dominant): one whose row activities pass 2**63, and one whose column
+    # sums 4 * 10**6 let the multipliers Y'M pass it
     def no_root(model):
         raise AssertionError("the root LP must not run")
 
-    m = build_coset_ilp(22, (21, 1))
+    action = young.build_action_matrix(4, (2, 2))
+    huge_rhs = ilp.model_from_action(action, 2**62 + 1)
+    huge_columns = ilp.model_from_action(
+        replace(action, entries=action.entries * 10**6), 10**7 + 1)
     monkeypatch.setattr(ilp, "lp_relax", no_root)
-    with pytest.raises(young.DimensionLimitError, match="int64"):
-        ilp_solve(m)
+    for m in (huge_rhs, huge_columns):
+        assert ilp._shift(m) is None
+        with pytest.raises(young.DimensionLimitError, match="int64"):
+            ilp_solve(m)
 
 
 def test_ilp_dimension_limit_is_checked_before_allocation(monkeypatch):
@@ -345,13 +353,75 @@ def test_ilp_dimension_limit_is_checked_before_allocation(monkeypatch):
         build_coset_ilp(12, (4, 4, 4))
 
 
-def test_largest_int64_model_still_solves():
-    m = build_coset_ilp(21, (20, 1))
+@pytest.mark.parametrize("n,shape,t", [
+    (6, (5, 1), 20),  # r = 0: t = q = 120 / 6
+    (4, (2, 2), 1),  # r = 0, although (2,2) is not diagonally dominant
+    (7, (6, 1), 90),  # q = 102, r = 6, margin 3: K = ceil(6 * 6 / 3) = 12
+    (5, (4, 1), None),  # q = 4, r = 4, margin 1: K = 16 > q
+    (5, (2, 2, 1), None),  # r = 4 and margin -3
+])
+def test_shift_is_taken_only_where_it_is_proven(n, shape, t):
+    assert ilp._shift(build_coset_ilp(n, shape)) == t
+
+
+@pytest.mark.parametrize("changes", [
+    {(0, 0): 1},  # row and column 0 sum to n + 1
+    {(0, 0): 1, (0, 2): -1, (2, 0): -1, (2, 2): 1},  # sums kept, M_02 = -1
+], ids=["sums", "negative"])
+def test_shift_needs_a_nonnegative_matrix_with_rows_and_columns_summing_to_n(changes):
+    # (6,1)@7 itself shifts by 90; Varah's margin 2 M_ii - n assumes M >= 0
+    action = young.build_action_matrix(7, (6, 1))
+    entries = action.entries.tolil()
+    for (i, j), d in changes.items():
+        entries[i, j] += d
+    m = ilp.model_from_action(replace(action, entries=entries.tocsr()), factorial(6))
+    assert ilp._shift(m) is None
+
+
+@pytest.mark.parametrize("n,shape", [(6, (5, 1)), (4, (2, 2)), (21, (20, 1))])
+def test_rhs_divisible_by_n_is_proven_without_root_or_heuristic(n, shape, monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("no LP may be solved when n divides rhs")
+
+    from scipy import optimize
+    monkeypatch.setattr(ilp, "lp_relax", forbidden)
+    monkeypatch.setattr(optimize, "milp", forbidden)
+    m = build_coset_ilp(n, shape)
     r = ilp_solve(m)
-    assert r.status == PROVEN_OPTIMAL
-    assert r.optimum == factorial(20)  # 21 divides 20!, so x = 20!/21 . 1
+    # x = (rhs/n) . 1 meets the LP bound dim * rhs / n = (n-1)!
+    assert (r.status, r.optimum, r.nodes_explored) == (PROVEN_OPTIMAL, factorial(n - 1), 0)
+    assert r.dual_bound == r.optimum
+    assert r.argmax == (m.rhs // n,) * m.dim
     assert feasible(m, r.argmax)
-    assert r.nodes_explored == 0  # the incumbent meets the root bound
+
+
+@pytest.mark.parametrize("n,shape,proves", [
+    (7, (6, 1), True), (11, (10, 1), True), (17, (16, 1), True),
+    (11, (9, 2), True), (19, (18, 1), False)])
+def test_the_shifted_solve_agrees_with_the_plain_tree(n, shape, proves):
+    # _solve_tree runs root, heuristic and tree on the unshifted model; at
+    # rhs = 18! the tree's fixed dual scale 2**36 leaves its bounds too
+    # loose to prove within the limit, so (18,1)@19 checks the shifted
+    # optimum against the plain incumbent and dual bound instead
+    m = build_coset_ilp(n, shape)
+    assert ilp._shift(m) > 0
+    shifted = ilp_solve(m)
+    assert shifted.status == PROVEN_OPTIMAL
+    assert feasible(m, shifted.argmax)
+    plain = ilp._solve_tree(m, time.monotonic() + (60.0 if proves else 3.0))
+    assert (plain.status == PROVEN_OPTIMAL) == proves
+    assert plain.optimum <= shifted.optimum <= plain.dual_bound
+    if proves:
+        assert plain.optimum == shifted.optimum
+
+
+def test_a_shifted_solve_stopped_by_its_deadline_lifts_both_bounds():
+    m = build_coset_ilp(11, (9, 2))
+    r = ilp_solve(m, time_limit=0.2)
+    assert feasible(m, r.argmax)
+    assert sum(r.argmax) == r.optimum
+    # 10! - 10 is the proven optimum and 10! the LP bound
+    assert r.optimum <= factorial(10) - 10 <= r.dual_bound <= factorial(10)
 
 
 def _box_lp_value(a_rows: list[list[int]], rhs: int, l, u) -> Fraction | None:
@@ -379,8 +449,9 @@ def _box_lp_value(a_rows: list[list[int]], rhs: int, l, u) -> Fraction | None:
     return sx.value() + sum(l)
 
 
-# small models, plus the tridiagonal (16,1)@17 and (18,1)@19 whose rhs 16!
-# and 18! need a dual scale far above 2**36
+# small models, plus the tridiagonal (16,1)@17 and (18,1)@19, whose rhs 16!
+# and 18! ilp_solve shifts away before the tree: there the fixed dual scale
+# 2**36 gives loose bounds, which must still be sound
 _BOUND_MODELS = [build_coset_ilp(n, shape) for n, shape in [
     (3, (2, 1)), (4, (3, 1)), (4, (2, 2)), (4, (2, 1, 1)), (5, (4, 1)),
     (5, (3, 2)), (5, (3, 1, 1)), (5, (2, 2, 1)), (17, (16, 1)), (19, (18, 1))]]
@@ -404,12 +475,10 @@ def _boxes_and_duals(draw):
 @given(_boxes_and_duals())
 def test_certified_bound_never_below_the_box_lp_optimum(case):
     model, l, u, y = case
-    scale = ilp._dual_scale(model.rhs)
-    bound, _coef = ilp._certified_bound(y, ilp._columns(model.matrix),
-                                        model.rhs, scale, l, u)
+    bound, _coef = ilp._certified_bound(y, model.matrix, model.rhs, l, u)
     value = _box_lp_value(model.matrix.tolist(), model.rhs, l, u)
     if value is not None:  # otherwise the box holds no LP point at all
-        assert bound >= scale * value
+        assert bound >= ilp._DUAL_SCALE * value
 
 
 def test_exhaustive_oracle_below_ilp_bound():
