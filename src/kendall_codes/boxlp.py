@@ -8,8 +8,17 @@ sloppy solve here can only weaken pruning, never correctness.
 
 The solver is warm-startable: after variable bound changes a parent-optimal
 basis stays dual feasible, so a handful of dual simplex pivots restore
-optimality at a child node.  Both phases pick by largest violation, with
-no anti-cycling rule: on numerical trouble, or after 8*dim iterations, it
+optimality at a child node.  The warm start carries B^-1 with the basis,
+so a warm solve factors nothing (a cold one starts from the slack basis,
+where B^-1 = I), and both phases update the basic values xB and the
+reduced costs d by each pivot's rank-one formulas (the bounded dual
+simplex of Koberstein, PhD thesis, Paderborn, 2005).  A phase that pivoted
+recomputes them and the duals y from B^-1 once when it ends, and resumes
+if the fresh values break its tolerance.  The dual phase picks its leaving
+row by dual steepest edge (Forrest & Goldfarb, Math. Program. 57, 1992),
+whose weights, the squared norms of the rows of B^-1, are read off the
+explicit B^-1; the primal phase picks by largest violation.  There is no
+anti-cycling rule: on numerical trouble, or after 8*dim iterations, it
 returns None and the caller bounds the node with its parent's duals.
 """
 
@@ -18,6 +27,10 @@ from __future__ import annotations
 import numpy as np
 
 TOL = 1e-9
+#: primal and dual feasibility tolerance of both phases
+FEAS_TOL = 1e-7
+#: smallest pivot element accepted
+PIVOT_TOL = 1e-11
 
 
 class BoxSimplex:
@@ -29,116 +42,164 @@ class BoxSimplex:
         self.c = np.concatenate([np.asarray(c, dtype=float), np.zeros(m)])
         self.b = np.asarray(b, dtype=float)
         self.N = n + m
+        # the slacks' bounds, [0, inf)
+        self._L = np.zeros(n + m)
+        self._U = np.full(n + m, np.inf)
         # per solve, both phases together: every cold solve of a coset model
         # with n <= 30 and dim <= 1000 needs at most 4.87*dim pivots, and a
-        # cap stops the cycling that largest-violation pricing can fall into
+        # cap stops the cycling that pricing without an anti-cycling rule
+        # can fall into
         self.max_iter = 8 * n
 
     def solve(self, l, u, warm=None):
-        """Returns (x, y, value, (basis, at_upper), iters) or None on failure."""
+        """Returns (x, y, value, (basis, at_upper, Binv), iters) or None on
+        failure.
+
+        warm is the fourth entry of an earlier solve's result; its Binv may
+        be None, and is then refactored from the basis.  The arrays of warm
+        are never written, so several solves may share one warm start.
+        """
         m, n, N = self.m, self.n, self.N
-        L = np.concatenate([np.asarray(l, float), np.zeros(m)])
-        U = np.concatenate([np.asarray(u, float), np.full(m, np.inf)])
+        G, c = self.G, self.c
+        L = self._L.copy()
+        L[:n] = l
+        U = self._U.copy()
+        U[:n] = u
+        # sign is -1 at a column held at its upper bound, else +1
         if warm is None:
             basis = np.arange(n, n + m)
-            at_upper = np.zeros(N, dtype=bool)
+            sign = np.ones(N)
+            Binv, owned = np.eye(m), True
         else:
             basis = warm[0].copy()
-            at_upper = warm[1].copy()
-        try:
-            Binv = np.linalg.inv(self.G[:, basis])
-        except np.linalg.LinAlgError:
-            return None
+            sign = np.where(warm[1], -1.0, 1.0)
+            Binv, owned = warm[2], False
+            if Binv is None:
+                try:
+                    Binv, owned = np.linalg.inv(G[:, basis]), True
+                except np.linalg.LinAlgError:
+                    return None
         is_basic = np.zeros(N, dtype=bool)
         is_basic[basis] = True
+        free = ~is_basic
+        LB, UB = L[basis], U[basis]
 
         def state():
-            xN = np.where(at_upper, U, L)
+            xN = np.where(sign < 0, U, L)
             xN[is_basic] = 0.0
-            xB = Binv @ (self.b - self.G @ xN)
-            y = self.c[basis] @ Binv
-            d = self.c - y @ self.G
-            return xB, y, d
+            xB = Binv @ (self.b - G @ xN)
+            y = c[basis] @ Binv
+            return xB, y, c - y @ G
 
-        def pivot(r, q):
-            nonlocal Binv
-            w = Binv @ self.G[:, q]
-            if abs(w[r]) < 1e-11:
-                return False
+        def pivot(r, q, w, alpha):
+            """Basis change at row r for column q (w = B^-1 G_q, alpha =
+            row r of B^-1 G): d and B^-1 take their rank-one updates (no
+            pivot reads y, which the phase's closing state() recomputes);
+            returns the leaving column."""
+            nonlocal Binv, owned
+            theta = d[q] / alpha[q]
+            d[:] -= theta * alpha
+            d[q] = 0.0
             pr = Binv[r] / w[r]
-            Binv = Binv - np.outer(w, pr)
+            if owned:
+                Binv -= w[:, None] * pr
+            else:  # the first pivot copies a shared B^-1
+                Binv, owned = Binv - w[:, None] * pr, True
             Binv[r] = pr
-            leaving = basis[r]
+            leaving = int(basis[r])
             basis[r] = q
-            is_basic[leaving] = False
-            is_basic[q] = True
-            at_upper[q] = False
+            is_basic[leaving] = free[q] = False
+            is_basic[q] = free[leaving] = True
+            sign[q] = 1.0
+            LB[r], UB[r] = L[q], U[q]
             return leaving
 
         xB, y, d = state()
+        fresh = True
         iters = 0
         # --- dual phase: restore primal feasibility -------------------------
-        while iters < self.max_iter:
-            LB = L[basis]
-            UB = U[basis]
+        while True:
             viol_low = LB - xB
             viol_up = xB - UB
             viol = np.maximum(viol_low, viol_up)
-            r = int(np.argmax(viol))
-            if viol[r] <= 1e-7:
-                break
+            rows = (viol > FEAS_TOL).nonzero()[0]
+            if rows.size == 0:
+                if fresh:
+                    break
+                xB, y, d = state()
+                fresh = True
+                continue
+            r = int(rows[0])
+            if rows.size > 1:
+                # dual steepest edge: the violation over the norm of its row
+                # of B^-1, both exact here
+                rho = Binv[rows]
+                r = int(rows[(viol[rows] ** 2 / np.einsum("ij,ij->i", rho, rho)).argmax()])
+            if iters >= self.max_iter:
+                return None
             below = viol_low[r] >= viol_up[r]
-            alpha = Binv[r] @ self.G
-            if below:
-                elig = (~is_basic) & (((~at_upper) & (alpha < -TOL))
-                                      | (at_upper & (alpha > TOL)))
-            else:
-                elig = (~is_basic) & (((~at_upper) & (alpha > TOL))
-                                      | (at_upper & (alpha < -TOL)))
-            idxs = np.where(elig)[0]
+            alpha = Binv[r] @ G
+            # entering candidates: nonbasic columns whose move off their
+            # bound pushes the leaving variable back towards its own
+            move = alpha * sign
+            elig = (move < -TOL) if below else (move > TOL)
+            elig &= free
+            idxs = elig.nonzero()[0]
             if idxs.size == 0:
                 return None
-            ratio = np.abs(d[idxs]) / np.abs(alpha[idxs])
-            q = int(idxs[np.argmin(ratio)])
-            leaving = pivot(r, q)
-            if leaving is False:
+            ratio = np.abs(d[idxs] / alpha[idxs])
+            q = int(idxs[ratio.argmin()])
+            w = Binv @ G[:, q]
+            if abs(w[r]) < PIVOT_TOL:
                 return None
-            at_upper[leaving] = not below
-            xB, y, d = state()
+            # x_q moves by t, which takes the leaving variable to its bound
+            t = (xB[r] - (LB[r] if below else UB[r])) / w[r]
+            xq = (U[q] if sign[q] < 0 else L[q]) + t
+            xB -= t * w
+            leaving = pivot(r, q, w, alpha)
+            xB[r] = xq
+            sign[leaving] = 1.0 if below else -1.0
+            fresh = False
             iters += 1
-        else:
-            return None
 
         # --- primal phase: restore dual feasibility (usually no-op) ---------
-        while iters < self.max_iter:
-            dd = np.where(is_basic, 0.0, np.where(at_upper, -d, d))
-            q = int(np.argmax(dd))
-            if dd[q] <= 1e-7:
-                break
-            sign = -1.0 if at_upper[q] else 1.0
-            s = sign * (Binv @ self.G[:, q])
-            LB = L[basis]
-            UB = U[basis]
+        while True:
+            dd = d * sign
+            dd[is_basic] = 0.0
+            q = int(dd.argmax())
+            if dd[q] <= FEAS_TOL:
+                if fresh:
+                    break
+                xB, y, d = state()
+                fresh = True
+                continue
+            if iters >= self.max_iter:
+                return None
+            w = Binv @ G[:, q]
+            s = sign[q] * w
             with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
                 t_lo = np.where(s > TOL, (xB - LB) / s, np.inf)
                 t_hi = np.where(s < -TOL, (UB - xB) / (-s), np.inf)
             t_basic = np.minimum(t_lo, t_hi)
-            r = int(np.argmin(t_basic))
+            r = int(t_basic.argmin())
             t_flip = U[q] - L[q]
             if t_flip <= t_basic[r]:
-                at_upper[q] = not at_upper[q]
+                xB -= t_flip * s
+                sign[q] = -sign[q]
             else:
-                leaving = pivot(r, q)
-                if leaving is False:
+                if abs(w[r]) < PIVOT_TOL:
                     return None
-                at_upper[leaving] = s[r] < 0
-            xB, y, d = state()
+                t = t_basic[r]
+                xq = (U[q] if sign[q] < 0 else L[q]) + sign[q] * t
+                xB -= t * s
+                leaving = pivot(r, q, w, Binv[r] @ G)
+                xB[r] = xq
+                sign[leaving] = -1.0 if s[r] < 0 else 1.0
+            fresh = False
             iters += 1
-        else:
-            return None
 
+        at_upper = sign < 0
         x = np.where(at_upper, U, L)
-        x[is_basic] = 0.0
         x[basis] = xB
-        value = float(self.c @ x)
-        return x[:self.n], np.maximum(y, 0.0), value, (basis, at_upper), iters
+        value = float(c @ x)
+        return x[:n], np.maximum(y, 0.0), value, (basis, at_upper, Binv), iters

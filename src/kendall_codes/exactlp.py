@@ -21,11 +21,13 @@ by lowest index, so results are fully deterministic.
 from __future__ import annotations
 
 import numbers
+import time
 from fractions import Fraction
 from itertools import chain
 
 OPTIMAL = "optimal"
 UNBOUNDED = "unbounded"
+TIME_LIMIT = "time-limit"
 
 #: pivots without objective improvement before switching to Bland's rule
 STALL_LIMIT = 50
@@ -113,13 +115,20 @@ class ExactSimplex:
                 best, best_num, best_den = i, num, den
         return best
 
-    def solve(self) -> str:
-        """Primal simplex from the slack basis; returns and records the status."""
+    def solve(self, deadline: float | None = None) -> str:
+        """Primal simplex from the slack basis; returns and records the status.
+
+        With a deadline (a time.monotonic() value) the clock is read once per
+        pivot, and the solve stops with TIME_LIMIT once it has passed.
+        """
         cols = range(self.ncols - 1)
         stall = 0
         bland = False
         last_value = self.value()
         while True:
+            if deadline is not None and time.monotonic() > deadline:
+                self.status = TIME_LIMIT
+                return self.status
             obj = self.T[0]
             enter = None
             if bland:

@@ -29,7 +29,7 @@ from math import factorial
 import numpy as np
 
 from kendall_codes import young
-from kendall_codes.exactlp import ExactSimplex, OPTIMAL
+from kendall_codes.exactlp import ExactSimplex, OPTIMAL, TIME_LIMIT
 from kendall_codes.perfect import _is_prime
 from kendall_codes.perms import Code, inverse, sphere_packing_bound
 from kendall_codes.young import ActionMatrix, build_action_matrix, check_partition
@@ -74,12 +74,14 @@ _HEURISTIC_NODE_LIMIT = 100_000
 
 #: largest coset ILP (number of tabloids) that build_coset_ilp accepts.  The
 #: model and the tree hold dense dim x dim arrays of 8-byte entries at once:
-#: the int64 model matrix, BoxSimplex's float G = [M | I] (two) and B^-1
-#: with its rank-one update (two) and four _propagate temporaries, about 72
-#: bytes per entry.  The heuristic runs before the tree and holds less: the
-#: model's rows at one tabloid per orbit and the folded k x k matrix that
-#: HiGHS copies, k <= dim orbits.  2500 tabloids keep them under 512 MiB;
-#: the shape is refused before it is enumerated.
+#: the int64 model matrix, BoxSimplex's float G = [M | I] (two), the B^-1
+#: that the top two stack entries share (one), a solve's own B^-1 with its
+#: rank-one update (two) and _propagate's products mat * (u - l) (one, and
+#: a boolean mask), about 57 bytes per entry.  The heuristic runs before
+#: the tree and holds less: the model's rows at one tabloid per orbit and
+#: the folded k x k matrix that HiGHS copies, k <= dim orbits.  2500
+#: tabloids keep them under 512 MiB (340 MiB); the shape is refused before
+#: it is enumerated.
 ILP_DIMENSION_LIMIT = 2500
 
 
@@ -135,7 +137,7 @@ def _fold(matrix: np.ndarray, orbit: np.ndarray):
     return folded, np.bincount(orbit), reps
 
 
-def lp_relax(model: IlpModel) -> LpSolution:
+def lp_relax(model: IlpModel, deadline: float | None = None) -> LpSolution:
     """Exact rational optimum of the LP relaxation, solved on its G-orbit
     fold.
 
@@ -148,7 +150,8 @@ def lp_relax(model: IlpModel) -> LpSolution:
     returned is that optimum lifted back to one value per tabloid: optimal
     and G-invariant, though not in general a vertex of the unfolded LP.
     Raises ValueError, before any simplex is built, unless
-    M[g][:, g] == M exactly for every generator g.
+    M[g][:, g] == M exactly for every generator g.  The simplex stops with
+    status TIME_LIMIT once deadline (a time.monotonic() value) has passed.
     """
     generators = young.symmetry_generators(model.shape)
     for g in generators:
@@ -158,7 +161,7 @@ def lp_relax(model: IlpModel) -> LpSolution:
     orbit = young.orbit_labels(generators)
     folded, sizes, _ = _fold(model.matrix, orbit)
     sx = ExactSimplex(folded.tolist(), [model.rhs] * len(sizes), sizes.tolist())
-    status = sx.solve()
+    status = sx.solve(deadline)
     if status != OPTIMAL:
         return LpSolution(status=status, value=None, point=None)
     z = sx.point()
@@ -191,16 +194,20 @@ def _propagate(mat: np.ndarray, b: np.ndarray, l: np.ndarray, u: np.ndarray):
     """Tighten u from the row activities at l (exact, int64).
 
     Rows are nonnegative, so l itself never moves and one pass reaches the
-    fixpoint: x_j <= l_j + (b_i - mat_i.l) / mat_ij for every row i with
-    mat_ij > 0.  Returns None when l already violates a row.
+    fixpoint: x_j <= l_j + s_i // mat_ij for every row i with mat_ij > 0,
+    where s_i = b_i - mat_i.l.  That cap is below u_j exactly when
+    mat_ij (u_j - l_j) > s_i, so only those entries are divided.  Returns
+    None when l already violates a row.
     """
-    tot = mat @ l
-    if (tot > b).any():
+    slack = b - mat @ l
+    if (slack < 0).any():
         return None
-    caps = np.where(mat > 0,
-                    (b[:, None] - tot[:, None] + mat * l[None, :])
-                    // np.maximum(mat, 1), u[None, :])
-    newu = np.minimum(u, caps.min(axis=0))
+    newu = u
+    cut = mat * (u - l) > slack[:, None]
+    if cut.any():
+        i, j = cut.nonzero()
+        newu = u.copy()
+        np.minimum.at(newu, j, l[j] + slack[i] // mat[i, j])
     if (newu < l).any():
         return None
     return l, newu
@@ -300,7 +307,8 @@ def _bb_float(model: IlpModel, u0, root_bound: int, best_value: int,
     pcd_n = np.zeros(dim)
     pcu = np.zeros(dim)
     pcu_n = np.zeros(dim)
-    # stack entries: bounds, warm basis, the parent's duals, the parent's
+    # stack entries: bounds, warm start (the parent's basis and its B^-1,
+    # which both children share), the parent's duals, the parent's
     # certified scaled bound, and the branch that created the node
     # (variable, direction, parent LP value, fractional part) for
     # pseudocost updates; the root carries the root LP bound and the duals
@@ -341,17 +349,22 @@ def _bb_float(model: IlpModel, u0, root_bound: int, best_value: int,
         slack = bound - bounds_T
         ll = l.tolist()
         uu = u.tolist()
+        moved = False
         for j, c in enumerate(coef):
             if c > 0:
-                ll[j] = max(ll[j], uu[j] - slack // c)
+                lo = uu[j] - slack // c
+                if lo > ll[j]:
+                    ll[j], moved = lo, True
             elif c < 0:
-                uu[j] = min(uu[j], ll[j] - slack // c)
-        l = np.array(ll, dtype=np.int64)
-        u = np.array(uu, dtype=np.int64)
-        prop = _propagate(mat, b, l, u)
-        if prop is None:
-            continue
-        l, u = prop
+                hi = ll[j] - slack // c
+                if hi < uu[j]:
+                    uu[j], moved = hi, True
+        if moved:  # else (l, u) is already _propagate's one-pass fixpoint
+            prop = _propagate(mat, b, np.array(ll, dtype=np.int64),
+                              np.array(uu, dtype=np.int64))
+            if prop is None:
+                continue
+            l, u = prop
         nodes += 1
         if x is None:  # no LP point: aim at the box midpoint
             x = (l + u) / 2.0
@@ -377,7 +390,7 @@ def _bb_float(model: IlpModel, u0, root_bound: int, best_value: int,
                 if u[j] == l[j]:
                     continue  # a single point, feasible, recorded above
                 frac[j] = 0.5
-        cands = [int(j) for j in np.where(frac > 1e-7)[0]]
+        cands = np.flatnonzero(frac > 1e-7)
 
         def children(j):
             """The down and up boxes of a split of x_j at its LP value, and
@@ -397,7 +410,7 @@ def _bb_float(model: IlpModel, u0, root_bound: int, best_value: int,
             return 0.0 if s is None else max(obj - s[2], 0.0)
 
         # no probe budget: a probe makes j reliable for good, so at most dim pairs
-        shortlist = sorted(cands, key=lambda j: (-frac[j], j))[:8]
+        shortlist = sorted(cands.tolist(), key=lambda j: (-frac[j], j))[:8]
         for j in shortlist:
             if pcd_n[j] > 0.0 and pcu_n[j] > 0.0:
                 continue
@@ -409,14 +422,20 @@ def _bb_float(model: IlpModel, u0, root_bound: int, best_value: int,
         avg_d = float(pcd.sum() / pcd_n.sum()) if pcd_n.sum() > 0 else 1.0
         avg_u = float(pcu.sum() / pcu_n.sum()) if pcu_n.sum() > 0 else 1.0
 
-        def score(k):
-            f = float(xc[k] - np.floor(xc[k]))
-            rate_d = pcd[k] / pcd_n[k] if pcd_n[k] > 0 else avg_d
-            rate_u = pcu[k] / pcu_n[k] if pcu_n[k] > 0 else avg_u
-            return max(rate_d * f, 1e-9) * max(rate_u * (1.0 - f), 1e-9)
-
-        j = max(cands, key=score)  # the first, so the lowest index, on ties
+        # product score of the pseudocost drops; argmax takes the first, so
+        # the lowest index, on ties
+        f = xc[cands] - np.floor(xc[cands])
+        nd, nu = pcd_n[cands], pcu_n[cands]
+        rate_d = np.where(nd > 0, pcd[cands] / np.maximum(nd, 1.0), avg_d)
+        rate_u = np.where(nu > 0, pcu[cands] / np.maximum(nu, 1.0), avg_u)
+        score = np.maximum(rate_d * f, 1e-9) * np.maximum(rate_u * (1.0 - f), 1e-9)
+        j = int(cands[np.argmax(score)])
         ud, lu, fpart = children(j)
+        if stack and stack[-1][2] is not None:
+            # the sibling below drops its B^-1 and refactors when popped, so
+            # only the top two entries, which share one, keep it
+            e = stack[-1]
+            stack[-1] = e[:2] + (e[2][:2] + (None,),) + e[3:]
         stack.append((l, ud, warm_out, y, bound, (j, False, obj, fpart)))
         stack.append((lu, u, warm_out, y, bound, (j, True, obj, fpart)))
     return best_value, best_point, nodes, None
@@ -470,10 +489,13 @@ def ilp_solve(model: IlpModel, *, time_limit: float | None = None) -> IlpResult:
     solve).  Depth-first, branching by reliability pseudocosts (lowest index
     on ties); the box LP never meets an rhs near 10**12, whose float noise
     makes node counts depend on the BLAS thread count.  ``time_limit`` (a
-    number of seconds above 0, else ValueError) counts from the call: HiGHS
-    gets the time left after the root and does not start when none is left,
-    and the tree stops at the deadline with status ``incumbent-only`` and a
-    valid dual bound.  An error inside the heuristic propagates.
+    number of seconds above 0, else ValueError) counts from the call and
+    holds in every phase: a root stopped at the deadline gives status
+    ``incumbent-only`` with the ascent from 0 and the dual bound
+    dim*rhs/min column sum, HiGHS gets the time left after the root and does
+    not start when none is left, and the tree stops at the deadline with
+    status ``incumbent-only`` and a valid dual bound.  An error inside the
+    heuristic propagates.
     """
     check_time_limit(time_limit)
     deadline = None if time_limit is None else time.monotonic() + time_limit
@@ -499,7 +521,15 @@ def _solve_tree(model: IlpModel, deadline: float | None) -> IlpResult:
             f"the coset ILP of {model.shape} at n={model.n} needs integers "
             f"up to {peak}, beyond int64")
 
-    root = lp_relax(model)
+    root = lp_relax(model, deadline)
+    if root.status == TIME_LIMIT:
+        # no root point and no tree: the ascent from 0, and the duals
+        # 1/min column sum, feasible since the positive diagonal makes every
+        # column sum at least 1; their bound dim*rhs/min column sum is
+        # (n-1)! on a coset model
+        point = _heuristic_incumbent(model, (0,) * model.dim)
+        dual = model.dim * model.rhs // int(model.matrix.sum(axis=0).min())
+        return IlpResult(sum(point), tuple(point), 0, INCUMBENT_ONLY, Fraction(dual))
     if root.status != OPTIMAL:
         raise ValueError(f"root LP unexpectedly {root.status}")
     root_bound = root.value.numerator // root.value.denominator

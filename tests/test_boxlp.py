@@ -37,10 +37,12 @@ def _check(mat, b, l, u, sol):
     assert dual_bound == pytest.approx(value, rel=1e-7)
 
 
-@pytest.mark.parametrize("n,shape", [
-    (4, (3, 1)), (5, (2, 2, 1)), (5, (3, 1, 1)), (7, (4, 3)), (7, (5, 2)),
-    # dim 360: 1052 pivots from cold, above any fixed cap of 600
-    (6, (2, 1, 1, 1, 1))])
+_SHAPES = [(4, (3, 1)), (5, (2, 2, 1)), (5, (3, 1, 1)), (7, (4, 3)), (7, (5, 2)),
+           # dim 360: 1052 pivots from cold, above any fixed cap of 600
+           (6, (2, 1, 1, 1, 1))]
+
+
+@pytest.mark.parametrize("n,shape", _SHAPES)
 def test_cold_and_warm_solves_match_scipy(n, shape):
     m, box, b, l, u = _root_box(n, shape)
     cold = box.solve(l, u)
@@ -62,3 +64,68 @@ def test_a_solve_that_runs_past_its_cap_fails():
     assert box.solve(l, u)[4] > 1
     box.max_iter = 1
     assert box.solve(l, u) is None
+
+
+def _branch_path(box, l, u, steps):
+    """Warm re-solves down one branch path from the cold root: each step
+    caps the most fractional coordinate at its floor (the largest
+    coordinate once the point is integral).  Returns the solves and the
+    boxes they were made on."""
+    sols = [box.solve(l, u)]
+    boxes = [(l, u)]
+    for _ in range(steps):
+        x = sols[-1][0]
+        frac = np.abs(x - np.rint(x))
+        j = int(np.argmax(frac)) if frac.max() > 1e-7 else int(np.argmax(x))
+        u = u.copy()
+        u[j] = np.floor(x[j]) if frac[j] > 1e-7 else max(x[j] - 1.0, 0.0)
+        sol = box.solve(l, u, warm=sols[-1][3])
+        if sol is None:
+            break
+        sols.append(sol)
+        boxes.append((l, u))
+    return sols, boxes
+
+
+@pytest.mark.parametrize("n,shape", _SHAPES)
+def test_a_warm_start_is_never_written(n, shape):
+    _m, box, _b, l, u = _root_box(n, shape)
+    cold = box.solve(l, u)
+    warm = cold[3]
+    before = tuple(a.copy() for a in warm)
+    u2 = u.copy()
+    j = int(np.argmax(cold[0]))
+    u2[j] = np.floor(cold[0][j] / 2)
+    first = box.solve(l, u2, warm=warm)
+    second = box.solve(l, u2, warm=warm)
+    assert first[4] > 0  # the re-solve pivots, so it updates a B^-1
+    for a, b in zip(warm, before):
+        assert np.array_equal(a, b)
+    assert first[2] == second[2]
+    assert np.array_equal(first[0], second[0])
+
+
+@pytest.mark.parametrize("n,shape", _SHAPES)
+def test_the_carried_inverse_stays_the_inverse_of_the_basis(n, shape):
+    _m, box, _b, l, u = _root_box(n, shape)
+    sols, _ = _branch_path(box, l, u, 12)
+    assert len(sols) > 3
+    for sol in sols:
+        basis, _at_upper, binv = sol[3]
+        err = np.abs(binv @ box.G[:, basis] - np.eye(box.m)).max()
+        assert err < 1e-8
+
+
+@pytest.mark.parametrize("n,shape", _SHAPES)
+def test_a_carried_inverse_and_a_refactored_one_give_the_same_value(n, shape):
+    m, box, b, l, u = _root_box(n, shape)
+    sols, boxes = _branch_path(box, l, u, 12)
+    # re-solve each step from its parent's basis, once with the parent's
+    # B^-1 and once refactoring it
+    for parent, (lc, uc) in zip(sols, boxes[1:]):
+        basis, at_upper, _binv = parent[3]
+        carried = box.solve(lc, uc, warm=parent[3])
+        refactored = box.solve(lc, uc, warm=(basis, at_upper, None))
+        assert carried is not None and refactored is not None
+        assert carried[2] == pytest.approx(refactored[2], rel=1e-9, abs=1e-9)
+    _check(m.matrix, b, *boxes[-1], sols[-1])

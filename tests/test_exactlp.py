@@ -1,8 +1,9 @@
+import time
 from fractions import Fraction
 
 import pytest
 
-from kendall_codes.exactlp import OPTIMAL, UNBOUNDED, ExactSimplex
+from kendall_codes.exactlp import OPTIMAL, TIME_LIMIT, UNBOUNDED, ExactSimplex
 
 
 def solve_lp(a_rows, b, c):
@@ -44,6 +45,16 @@ def test_solution_is_feasible_and_certified():
     for row, beta in zip(rows, b):
         assert sum(a * v for a, v in zip(row, point)) <= beta
     assert sum(c * v for c, v in zip([1, 2, 3], point)) == value
+
+
+def test_a_passed_deadline_stops_the_solve_before_its_next_pivot():
+    rows, b = [[1, 2], [3, 1]], [4, 6]
+    late = ExactSimplex(rows, b, [1, 1])
+    assert late.solve(deadline=time.monotonic() - 1.0) == TIME_LIMIT
+    assert late.pivots == 0
+    on_time = ExactSimplex(rows, b, [1, 1])
+    assert on_time.solve(deadline=time.monotonic() + 60.0) == OPTIMAL
+    assert on_time.value() == Fraction(14, 5)
 
 
 def test_gomory_cut_is_valid_and_violated():

@@ -1,5 +1,9 @@
+import os
+import subprocess
+import sys
 import time
 from dataclasses import replace
+from pathlib import Path
 from fractions import Fraction
 from types import SimpleNamespace
 from math import factorial
@@ -125,13 +129,34 @@ def test_ilp_small_values(n, shape, want):
     assert r.dual_bound == want
 
 
-@pytest.mark.parametrize("n,shape,want,nodes", [(7, (5, 2), 718, 10),
-                                                (5, (2, 2, 1), 22, 45),
-                                                (5, (3, 1, 1), 22, 39),
-                                                (7, (4, 3), 717, 121)])
+_PINNED_TREES = [(7, (5, 2), 718, 10), (5, (2, 2, 1), 22, 41), (5, (3, 1, 1), 22, 39),
+                 (7, (4, 3), 717, 119)]
+
+
+@pytest.mark.parametrize("n,shape,want,nodes", _PINNED_TREES)
 def test_tree_node_counts_are_pinned(n, shape, want, nodes):
     r = ilp_solve(build_coset_ilp(n, shape))
     assert (r.status, r.optimum, r.nodes_explored) == (PROVEN_OPTIMAL, want, nodes)
+
+
+def test_node_counts_do_not_depend_on_the_blas_thread_count():
+    # the box LP's float noise, and so its tie-breaks, could follow the
+    # order of OpenBLAS's sums; the pinned trees are solved in fresh
+    # processes with one and with two BLAS threads
+    code = ("import ast, sys\n"
+            "from kendall_codes.ilp import build_coset_ilp, ilp_solve\n"
+            "for n, shape in ast.literal_eval(sys.argv[1]):\n"
+            "    print(ilp_solve(build_coset_ilp(n, shape)).nodes_explored)\n")
+    shapes = repr([(n, shape) for n, shape, _want, _nodes in _PINNED_TREES])
+    src = str(Path(ilp.__file__).resolve().parents[1])
+    counts = {}
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-c", code, shapes], capture_output=True,
+                              text=True, env=env, timeout=120, check=True)
+        counts[threads] = [int(v) for v in proc.stdout.split()]
+    assert counts["1"] == counts["2"] == [nodes for *_rest, nodes in _PINNED_TREES]
 
 
 @pytest.mark.parametrize("n,shape,want", [(7, (4, 3), 717), (7, (5, 2), 718),
@@ -223,7 +248,9 @@ def _clocked_milp(monkeypatch, root_seconds: float):
         calls.append((clock[0], dict(options)))
         return real_milp(c, options=options, **kwargs)
 
-    def slow_root(model):
+    def slow_root(model, deadline):
+        # the root finishes, root_seconds later on ilp's clock; the exact
+        # simplex reads the real clock, so it gets no deadline from this one
         clock[0] += root_seconds
         return real_root(model)
 
@@ -255,7 +282,28 @@ def test_the_orbit_solve_gets_the_time_left(monkeypatch):
     assert 0 < options["time_limit"] <= 1.5 - start
     assert options["node_limit"] == ilp._HEURISTIC_NODE_LIMIT
     # the clock stands still, so the tree runs to the end
-    assert (r.status, r.optimum, r.nodes_explored) == (PROVEN_OPTIMAL, 717, 121)
+    assert (r.status, r.optimum, r.nodes_explored) == (PROVEN_OPTIMAL, 717, 119)
+
+
+def test_a_root_stopped_by_the_deadline_still_gives_a_valid_result(monkeypatch):
+    # the exact root of (6,5)@11 takes about 20 s; at the deadline neither
+    # HiGHS nor the tree may start, the point is the ascent from 0 and the
+    # dual bound dim * rhs / n = 10!
+    def forbidden(*args, **kwargs):
+        raise AssertionError("no phase may start after the root's deadline")
+
+    from scipy import optimize
+    monkeypatch.setattr(optimize, "milp", forbidden)
+    monkeypatch.setattr(ilp, "_bb_float", forbidden)
+    m = build_coset_ilp(11, (6, 5))
+    t0 = time.monotonic()
+    r = ilp_solve(m, time_limit=1.0)
+    assert time.monotonic() - t0 < 5.0
+    assert (r.status, r.nodes_explored) == (INCUMBENT_ONLY, 0)
+    assert feasible(m, r.argmax)
+    assert sum(r.argmax) == r.optimum
+    assert list(r.argmax) == ilp._heuristic_incumbent(m, [0] * m.dim)
+    assert r.optimum <= r.dual_bound == factorial(10)
 
 
 def test_a_failing_orbit_solve_is_not_swallowed(monkeypatch):
