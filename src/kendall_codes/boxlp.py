@@ -1,25 +1,27 @@
-"""Bounded-variable revised simplex in float64.
+"""Bounded-variable dual simplex in float64.
 
-Solves max c.x subject to A x <= b, l <= x <= u.  This is the fast inner
+Solves max 1.x subject to M x <= b, l <= x <= u.  This is the fast inner
 engine of the branch-and-bound in :mod:`kendall_codes.ilp`: it is NOT part
 of the certified path.  The caller turns the returned duals into an exact
 integer bound (weak duality holds for any nonnegative dual vector), so a
 sloppy solve here can only weaken pruning, never correctness.
 
-The solver is warm-startable: after variable bound changes a parent-optimal
-basis stays dual feasible, so a handful of dual simplex pivots restore
-optimality at a child node.  The warm start carries B^-1 with the basis,
-so a warm solve factors nothing (a cold one starts from the slack basis,
-where B^-1 = I), and both phases update the basic values xB and the
-reduced costs d by each pivot's rank-one formulas (the bounded dual
-simplex of Koberstein, PhD thesis, Paderborn, 2005).  A phase that pivoted
-recomputes them and the duals y from B^-1 once when it ends, and resumes
-if the fresh values break its tolerance.  The dual phase picks its leaving
-row by dual steepest edge (Forrest & Goldfarb, Math. Program. 57, 1992),
-whose weights, the squared norms of the rows of B^-1, are read off the
-explicit B^-1; the primal phase picks by largest violation.  There is no
-anti-cycling rule: on numerical trouble, or after 8*dim iterations, it
-returns None and the caller bounds the node with its parent's duals.
+Every solve is one bounded dual simplex (Koberstein, PhD thesis,
+Paderborn, 2005), since every start is dual feasible.  A cold start takes
+the slack basis with every structural at its upper bound, where its
+reduced cost is 1 > 0 and each slack's is 0.  After variable bound
+changes a parent-optimal basis stays dual feasible, so a handful of
+pivots restore optimality at a child node.  The warm start carries B^-1
+with the basis, so a warm solve factors nothing (a cold one starts from
+B^-1 = I).  Each pivot updates the basic values xB and the reduced costs
+d by rank-one formulas; a solve that pivoted recomputes them and the
+duals y from B^-1 once when it ends, and resumes if the fresh values
+break its tolerance.  The leaving row is picked by dual steepest edge
+(Forrest & Goldfarb, Math. Program. 57, 1992), whose weights, the
+squared norms of the rows of B^-1, are read off the explicit B^-1.
+There is no anti-cycling rule: on numerical trouble, or after 8*dim
+iterations, it returns None and the caller bounds the node with its
+parent's duals.
 """
 
 from __future__ import annotations
@@ -27,37 +29,38 @@ from __future__ import annotations
 import numpy as np
 
 TOL = 1e-9
-#: primal and dual feasibility tolerance of both phases
+#: primal feasibility tolerance
 FEAS_TOL = 1e-7
 #: smallest pivot element accepted
 PIVOT_TOL = 1e-11
 
 
 class BoxSimplex:
-    def __init__(self, M, b, c):
+    def __init__(self, M, b):
         M = np.asarray(M, dtype=float)
         self.m, self.n = M.shape
         m, n = self.m, self.n
         self.G = np.hstack([M, np.eye(m)])
-        self.c = np.concatenate([np.asarray(c, dtype=float), np.zeros(m)])
+        self.c = np.concatenate([np.ones(n), np.zeros(m)])
         self.b = np.asarray(b, dtype=float)
         self.N = n + m
         # the slacks' bounds, [0, inf)
         self._L = np.zeros(n + m)
         self._U = np.full(n + m, np.inf)
-        # per solve, both phases together: every cold solve of a coset model
-        # with n <= 30 and dim <= 1000 needs at most 4.87*dim pivots, and a
-        # cap stops the cycling that pricing without an anti-cycling rule
-        # can fall into
+        # per solve: every cold solve of a coset model with n <= 30 and
+        # dim <= 1000 needs at most 5.66*dim pivots, and a cap stops the
+        # cycling that pricing without an anti-cycling rule can fall into
         self.max_iter = 8 * n
 
     def solve(self, l, u, warm=None):
         """Returns (x, y, value, (basis, at_upper, Binv), iters) or None on
         failure.
 
-        warm is the fourth entry of an earlier solve's result; its Binv may
-        be None, and is then refactored from the basis.  The arrays of warm
-        are never written, so several solves may share one warm start.
+        u must be finite: a cold solve (warm=None) starts with every
+        structural at its upper bound.  warm is the fourth entry of an
+        earlier solve's result; its Binv may be None, and is then
+        refactored from the basis.  The arrays of warm are never written,
+        so several solves may share one warm start.
         """
         m, n, N = self.m, self.n, self.N
         G, c = self.G, self.c
@@ -69,6 +72,7 @@ class BoxSimplex:
         if warm is None:
             basis = np.arange(n, n + m)
             sign = np.ones(N)
+            sign[:n] = -1.0
             Binv, owned = np.eye(m), True
         else:
             basis = warm[0].copy()
@@ -79,45 +83,20 @@ class BoxSimplex:
                     Binv, owned = np.linalg.inv(G[:, basis]), True
                 except np.linalg.LinAlgError:
                     return None
-        is_basic = np.zeros(N, dtype=bool)
-        is_basic[basis] = True
-        free = ~is_basic
+        free = np.ones(N, dtype=bool)
+        free[basis] = False
         LB, UB = L[basis], U[basis]
 
         def state():
             xN = np.where(sign < 0, U, L)
-            xN[is_basic] = 0.0
+            xN[basis] = 0.0
             xB = Binv @ (self.b - G @ xN)
             y = c[basis] @ Binv
             return xB, y, c - y @ G
 
-        def pivot(r, q, w, alpha):
-            """Basis change at row r for column q (w = B^-1 G_q, alpha =
-            row r of B^-1 G): d and B^-1 take their rank-one updates (no
-            pivot reads y, which the phase's closing state() recomputes);
-            returns the leaving column."""
-            nonlocal Binv, owned
-            theta = d[q] / alpha[q]
-            d[:] -= theta * alpha
-            d[q] = 0.0
-            pr = Binv[r] / w[r]
-            if owned:
-                Binv -= w[:, None] * pr
-            else:  # the first pivot copies a shared B^-1
-                Binv, owned = Binv - w[:, None] * pr, True
-            Binv[r] = pr
-            leaving = int(basis[r])
-            basis[r] = q
-            is_basic[leaving] = free[q] = False
-            is_basic[q] = free[leaving] = True
-            sign[q] = 1.0
-            LB[r], UB[r] = L[q], U[q]
-            return leaving
-
         xB, y, d = state()
         fresh = True
         iters = 0
-        # --- dual phase: restore primal feasibility -------------------------
         while True:
             viol_low = LB - xB
             viol_up = xB - UB
@@ -154,52 +133,28 @@ class BoxSimplex:
                 return None
             # x_q moves by t, which takes the leaving variable to its bound
             t = (xB[r] - (LB[r] if below else UB[r])) / w[r]
-            xq = (U[q] if sign[q] < 0 else L[q]) + t
             xB -= t * w
-            leaving = pivot(r, q, w, alpha)
-            xB[r] = xq
+            xB[r] = (U[q] if sign[q] < 0 else L[q]) + t
+            # basis change: d and B^-1 take their rank-one updates (no pivot
+            # reads y, which the closing state() recomputes)
+            d -= d[q] / alpha[q] * alpha
+            d[q] = 0.0
+            pr = Binv[r] / w[r]
+            if owned:
+                Binv -= w[:, None] * pr
+            else:  # the first pivot copies a shared B^-1
+                Binv, owned = Binv - w[:, None] * pr, True
+            Binv[r] = pr
+            leaving = int(basis[r])
+            basis[r] = q
+            free[q], free[leaving] = False, True
+            sign[q] = 1.0
             sign[leaving] = 1.0 if below else -1.0
-            fresh = False
-            iters += 1
-
-        # --- primal phase: restore dual feasibility (usually no-op) ---------
-        while True:
-            dd = d * sign
-            dd[is_basic] = 0.0
-            q = int(dd.argmax())
-            if dd[q] <= FEAS_TOL:
-                if fresh:
-                    break
-                xB, y, d = state()
-                fresh = True
-                continue
-            if iters >= self.max_iter:
-                return None
-            w = Binv @ G[:, q]
-            s = sign[q] * w
-            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-                t_lo = np.where(s > TOL, (xB - LB) / s, np.inf)
-                t_hi = np.where(s < -TOL, (UB - xB) / (-s), np.inf)
-            t_basic = np.minimum(t_lo, t_hi)
-            r = int(t_basic.argmin())
-            t_flip = U[q] - L[q]
-            if t_flip <= t_basic[r]:
-                xB -= t_flip * s
-                sign[q] = -sign[q]
-            else:
-                if abs(w[r]) < PIVOT_TOL:
-                    return None
-                t = t_basic[r]
-                xq = (U[q] if sign[q] < 0 else L[q]) + sign[q] * t
-                xB -= t * s
-                leaving = pivot(r, q, w, Binv[r] @ G)
-                xB[r] = xq
-                sign[leaving] = -1.0 if s[r] < 0 else 1.0
+            LB[r], UB[r] = L[q], U[q]
             fresh = False
             iters += 1
 
         at_upper = sign < 0
         x = np.where(at_upper, U, L)
         x[basis] = xB
-        value = float(c @ x)
-        return x[:n], np.maximum(y, 0.0), value, (basis, at_upper, Binv), iters
+        return x[:n], np.maximum(y, 0.0), float(x[:n].sum()), (basis, at_upper, Binv), iters

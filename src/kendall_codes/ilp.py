@@ -71,6 +71,9 @@ class IlpResult:
 
 #: HiGHS branch-and-bound nodes allowed to the incumbent heuristic
 _HEURISTIC_NODE_LIMIT = 100_000
+#: share of the time left after the root that the incumbent heuristic may
+#: take, so that the tree keeps the rest
+_HEURISTIC_TIME_SHARE = 0.5
 
 #: largest coset ILP (number of tabloids) that build_coset_ilp accepts.  The
 #: model and the tree hold dense dim x dim arrays of 8-byte entries at once:
@@ -219,9 +222,12 @@ def _certified_bound(y, mat: np.ndarray, rhs: int, l, u):
     For any integer Y >= 0, S.1'x <= Y'b + sum_j max over [l_j, u_j] of
     (S - Y'M)_j x_j with S = _DUAL_SCALE.  Y'M is exact in int64 on every
     model the tree accepts (_solve_tree), the rest runs on Python integers,
-    so the bound holds however bad y is.  Returns (scaled bound, coef list).
+    so the bound holds however bad y is: a NaN dual counts as 0, and the
+    others are clipped to [0, _DUAL_CAP].  Returns (scaled bound, coef
+    list).
     """
-    Y = np.rint(np.clip(y, 0.0, _DUAL_CAP) * _DUAL_SCALE).astype(np.int64)
+    y = np.clip(np.nan_to_num(y, nan=0.0), 0.0, _DUAL_CAP)
+    Y = np.rint(y * _DUAL_SCALE).astype(np.int64)
     coef = (_DUAL_SCALE - Y @ mat).tolist()
     bound = int(Y.sum()) * rhs
     bound += sum(c * h if c > 0 else c * lo_j
@@ -238,7 +244,8 @@ def _milp_heuristic(model: IlpModel, u0, time_limit: float | None):
     The model is the fold of M over the orbits {i, g(i)} (_fold): one
     variable z per orbit, weighed by the orbit's size and bounded by u0 at
     the orbit's least tabloid.  The solve gets _HEURISTIC_NODE_LIMIT HiGHS
-    nodes and time_limit seconds (None: no limit); it does not start when
+    nodes and time_limit seconds (None: no limit; ilp_solve passes
+    _HEURISTIC_TIME_SHARE of the time left); it does not start when
     time_limit is 0 or less.  A solution lifts back by x_i = z at i's orbit
     and is returned only after an exact feasibility check, so this stays
     outside the certified path.  Returns None when HiGHS stops before any
@@ -299,7 +306,7 @@ def _bb_float(model: IlpModel, u0, root_bound: int, best_value: int,
     mat = model.matrix
     dim = model.dim
     b = np.full(dim, model.rhs, dtype=np.int64)
-    box = BoxSimplex(mat, b, np.ones(dim))
+    box = BoxSimplex(mat, b)
     bounds_T = (best_value + 1) * _DUAL_SCALE
     nodes = 0
     # pseudocost accumulators: per-unit LP objective drop, down and up
@@ -492,10 +499,10 @@ def ilp_solve(model: IlpModel, *, time_limit: float | None = None) -> IlpResult:
     number of seconds above 0, else ValueError) counts from the call and
     holds in every phase: a root stopped at the deadline gives status
     ``incumbent-only`` with the ascent from 0 and the dual bound
-    dim*rhs/min column sum, HiGHS gets the time left after the root and does
-    not start when none is left, and the tree stops at the deadline with
-    status ``incumbent-only`` and a valid dual bound.  An error inside the
-    heuristic propagates.
+    dim*rhs/min column sum, HiGHS gets half the time left after the root
+    (_HEURISTIC_TIME_SHARE) and does not start when none is left, and the
+    tree stops at the deadline with status ``incumbent-only`` and a valid
+    dual bound.  An error inside the heuristic propagates.
     """
     check_time_limit(time_limit)
     deadline = None if time_limit is None else time.monotonic() + time_limit
@@ -536,7 +543,8 @@ def _solve_tree(model: IlpModel, deadline: float | None) -> IlpResult:
 
     # incumbents: exact rounding ascent, then HiGHS on one fixed subspace
     rounded = _heuristic_incumbent(model, root.point)
-    cand = _milp_heuristic(model, u0, None if deadline is None else deadline - time.monotonic())
+    cand = _milp_heuristic(model, u0, None if deadline is None else
+                           _HEURISTIC_TIME_SHARE * (deadline - time.monotonic()))
     best_point = max([rounded, cand or []], key=sum)  # rounded on a tie
 
     best_value, best_point, nodes, open_bound = _bb_float(

@@ -11,7 +11,7 @@ def _root_box(n, shape):
     m = build_coset_ilp(n, shape)
     b = np.full(m.dim, float(m.rhs))
     u = np.array([m.rhs // d for d in m.matrix.diagonal().tolist()], dtype=float)
-    return m, BoxSimplex(m.matrix, b, np.ones(m.dim)), b, np.zeros(m.dim), u
+    return m, BoxSimplex(m.matrix, b), b, np.zeros(m.dim), u
 
 
 def _reference(mat, b, l, u) -> float:
@@ -57,6 +57,18 @@ def test_cold_and_warm_solves_match_scipy(n, shape):
     assert warm is not None
     _check(m.matrix, b, l, u2, warm)
     assert warm[2] <= cold[2] + 1e-9
+
+
+@pytest.mark.parametrize("n,shape", [(5, (3, 2)), (7, (4, 3)), (6, (2, 2, 2))])
+def test_a_feasible_upper_corner_is_optimal_from_cold(n, shape):
+    # rows sum to n, so x = q.1 with q = rhs // n is feasible; the cold start
+    # puts every structural there, dual feasible, so no pivot is needed
+    m, box, _b, l, _u = _root_box(n, shape)
+    q = m.rhs // n
+    x, _y, value, _warm, iters = box.solve(l, np.full(m.dim, float(q)))
+    assert iters == 0
+    assert value == m.dim * q
+    assert np.array_equal(x, np.full(m.dim, float(q)))
 
 
 def test_a_solve_that_runs_past_its_cap_fails():

@@ -129,8 +129,8 @@ def test_ilp_small_values(n, shape, want):
     assert r.dual_bound == want
 
 
-_PINNED_TREES = [(7, (5, 2), 718, 10), (5, (2, 2, 1), 22, 41), (5, (3, 1, 1), 22, 39),
-                 (7, (4, 3), 717, 119)]
+_PINNED_TREES = [(7, (5, 2), 718, 10), (5, (2, 2, 1), 22, 31), (5, (3, 1, 1), 22, 40),
+                 (7, (4, 3), 717, 115)]
 
 
 @pytest.mark.parametrize("n,shape,want,nodes", _PINNED_TREES)
@@ -279,10 +279,20 @@ def test_the_orbit_solve_gets_the_time_left(monkeypatch):
     assert len(calls) == 1
     start, options = calls[0]
     assert start == 0.5
-    assert 0 < options["time_limit"] <= 1.5 - start
+    assert 0 < options["time_limit"] <= (1.5 - start) / 2
     assert options["node_limit"] == ilp._HEURISTIC_NODE_LIMIT
     # the clock stands still, so the tree runs to the end
-    assert (r.status, r.optimum, r.nodes_explored) == (PROVEN_OPTIMAL, 717, 119)
+    assert (r.status, r.optimum, r.nodes_explored) == (PROVEN_OPTIMAL, 717, 115)
+
+
+def test_the_orbit_solve_leaves_the_tree_time():
+    # HiGHS alone would spend any budget on this shape's orbit model
+    m = build_coset_ilp(6, (2, 1, 1, 1, 1))
+    r = ilp_solve(m, time_limit=2.0)
+    assert r.status == INCUMBENT_ONLY
+    assert r.nodes_explored >= 1
+    assert feasible(m, r.argmax)
+    assert r.optimum <= r.dual_bound <= factorial(5)
 
 
 def test_a_root_stopped_by_the_deadline_still_gives_a_valid_result(monkeypatch):
@@ -509,7 +519,8 @@ def _boxes_and_duals(draw):
     l = [draw(st.integers(0, hi)) for hi in u]
     base = draw(st.sampled_from([0.0, 1.0 / model.n]))
     noise = st.one_of(st.just(0.0), st.floats(-1e-6, 1e-6),
-                      st.floats(-500.0, 500.0))
+                      st.floats(-500.0, 500.0),
+                      st.sampled_from([np.nan, np.inf, -np.inf]))
     y = [base + draw(noise) for _ in range(model.dim)]
     return model, np.array(l, dtype=np.int64), np.array(u, dtype=np.int64), \
         np.array(y)
@@ -523,6 +534,15 @@ def test_certified_bound_never_below_the_box_lp_optimum(case):
     value = _box_lp_value(model.matrix.tolist(), model.rhs, l, u)
     if value is not None:  # otherwise the box holds no LP point at all
         assert bound >= ilp._DUAL_SCALE * value
+
+
+def test_nan_duals_still_give_a_sound_bound():
+    model = build_coset_ilp(5, (3, 2))
+    l = np.zeros(model.dim, dtype=np.int64)
+    u = model.rhs // model.matrix.diagonal()
+    bound, _coef = ilp._certified_bound(np.full(model.dim, np.nan), model.matrix,
+                                        model.rhs, l, u)
+    assert bound >= ilp._DUAL_SCALE * _box_lp_value(model.matrix.tolist(), model.rhs, l, u)
 
 
 def test_exhaustive_oracle_below_ilp_bound():
