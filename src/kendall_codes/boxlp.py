@@ -19,12 +19,14 @@ duals y from B^-1 once when it ends, and resumes if the fresh values
 break its tolerance.  The leaving row is picked by dual steepest edge
 (Forrest & Goldfarb, Math. Program. 57, 1992), whose weights, the
 squared norms of the rows of B^-1, are read off the explicit B^-1.
-There is no anti-cycling rule: on numerical trouble, or after 8*dim
-iterations, it returns None and the caller bounds the node with its
-parent's duals.
+There is no anti-cycling rule: on numerical trouble, after 8*dim
+iterations, or once a given deadline has passed, it returns None and the
+caller bounds the node with its parent's duals.
 """
 
 from __future__ import annotations
+
+import time
 
 import numpy as np
 
@@ -52,9 +54,9 @@ class BoxSimplex:
         # cycling that pricing without an anti-cycling rule can fall into
         self.max_iter = 8 * n
 
-    def solve(self, l, u, warm=None):
+    def solve(self, l, u, warm=None, deadline=None):
         """Returns (x, y, value, (basis, at_upper, Binv), iters) or None on
-        failure.
+        failure, or once deadline (a time.monotonic() value) has passed.
 
         u must be finite: a cold solve (warm=None) starts with every
         structural at its upper bound.  warm is the fourth entry of an
@@ -114,7 +116,8 @@ class BoxSimplex:
                 # of B^-1, both exact here
                 rho = Binv[rows]
                 r = int(rows[(viol[rows] ** 2 / np.einsum("ij,ij->i", rho, rho)).argmax()])
-            if iters >= self.max_iter:
+            if iters >= self.max_iter or (deadline is not None
+                                           and time.monotonic() > deadline):
                 return None
             below = viol_low[r] >= viol_up[r]
             alpha = Binv[r] @ G

@@ -295,8 +295,9 @@ def _bb_float(model: IlpModel, u0, root_bound: int, best_value: int,
     first evaluations of a variable are strong-branch probes, later ones
     use the learned per-unit objective degradation; lowest index on ties).
     Both children carry the parent's certified bound and are dropped
-    unopened once the incumbent reaches it.  A node whose box LP fails is
-    certified with its parent's duals and split at the box midpoint.  A
+    unopened once the incumbent reaches it.  A node whose box LP fails, or
+    stops at the deadline, is certified with its parent's duals and split
+    at the box midpoint; no probe starts after the deadline.  A
     feasible node is closed only by its certified bound, or when its box is
     a single point.  Returns (best, point, nodes, open_bound) where
     open_bound is None iff the tree was exhausted.
@@ -334,7 +335,7 @@ def _bb_float(model: IlpModel, u0, root_bound: int, best_value: int,
         if prop is None:
             continue
         l, u = prop
-        sol = box.solve(l, u, warm=warm)
+        sol = box.solve(l, u, warm=warm, deadline=deadline)
         x = warm_out = None
         if sol is not None:
             x, y, warm_out = sol[0], sol[1], sol[3]
@@ -413,7 +414,7 @@ def _bb_float(model: IlpModel, u0, root_bound: int, best_value: int,
             pr = _propagate(mat, b, lc, uc)
             if pr is None:
                 return obj  # the child is infeasible, full objective drop
-            s = box.solve(pr[0], pr[1], warm=warm_out)
+            s = box.solve(pr[0], pr[1], warm=warm_out, deadline=deadline)
             return 0.0 if s is None else max(obj - s[2], 0.0)
 
         # no probe budget: a probe makes j reliable for good, so at most dim pairs
@@ -421,6 +422,8 @@ def _bb_float(model: IlpModel, u0, root_bound: int, best_value: int,
         for j in shortlist:
             if pcd_n[j] > 0.0 and pcu_n[j] > 0.0:
                 continue
+            if deadline is not None and time.monotonic() > deadline:
+                break  # the next pop stops the tree
             ud, lu, f = children(j)
             pcd[j] += probe(l, ud) / f
             pcd_n[j] += 1.0

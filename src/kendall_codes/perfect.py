@@ -16,16 +16,8 @@ singular f^lam x f^lam matrix, never an empty one.
 A coset matrix M of shape mu is certified in one of two ways, chosen by
 its dimension:
 
-- Up to DENSE_LIMIT, through its reversal split (reversal_split).  The
-  reversal w0: i -> n + 1 - i conjugates s_i to s_(n-i), so the tabloid
-  permutation P: t -> w0 t satisfies P M P = M.  On the P-invariant
-  vectors E+ (e_f for a fixed tabloid, e_r + e_(w0 r) for a pair) M acts
-  by an integer block D+ = R M E+, on the anti-invariant ones
-  E- (e_r - e_(w0 r)) by an integer block D- = R' M E-, where R and R'
-  pick one row of each orbit and of each pair (the symmetry-adapted basis
-  of Fassler & Stiefel, "Group Theoretical Methods and Their
-  Applications", 1992).  diag(D+, D-) = Q^-1 M Q over Q for Q = (E+ E-),
-  so det M = det D+ det D- as integers, at every prime.
+- Up to DENSE_LIMIT, by dense elimination of M as it stands
+  (modp_from_action), at any prime.
 - Above DENSE_LIMIT, through its isotypic blocks; M itself is never
   built.  By Young's rule M^mu = sum K_{lam,mu} S^lam over Q, for the
   partitions lam dominating mu, so det M = prod det(T-hat_lam)^K_{lam,mu}
@@ -35,8 +27,7 @@ its dimension:
   dimension, method 'wiedemann', at the last prime any block needed.
 
 Two matrix engines are provided.  Dense elimination gives a deterministic
-determinant for dimensions up to DENSE_LIMIT; on a coset matrix it takes
-det D+ det D-, a quarter of the flops of det M.  It is a right-looking
+determinant for dimensions up to DENSE_LIMIT.  It is a right-looking
 blocked LU over float64 residues with delayed reduction (Dumas, Giorgi &
 Pernet, "FFLAS and FFPACK", ACM TOMS 35(3), 2008): panels of _BLOCK columns
 are eliminated with partial pivoting, and the trailing updates U = L^-1 A
@@ -80,6 +71,7 @@ engine's sums stay exact in float64.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, inf
@@ -98,8 +90,9 @@ VERDICT_SKIPPED = "skipped"
 CONCLUSION_NO_CODE = "no-1-perfect-code"
 CONCLUSION_INCONCLUSIVE = "inconclusive"
 
-#: largest dimension handled by dense elimination
-DENSE_LIMIT = 4096
+#: largest dimension handled by dense elimination: coset matrices, irrep
+#: blocks and symmetric rows above it take the black-box check
+DENSE_LIMIT = 512
 #: default skip threshold for per-matrix checks in the irrep route
 IRREP_CHECK_LIMIT = 4096
 #: primes must lie below this, for two bounds.  In the black-box engine,
@@ -144,52 +137,17 @@ def _residue(value, p: int) -> int:
         if value.denominator % p == 0:
             raise ValueError(f"denominator {value.denominator} divisible by {p}")
         return value.numerator * pow(value.denominator, -1, p) % p
+    if not isinstance(value, numbers.Integral):
+        raise ValueError(f"entry {value!r} is neither an integer nor a Fraction")
     return int(value) % p
 
 
 def modp_from_action(action: ActionMatrix, p: int) -> ModPMatrix:
-    """M mod p, unsplit.  Certificates take the blocks of reversal_split
-    or the isotypic blocks instead; this is the reference both are checked
-    against."""
+    """M mod p: the matrix a coset certificate up to DENSE_LIMIT eliminates
+    as it stands (_coset_certificate)."""
     ent = action.entries.astype(np.int64)
     ent.data %= p
     return ModPMatrix(dim=action.dim, p=p, entries=ent)
-
-
-def reversal_split(action: ActionMatrix) -> tuple[sp.csr_matrix, sp.csr_matrix]:
-    """The integer blocks D+ = R M E+ and D- = R' M E- of a coset matrix M.
-
-    P: t -> w0 t is an involution with P M P = M (young.reversal_index).
-    Its orbits o are the pairs {r, w0 r}, r < w0 r, then the fixed tabloids
-    w0 t = t, each in increasing order of its least tabloid r_o.  E+ holds
-    the P-invariant vectors (e_r + e_(w0 r) for each pair, e_f for each
-    fixed tabloid) and E- the anti-invariant ones e_r - e_(w0 r); R and R'
-    pick row r_o of M for each orbit and for each pair, so that
-        D+[o, o'] = sum of M[r_o, t'] over t' in o',
-        D-[o, o'] = M[r_o, r_o'] - M[r_o, w0 r_o'].
-    Rows of D+ sum to n, W D+ is symmetric for W = diag(|orbit|), and D- is
-    symmetric.  With Q = (E+ E-), diag(D+, D-) = Q^-1 M Q over Q, so
-    det M = det D+ det D- as integers, and a verdict on the blocks is a
-    verdict on M at every prime, p = 2 included.  Raises ValueError unless
-    P M P = M, checked exactly on the CSR: for any other entries the blocks
-    would not be similar to M.
-    """
-    rev = young.reversal_index(action.shape)
-    m = action.entries
-    if m.shape != (len(rev), len(rev)) or (m[rev][:, rev] != m).nnz:
-        raise ValueError(f"entries are not the tabloid action of {action.shape}: P M P != M")
-    tabloid = np.arange(action.dim)
-    reps, fixed = tabloid[tabloid < rev], tabloid[tabloid == rev]
-    pairs, size = len(reps), len(reps) + len(fixed)
-    orbit = np.empty(action.dim, dtype=np.intp)
-    orbit[reps] = orbit[rev[reps]] = np.arange(pairs)
-    orbit[fixed] = np.arange(pairs, size)
-    e_plus = sp.csr_matrix((np.ones(action.dim, dtype=np.int64), (tabloid, orbit)),
-                           shape=(action.dim, size))
-    sign = np.where(tabloid < rev, 1, -1)  # -1 at w0 r, on the pair columns
-    e_minus = sp.csr_matrix((sign, (tabloid, orbit)), shape=(action.dim, size))[:, :pairs]
-    rows = m[np.concatenate((reps, fixed))]  # R M: row r_o of every orbit o
-    return rows @ e_plus, rows[:pairs] @ e_minus
 
 
 def modp_from_entries(dim: int, entries, p: int) -> ModPMatrix:
@@ -490,9 +448,10 @@ def invertible_mod_p(matrix, p: int) -> str:
     """'invertible' proves rational invertibility; 'singular-mod-p' proves
     nothing and should be retried at another prime.
 
-    Accepts dense square rows (ints or Fractions) or an ActionMatrix, whose
-    certificate _coset_certificate chooses.  Rows are eliminated densely up
-    to DENSE_LIMIT, and at any dimension when they are not symmetric mod p;
+    Accepts dense square rows (integers or Fractions; any other entry is
+    refused with ValueError) or an ActionMatrix, whose certificate
+    _coset_certificate chooses.  Rows are eliminated densely up to
+    DENSE_LIMIT, and at any dimension when they are not symmetric mod p;
     symmetric rows above it take the black-box check.
     """
     _check_prime(p)
@@ -512,15 +471,6 @@ def _certify(matrix: ModPMatrix, checked: bool = False) -> tuple[str, str]:
     if matrix.dim <= DENSE_LIMIT or not (checked or _is_symmetric(matrix)):
         return _verdict(_det_mod_dense(matrix)), "dense-elimination"
     return _certify_wiedemann(matrix, checked=True), "wiedemann"
-
-
-def _certify_split(blocks, p: int) -> str:
-    """Dense verdict on a coset matrix M from det D+ det D- mod p, for the
-    integer blocks of reversal_split, which the dense engine reduces."""
-    det = 1
-    for block in blocks:
-        det = det * _det_mod_dense(ModPMatrix(block.shape[0], p, block)) % p
-    return _verdict(det)
 
 
 def _check_prime(p: int) -> None:
@@ -652,28 +602,24 @@ def _certify_blocks(label: str, dim: int, lams, dims, primes):
 
 def _coset_certificate(n: int, shape, primes, action: ActionMatrix | None = None):
     """The certificate of the coset matrix M of a shape, chosen by its
-    dimension: up to DENSE_LIMIT, dense elimination of the two blocks of
-    reversal_split; above it, the black-box check on the isotypic blocks
-    T-hat_lam, lam dominating the shape (_certify_blocks), and M is never
-    built.
+    dimension: up to DENSE_LIMIT, dense elimination of M as it stands, on
+    `action` (whose entries are certified as given) or on M built from the
+    shape; above it, the black-box check on the isotypic blocks T-hat_lam,
+    lam dominating the shape (_certify_blocks), and M is never built.
 
-    The guards run here, before M or any block is built: above DENSE_LIMIT,
-    the shape must be a partition of n, every prime must exceed n and the
-    given `action`, if any, must hold the tabloid action of the shape
-    (ValueError; the split only checks P M P = M, which M + I also passes),
-    and no block may exceed young.IRREP_DIMENSION_LIMIT
+    Above DENSE_LIMIT the guards run here, before any block is built: the
+    shape must be a partition of n, every prime must exceed n and the given
+    `action`, if any, must hold the tabloid action of the shape
+    (ValueError), and no block may exceed young.IRREP_DIMENSION_LIMIT
     (DimensionLimitError).  The function returned runs the certificate at
-    successive primes, on `action` or on M built from the shape, and gives
-    one MatrixCheck plus notes.
+    successive primes and gives one MatrixCheck plus notes.
     """
     label = f"action{shape}"
     dim = young.tabloid_count(shape) if action is None else action.dim
     if dim <= DENSE_LIMIT:
         def certify():
-            split = reversal_split(action if action is not None
-                                   else young.build_action_matrix(n, shape))
-            return _check_one(label, dim, lambda p: (_certify_split(split, p),
-                                                     "dense-elimination"), primes)
+            m = action if action is not None else young.build_action_matrix(n, shape)
+            return _check_one(label, dim, lambda p: _certify(modp_from_action(m, p)), primes)
         return certify
     if young.partition_n(shape) != n:
         raise ValueError("shape is not a partition of n")
@@ -688,12 +634,11 @@ def _coset_certificate(n: int, shape, primes, action: ActionMatrix | None = None
 def obstruction_coset(n: int, shape, primes=DEFAULT_PRIMES) -> ObstructionReport:
     """Coset route: invertibility of the action matrix M on tabloids of shape.
 
-    Up to DENSE_LIMIT, M is certified through the integer blocks D+ and D-
-    of its reversal split, and above it through its isotypic blocks
-    T-hat_lam, never building M (_coset_certificate).  Above DENSE_LIMIT, a
-    prime p <= n (ValueError) and a block above young.IRREP_DIMENSION_LIMIT
-    are refused before any block is built, even when the divisibility check
-    fails.
+    Up to DENSE_LIMIT, M is eliminated densely as it stands, and above it
+    certified through its isotypic blocks T-hat_lam, never building M
+    (_coset_certificate).  Above DENSE_LIMIT, a prime p <= n (ValueError)
+    and a block above young.IRREP_DIMENSION_LIMIT are refused before any
+    block is built, even when the divisibility check fails.
     """
     shape = check_partition(shape)
     primes = _checked_primes(primes)

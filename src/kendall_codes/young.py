@@ -249,15 +249,6 @@ def image_index(shape, reverse: bool = False, swaps=()) -> np.ndarray:
     return _image_index(tabloids, keys, columns, labels)
 
 
-def reversal_index(shape) -> np.ndarray:
-    """Index of w0 t for every tabloid t, w0 the reversal x -> n + 1 - x.
-
-    act(t, w0) reverses the assignment vector.  w0 s_x w0 = s_(n-x), so the
-    permutation P: t -> w0 t satisfies P M P = M for the action matrix M.
-    """
-    return image_index(shape, reverse=True)
-
-
 def involution_classes(shape) -> list[np.ndarray]:
     """One involution per conjugacy class of G = <w0> x prod_k S_(m_k), as
     the index of its image of every tabloid (image_index).

@@ -250,13 +250,13 @@ def test_criterion_09_extended_s14_coset():
 @extended
 @needs_extended
 def test_criterion_09_extended_s14_irreps():
-    # the second proof of n = 14: all 19 blocks checked, 7 of them above
-    # DENSE_LIMIT (f = 4368 and up) on the black box, up to f = 14014
+    # the second proof of n = 14: all 19 blocks checked, 13 of them above
+    # DENSE_LIMIT (f > 512) on the black box, up to f = 14014
     report = perfect.obstruction_irreps(14, (6, 6, 2),
                                         check_limit=young.IRREP_DIMENSION_LIMIT)
     assert len(report.matrices) == 19
     assert max(c.dim for c in report.matrices) == 14014
-    assert sum(c.method == "wiedemann" for c in report.matrices) == 7
+    assert sum(c.method == "wiedemann" for c in report.matrices) == 13
     for c in report.matrices:
         assert c.verdict == perfect.VERDICT_INVERTIBLE, c.label
     assert report.conclusion == perfect.CONCLUSION_NO_CODE

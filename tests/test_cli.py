@@ -380,7 +380,11 @@ PINNED_CERTIFICATES = [
 """),
     (("perfect", "coset", "13", "10,2,1"), """n=13 coset(10, 2, 1): no-1-perfect-code
 divisibility precondition: True
-  action(10, 2, 1) dim 858: invertible mod 1000003 (dense-elimination)
+  action(10, 2, 1) dim 858: invertible mod 1000003 (wiedemann)
+"""),
+    (("perfect", "coset", "11", "6,5"), """n=11 coset(6, 5): no-1-perfect-code
+divisibility precondition: True
+  action(6, 5) dim 462: invertible mod 1000003 (dense-elimination)
 """),
 ]
 

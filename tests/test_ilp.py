@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from kendall_codes import ilp, young
+from kendall_codes import boxlp, ilp, young
 from kendall_codes.boxlp import BoxSimplex
 from kendall_codes.exactlp import ExactSimplex, OPTIMAL
 from kendall_codes.ilp import (
@@ -237,8 +237,8 @@ def test_ilp_time_limit_bounds_every_phase(limit, heuristic, monkeypatch):
 
 
 def _clocked_milp(monkeypatch, root_seconds: float):
-    """Give ilp a clock of its own that the root LP moves by root_seconds
-    and record (clock, options) at every HiGHS call."""
+    """Give ilp and the box LP a clock of their own that the root LP moves
+    by root_seconds and record (clock, options) at every HiGHS call."""
     from scipy import optimize
     clock = [0.0]
     calls = []
@@ -256,7 +256,8 @@ def _clocked_milp(monkeypatch, root_seconds: float):
 
     monkeypatch.setattr(optimize, "milp", timed)
     monkeypatch.setattr(ilp, "lp_relax", slow_root)
-    monkeypatch.setattr(ilp, "time", SimpleNamespace(monotonic=lambda: clock[0]))
+    for module in (ilp, boxlp):
+        monkeypatch.setattr(module, "time", SimpleNamespace(monotonic=lambda: clock[0]))
     return calls
 
 
@@ -293,6 +294,24 @@ def test_the_orbit_solve_leaves_the_tree_time():
     assert r.nodes_explored >= 1
     assert feasible(m, r.argmax)
     assert r.optimum <= r.dual_bound <= factorial(5)
+
+
+def test_the_time_limit_holds_inside_the_tree():
+    # HiGHS takes half the time left; the root node's cold box LP (about 960
+    # pivots) and its strong-branch probes stop at the deadline, and the
+    # node is bounded with the root's duals
+    m = build_coset_ilp(6, (2, 1, 1, 1, 1))
+    t0 = time.monotonic()
+    r = ilp_solve(m, time_limit=1.0)
+    assert time.monotonic() - t0 < 1.5
+    assert r.status == INCUMBENT_ONLY
+    assert feasible(m, r.argmax)
+    # the projection of any distance-3 code is feasible, so the optimum, and
+    # with it a valid dual bound, is at least the size of such a code
+    code = greedy_code(6, 3, seed=0)
+    assert feasible(m, code_projection(code, (2, 1, 1, 1, 1)))
+    assert r.optimum <= r.dual_bound <= factorial(5)
+    assert r.dual_bound >= len(code.members)
 
 
 def test_a_root_stopped_by_the_deadline_still_gives_a_valid_result(monkeypatch):

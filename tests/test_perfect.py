@@ -1,4 +1,5 @@
 import functools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -48,7 +49,7 @@ def test_integer_determinant_known_values():
 
 
 def test_determinant_of_the_empty_matrix_is_one():
-    # the 0 x 0 matrix, e.g. D- of a shape whose tabloids w0 fixes all
+    # the 0 x 0 matrix
     assert integer_determinant([]) == 1
     p = DEFAULT_PRIMES[0]
     assert perfect._det_mod_dense(perfect.modp_from_rows([], p)) == 1
@@ -69,6 +70,16 @@ def test_invertible_mod_p_simple_cases():
     assert invertible_mod_p([[1, 1], [1, 1]], 101) == VERDICT_SINGULAR
     assert invertible_mod_p(young.tridiagonal_reference(5).to_dense(),
                             101) == VERDICT_INVERTIBLE  # det 275, 101 prime
+
+
+def test_invertible_mod_p_refuses_entries_that_are_not_integers():
+    # int() would truncate 0.5 to 0 and certify the singular [[0.5, 1], [1, 2]]
+    p = DEFAULT_PRIMES[0]
+    for rows in ([[0.5, 1], [1, 2]], [[1, "2"], [3, 4]]):
+        with pytest.raises(ValueError, match="neither an integer nor a Fraction"):
+            invertible_mod_p(rows, p)
+    assert invertible_mod_p([[Fraction(1, 2), 1], [1, 2]], p) == VERDICT_SINGULAR
+    assert invertible_mod_p([[np.int64(1), 1], [1, 2]], p) == VERDICT_INVERTIBLE
 
 
 def test_invertible_mod_p_rejects_composite():
@@ -199,11 +210,10 @@ def test_dense_engine_on_a_multi_panel_coset_matrix():
     p = DEFAULT_PRIMES[0]
     m = perfect.modp_from_action(young.build_action_matrix(13, (10, 2, 1)), p)
     assert m.dim == 858 > 6 * perfect._BLOCK
-    assert perfect._certify(m) == (VERDICT_INVERTIBLE, "dense-elimination")
+    assert perfect._det_mod_dense(m)
     dense = m.entries.toarray()
     dense[400] = (dense[10] + dense[800]) % p  # rows of panels 0 and 6
-    singular = perfect.ModPMatrix(m.dim, p, sp.csr_matrix(dense))
-    assert perfect._certify(singular) == (VERDICT_SINGULAR, "dense-elimination")
+    assert perfect._det_mod_dense(perfect.ModPMatrix(m.dim, p, sp.csr_matrix(dense))) == 0
 
 
 @st.composite
@@ -414,11 +424,13 @@ def test_nonsymmetric_matrix_never_takes_the_symmetric_path(monkeypatch):
     tri[0][8] = 1  # one entry off the symmetric pattern
     with pytest.raises(ValueError, match="symmetric"):
         perfect._certify_wiedemann(perfect.modp_from_rows(tri, p))
-    # a split's D+ is self-adjoint only under the W-weighted product, and a
-    # seminormal block only after _symmetrised: both are refused as they are
-    plus, _ = perfect.reversal_split(young.build_action_matrix(5, (4, 1)))
+    # a coset matrix with its rows scaled, D M, is self-adjoint only under the
+    # D-weighted product, and a seminormal block only after _symmetrised:
+    # both are refused as they are
+    m = young.build_action_matrix(5, (4, 1)).to_dense()
+    scaled = sp.csr_matrix(np.arange(1, 6)[:, None] * np.array(m, dtype=np.int64))
     block = ModPMatrix(35, p, young.irrep_T_matrix((4, 2, 1), p))
-    for matrix in (ModPMatrix(plus.shape[0], p, plus), block):
+    for matrix in (ModPMatrix(5, p, scaled), block):
         with pytest.raises(ValueError, match="symmetric"):
             perfect._certify_wiedemann(matrix)
 
@@ -638,13 +650,13 @@ def test_kostka_numbers_by_brute_force_count_small_cases():
 def test_youngs_rule_gives_the_coset_determinant_from_the_blocks(n):
     # M^mu = sum K_{lam,mu} S^lam: det M = prod det(T-hat_lam)^K_{lam,mu}
     # mod p, both sides by dense elimination, for every mu |- n with
-    # dim M <= DENSE_LIMIT; K_{lam,mu} = 0 unless lam dominates mu
+    # dim M <= 4096; K_{lam,mu} = 0 unless lam dominates mu
     p = DEFAULT_PRIMES[0]
     blocks = {lam: perfect._det_mod_dense(
                   ModPMatrix(young.hook_length_dimension(lam), p, young.irrep_T_matrix(lam, p)))
               for lam in young.all_partitions(n)}
     for mu in young.all_partitions(n):
-        if young.tabloid_count(mu) > DENSE_LIMIT:
+        if young.tabloid_count(mu) > 4096:
             continue
         kostka = {lam: _kostka(lam, mu) for lam in blocks}
         assert all((k > 0) == young.dominance_geq(lam, mu) for lam, k in kostka.items()), mu
@@ -693,53 +705,37 @@ def test_irreps_route_on_the_black_box_matches_the_dense_route(n, monkeypatch):
         assert {c.method for c in report.matrices} == {"wiedemann"}
 
 
-# -- reversal split ---------------------------------------------------------------
+# -- isotypic split ----------------------------------------------------------------
 
-def _split_by_definition(action):
-    """D+ = R M E+ and D- = R' M E- by plain loops over the dense M: the
-    orbits of w0 are its pairs {r, w0 r}, r < w0 r, then its fixed
-    tabloids, each in increasing order of r."""
-    m, rev = action.to_dense(), young.reversal_index(action.shape).tolist()
-    reps = [t for t in range(action.dim) if t < rev[t]]
-    orbits = [[r, rev[r]] for r in reps] + [[t] for t in range(action.dim) if t == rev[t]]
-    plus = [[sum(m[o[0]][t] for t in o2) for o2 in orbits] for o in orbits]
-    minus = [[m[r][r2] - m[r][rev[r2]] for r2 in reps] for r in reps]
-    return plus, minus
+def _exact_block_determinant(lam) -> Fraction:
+    """det T-hat_lam over Q, from the exact entries scaled to integers."""
+    f = young.hook_length_dimension(lam)
+    entries = young.irrep_T_matrix(lam)
+    scale = math.lcm(*(Fraction(v).denominator for v in entries.values()))
+    rows = [[0] * f for _ in range(f)]
+    for (i, j), value in entries.items():
+        rows[i][j] = int(value * scale)
+    return Fraction(integer_determinant(rows), scale**f)
 
 
 @pytest.mark.parametrize("shape", [shape for n in range(1, 13) for shape in young.all_partitions(n)
                                    if young.tabloid_count(shape) <= 60], ids=str)
 def test_split_determinant_equals_action_determinant(shape):
+    # M split into its isotypic blocks (Young's rule, the block route above
+    # DENSE_LIMIT): det M = prod det(T-hat_lam)^K_{lam,mu} exactly over Q
     n = sum(shape)
-    action = young.build_action_matrix(n, shape)
-    plus, minus = (block.toarray() for block in perfect.reversal_split(action))
-    expected_plus, expected_minus = _split_by_definition(action)
-    assert plus.tolist() == expected_plus and minus.tolist() == expected_minus
-    pairs, fixed = len(minus), len(plus) - len(minus)
-    assert action.dim == 2 * pairs + fixed
-    assert (plus.sum(axis=1) == n).all()
-    weights = np.array([2] * pairs + [1] * fixed)[:, None]
-    assert np.array_equal(weights * plus, (weights * plus).T)
-    assert np.array_equal(minus, minus.T)
-    assert (integer_determinant(plus.tolist()) * integer_determinant(minus.tolist())
-            == integer_determinant(action.to_dense()))
-
-
-def test_split_refuses_entries_that_do_not_commute_with_the_reversal():
-    action = young.build_action_matrix(4, (3, 1))
-    assert perfect.reversal_split(action)[1].shape == (2, 2)  # two pairs
-    swapped = action.entries[[1, 0, 2, 3]]  # rows 0 and 1 exchanged: P M P != M
-    for entries in (swapped, action.entries[:3, :3]):
-        wrong = young.ActionMatrix(n=4, shape=(3, 1), dim=entries.shape[0], entries=entries)
-        with pytest.raises(ValueError, match="P M P"):
-            perfect.reversal_split(wrong)
-        with pytest.raises(ValueError, match="P M P"):
-            invertible_mod_p(wrong, DEFAULT_PRIMES[0])
+    kostka = {lam: _kostka(lam, shape) for lam in young.constituents_dominating(shape)}
+    assert sum(k * young.hook_length_dimension(lam)
+               for lam, k in kostka.items()) == young.tabloid_count(shape)
+    product = functools.reduce(lambda a, b: a * b,
+                               (_exact_block_determinant(lam)**k for lam, k in kostka.items()),
+                               Fraction(1))
+    assert integer_determinant(young.build_action_matrix(n, shape).to_dense()) == product
 
 
 #: coset shapes (those that pass the divisibility check) with n <= 8, up to a
 #: dimension whose dense elimination takes a fraction of a second; the seven
-#: larger ones, (2,1,1,1,1,1)@7 to (1^8)@8, meet the split in
+#: larger ones, (2,1,1,1,1,1)@7 to (1^8)@8, meet the block route in
 #: test_coset_and_irrep_routes_agree
 SPLIT_SHAPES = [shape for n in range(2, 9) for shape in young.all_partitions(n)
                 if divisibility_precondition(n, shape) and young.tabloid_count(shape) <= 1260]
@@ -747,19 +743,15 @@ SPLIT_SHAPES = [shape for n in range(2, 9) for shape in young.all_partitions(n)
 
 @pytest.mark.parametrize("shape", SPLIT_SHAPES, ids=str)
 def test_split_verdict_equals_unsplit_verdict(shape, monkeypatch):
+    # invertible_mod_p on M split into its isotypic blocks gives the verdict
+    # of dense elimination of M as it stands, at every p > n; a prime p <= n
+    # is refused before any block
     action = young.build_action_matrix(sum(shape), shape)
-    split = perfect.reversal_split(action)
     for p in DEFAULT_PRIMES + (2, 3):
         det = perfect._det_mod_dense(perfect.modp_from_action(action, p))
         dense = VERDICT_INVERTIBLE if det else VERDICT_SINGULAR
-        dets = [perfect._det_mod_dense(perfect.ModPMatrix(block.shape[0], p, block))
-                for block in split]
-        assert dets[0] * dets[1] % p == det
-        assert perfect._certify_split(split, p) == dense
         if p == DEFAULT_PRIMES[0]:
             assert invertible_mod_p(action, p) == dense
-        # above DENSE_LIMIT the block route takes over: the same verdict at
-        # every p > n, and a prime p <= n refused before any block
         with monkeypatch.context() as mp:
             mp.setattr(perfect, "DENSE_LIMIT", 0)
             if p > sum(shape):
@@ -768,6 +760,26 @@ def test_split_verdict_equals_unsplit_verdict(shape, monkeypatch):
                 mp.setattr(young, "irrep_T_matrix", _no_block)
                 with pytest.raises(ValueError, match="p > n"):
                     invertible_mod_p(action, p)
+
+
+@pytest.mark.parametrize("shape", [(4, 2, 1), (3, 3, 1)], ids=str)
+def test_dense_limit_is_the_largest_dimension_eliminated_densely(shape, monkeypatch):
+    n = sum(shape)
+    dim = young.tabloid_count(shape)
+    dense = _count_calls(monkeypatch, "_det_mod_dense")
+    blocks = []
+    real = young.irrep_T_matrix
+    monkeypatch.setattr(young, "irrep_T_matrix",
+                        lambda lam, p=None: blocks.append(lam) or real(lam, p))
+    checks = {}
+    for limit in (dim, dim - 1):
+        monkeypatch.setattr(perfect, "DENSE_LIMIT", limit)
+        dense.clear()
+        blocks.clear()
+        checks[limit] = obstruction_coset(n, shape).matrices[0]
+        assert (len(dense), bool(blocks)) == ((1, False) if limit == dim else (0, True))
+    assert checks[dim].method == "dense-elimination" and checks[dim - 1].method == "wiedemann"
+    assert checks[dim].verdict == checks[dim - 1].verdict
 
 
 @pytest.mark.parametrize("n", [5, 11, 41])
@@ -797,14 +809,12 @@ def test_block_route_guards_come_before_any_block(monkeypatch):
     with pytest.raises(young.DimensionLimitError, match="990"):
         obstruction_coset(11, (6, 3, 2))
     monkeypatch.undo()
-    # entries that are not the tabloid action of the shape: M + I commutes
-    # with the reversal, so only the block route can tell
+    # entries that are not the tabloid action of the shape, such as M + I
     monkeypatch.setattr(perfect, "DENSE_LIMIT", 0)
     monkeypatch.setattr(young, "irrep_T_matrix", _no_block)
     action = young.build_action_matrix(5, (4, 1))
     shifted = action.entries + sp.identity(5, dtype=np.int64, format="csr")
     wrong = young.ActionMatrix(n=5, shape=(4, 1), dim=5, entries=shifted)
-    assert perfect.reversal_split(wrong)[1].shape == (2, 2)  # P M P = M holds
     with pytest.raises(ValueError, match="tabloid action"):
         invertible_mod_p(wrong, DEFAULT_PRIMES[0])
 

@@ -200,7 +200,7 @@ def test_action_matrix_csr_matches_act_loop(shape):
                                    for shape in all_partitions(n)] + [(44, 1)], ids=str)
 def test_reversal_is_an_involution_that_commutes_with_the_action(shape):
     n = sum(shape)
-    rev = young.reversal_index(shape)
+    rev = young.image_index(shape, reverse=True)
     tabloids = enumerate_tabloids(shape)
     w0 = tuple(range(n, 0, -1))
     assert [tabloids[i] for i in rev] == [act(t, w0) for t in tabloids]
