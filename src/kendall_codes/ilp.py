@@ -91,9 +91,7 @@ ILP_DIMENSION_LIMIT = 2500
 def build_coset_ilp(n: int, shape) -> IlpModel:
     """The coset ILP of shape; raises young.DimensionLimitError before any
     enumeration when the shape has more than ILP_DIMENSION_LIMIT tabloids."""
-    shape = check_partition(shape)
-    if young.partition_n(shape) != n:
-        raise ValueError(f"shape {shape} is not a partition of {n}")
+    shape = young.check_shape(n, shape)
     count = young.tabloid_count(shape)
     if count > ILP_DIMENSION_LIMIT:
         raise young.DimensionLimitError(f"{count} tabloids exceeds limit {ILP_DIMENSION_LIMIT}")

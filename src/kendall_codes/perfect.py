@@ -7,10 +7,10 @@ certified by modular arithmetic: a nonzero determinant mod p is already a
 proof of rational invertibility, while singularity mod p says nothing and is
 retried with the next prime from the configured list.
 
-An irreducible block T-hat_lam is built straight mod p from the integer
-structure of the standard tableaux (young.irrep_T_matrix with p: axial
-distances, partner tableaux and a table of 1/d mod p, no rational entry),
-at dimension f^lam (hook length formula), so that an all-zero block is a
+An irreducible block T-hat_lam, or the W T-hat_lam of the black-box check,
+is built straight mod p from the integer structure of the standard tableaux
+(young.irrep_T_matrix and young.irrep_WT_matrix, no rational entry), at
+dimension f^lam (hook length formula), so that an all-zero block is a
 singular f^lam x f^lam matrix, never an empty one.
 
 A coset matrix M of shape mu is certified in one of two ways, chosen by
@@ -27,7 +27,8 @@ its dimension:
   dimension, method 'wiedemann', at the last prime any block needed.
 
 Two matrix engines are provided.  Dense elimination gives a deterministic
-determinant for dimensions up to DENSE_LIMIT.  It is a right-looking
+determinant of a coset matrix or an irrep block up to DENSE_LIMIT, and of
+rows given to invertible_mod_p at any dimension.  It is a right-looking
 blocked LU over float64 residues with delayed reduction (Dumas, Giorgi &
 Pernet, "FFLAS and FFPACK", ACM TOMS 35(3), 2008): panels of _BLOCK columns
 are eliminated with partial pivoting, and the trailing updates U = L^-1 A
@@ -47,13 +48,12 @@ symmetric S of order f, from a seeded random v, of at most f products:
   evidence is deterministic.  A singular S never gets a full pass.
 - A seminormal block T-hat_lam is not symmetric, but S = W T-hat_lam is,
   for the positive diagonal W of the invariant form of Young's seminormal
-  representation, computed mod p from T-hat_lam's own 2x2 pairs
-  (_invariant_form).  Each W_i is a product of factors (d-1)(d+1)/d^2 and
-  their inverses over axial distances 1 < d < n, so det W != 0 mod p for
-  every p > n, and a verdict on S is a verdict on T-hat_lam.  Symmetric
-  rows given to invertible_mod_p take the pass as they are; non-symmetric
-  rows are eliminated densely at any dimension, since their dense rows are
-  already in memory.
+  representation, built in T-hat_lam's pass from a closed form in the
+  tableau contents (young.irrep_WT_matrix).  Each W_t is a ratio of
+  products of factors (d-1)(d+1)/d^2, 1 < d < n, so det W != 0 mod p for
+  every p > n, and a verdict on S is a verdict on T-hat_lam.  An S that is
+  not symmetric mod p is refused (ValueError), as the proof needs it: a
+  wrong W can never give a false proof.
 - A pass that stops short, at t = 0 before step f (w = 0, or a
   self-orthogonal w), gets one more pass, from the same v, on D S D for a
   seeded random diagonal D of nonzero residues (a diagonal preconditioner,
@@ -90,16 +90,16 @@ VERDICT_SKIPPED = "skipped"
 CONCLUSION_NO_CODE = "no-1-perfect-code"
 CONCLUSION_INCONCLUSIVE = "inconclusive"
 
-#: largest dimension handled by dense elimination: coset matrices, irrep
-#: blocks and symmetric rows above it take the black-box check
+#: largest dimension handled by dense elimination: coset matrices and irrep
+#: blocks above it take the black-box check
 DENSE_LIMIT = 512
 #: default skip threshold for per-matrix checks in the irrep route
 IRREP_CHECK_LIMIT = 4096
 #: primes must lie below this, for two bounds.  In the black-box engine,
 #: int64 stays exact for a sum of fewer than 2^23 products of residues in
 #: [0, p), since 2^23 (p-1)^2 < 2^63, and every order it meets is below
-#: 2^23 (young.IRREP_DIMENSION_LIMIT for a block; dense rows of that order
-#: would not fit in memory):
+#: 2^23 (it runs on irrep blocks, of order at most
+#: young.IRREP_DIMENSION_LIMIT):
 #: - a row of S w sums at most f such products;
 #: - S w is reduced into [0, p) before its dot products, which run over f
 #:   entries; the update S w - alpha w - beta w_prev stays above
@@ -298,58 +298,6 @@ def _is_symmetric(matrix: ModPMatrix) -> bool:
     return not ((matrix.entries - matrix.entries.T).data % matrix.p).any()
 
 
-def _invariant_form(t_hat: ModPMatrix) -> np.ndarray:
-    """The diagonal W mod p, W_0 = 1, with W T-hat symmetric, from T-hat's
-    own 2x2 pairs.
-
-    A pair t' = s_i t of tableaux has T[t, t'] = 1 - 1/d^2 and T[t', t] = 1
-    for the axial distance d > 1 on t (young.irrep_T_matrix), so
-    W_t' = W_t T[t, t'] T[t', t]^-1.  The off-diagonal entries connect the
-    tableaux, and each vectorised sweep sets W_t' for every entry (t, t')
-    with W_t set and W_t' unset, until none is left.  Every off-diagonal
-    residue and every W_t is nonzero mod p > n, so 0 marks an unset W_t.
-    Raises ValueError unless T-hat's off-diagonal pattern is symmetric and
-    every W_t is set.
-    """
-    p, dim = t_hat.p, t_hat.dim
-    ent, back = t_hat.entries, t_hat.entries.T.tocsr()
-    ent.sort_indices()
-    back.sort_indices()
-    if not (np.array_equal(ent.indptr, back.indptr)
-            and np.array_equal(ent.indices, back.indices)):
-        raise ValueError("T-hat has no diagonal W with W T-hat symmetric")
-    rows = np.repeat(np.arange(dim), np.diff(ent.indptr))
-    off = rows != ent.indices
-    t, t2 = rows[off], ent.indices[off]  # back.data[e] = T[t2, t]
-    values, position = np.unique(back.data[off], return_inverse=True)
-    inverses = np.array([pow(int(v), -1, p) for v in values.tolist()], dtype=np.int64)
-    ratio = ent.data[off] * inverses[position] % p
-    w = np.zeros(dim, dtype=np.int64)
-    w[0] = 1
-    while len(t):
-        step = w[t] != 0
-        if not step.any():
-            break
-        w[t2[step]] = w[t[step]] * ratio[step] % p
-        left = w[t2] == 0
-        t, t2, ratio = t[left], t2[left], ratio[left]
-    if not w.all():
-        raise ValueError("T-hat has no diagonal W with W T-hat symmetric")
-    return w
-
-
-def _symmetrised(t_hat: ModPMatrix) -> ModPMatrix:
-    """W T-hat mod p for the W of _invariant_form: its rows scaled by W.
-    Raises ValueError unless it is symmetric mod p."""
-    entries = t_hat.entries.copy()
-    rows = np.repeat(np.arange(t_hat.dim), np.diff(entries.indptr))
-    entries.data = entries.data * _invariant_form(t_hat)[rows] % t_hat.p
-    scaled = ModPMatrix(dim=t_hat.dim, p=t_hat.p, entries=entries)
-    if not _is_symmetric(scaled):
-        raise ValueError("T-hat has no diagonal W with W T-hat symmetric")
-    return scaled
-
-
 def _lanczos(matrix: ModPMatrix, v: np.ndarray) -> list[int]:
     """The t of every step of one Lanczos pass over F_p on a symmetric S of
     order f (Lanczos, J. Res. Nat. Bur. Standards 49, 1952), up to the
@@ -396,7 +344,7 @@ def _rescaled(matrix: ModPMatrix, d: np.ndarray) -> ModPMatrix:
     return ModPMatrix(dim=matrix.dim, p=matrix.p, entries=entries)
 
 
-def _certify_wiedemann(matrix: ModPMatrix, checked: bool = False) -> str:
+def _certify_wiedemann(matrix: ModPMatrix) -> str:
     """The black-box verdict on a symmetric S: 'invertible' when a Lanczos
     pass runs full length (_lanczos), which proves det S != 0 mod p.
 
@@ -404,10 +352,9 @@ def _certify_wiedemann(matrix: ModPMatrix, checked: bool = False) -> str:
     pass gets one more, from the same v, on D S D for a seeded random
     diagonal D of nonzero residues; det D != 0, so a full pass there is a
     proof too.  Two short passes give 'singular-mod-p', which proves
-    nothing.  Raises ValueError unless S is symmetric mod p, which is
-    checked here unless the caller has `checked` it.
+    nothing.  The proof needs S symmetric mod p: ValueError otherwise.
     """
-    if not (checked or _is_symmetric(matrix)):
+    if not _is_symmetric(matrix):
         raise ValueError("the black-box check needs a symmetric matrix")
     p, dim = matrix.p, matrix.dim
     rng = np.random.default_rng((WIEDEMANN_SEED, p, dim))
@@ -449,28 +396,18 @@ def invertible_mod_p(matrix, p: int) -> str:
     nothing and should be retried at another prime.
 
     Accepts dense square rows (integers or Fractions; any other entry is
-    refused with ValueError) or an ActionMatrix, whose certificate
-    _coset_certificate chooses.  Rows are eliminated densely up to
-    DENSE_LIMIT, and at any dimension when they are not symmetric mod p;
-    symmetric rows above it take the black-box check.
+    refused with ValueError), eliminated densely at any dimension, or an
+    ActionMatrix, whose certificate _coset_certificate chooses.
     """
     _check_prime(p)
     if not isinstance(matrix, ActionMatrix):
-        return _certify(modp_from_rows(matrix, p))[0]
+        return _dense(modp_from_rows(matrix, p))[0]
     return _coset_certificate(matrix.n, matrix.shape, (p,), matrix)()[0].verdict
 
 
-def _verdict(det: int) -> str:
-    return VERDICT_INVERTIBLE if det else VERDICT_SINGULAR
-
-
-def _certify(matrix: ModPMatrix, checked: bool = False) -> tuple[str, str]:
-    """Verdict and method: the black-box check for a matrix above
-    DENSE_LIMIT that is symmetric mod p (checked here, unless the caller
-    has `checked` it), dense elimination otherwise."""
-    if matrix.dim <= DENSE_LIMIT or not (checked or _is_symmetric(matrix)):
-        return _verdict(_det_mod_dense(matrix)), "dense-elimination"
-    return _certify_wiedemann(matrix, checked=True), "wiedemann"
+def _dense(matrix: ModPMatrix) -> tuple[str, str]:
+    """The verdict of dense elimination, and its method."""
+    return VERDICT_INVERTIBLE if _det_mod_dense(matrix) else VERDICT_SINGULAR, "dense-elimination"
 
 
 def _check_prime(p: int) -> None:
@@ -517,9 +454,7 @@ class ObstructionReport:
 
 def divisibility_precondition(n: int, shape) -> bool:
     """True iff n does not divide |S_shape| = prod(part!)."""
-    shape = check_partition(shape)
-    if young.partition_n(shape) != n:
-        raise ValueError("shape is not a partition of n")
+    shape = young.check_shape(n, shape)
     return young.young_subgroup_order(shape) % n != 0
 
 
@@ -528,26 +463,24 @@ def perfect_counting_condition(n: int, r: int) -> bool:
     return factorial(n) % ball_size(n, r) == 0
 
 
-def _seminormal_block(lam, dim: int, p: int, symmetric: bool) -> ModPMatrix:
-    """T-hat_lam mod p (young.irrep_T_matrix) at dimension f^lam = dim, or,
-    if symmetric, the W T-hat_lam of _symmetrised, which has checked that
-    it is symmetric, and whose verdict is T-hat_lam's: det W != 0 mod p for
-    every p > n."""
-    t_hat = ModPMatrix(dim=dim, p=p, entries=young.irrep_T_matrix(lam, p))
-    return _symmetrised(t_hat) if symmetric else t_hat
+def _wiedemann_block(lam, dim: int, p: int) -> tuple[str, str]:
+    """The black-box verdict on W T-hat_lam mod p (young.irrep_WT_matrix) at
+    dimension f^lam = dim, which is T-hat_lam's, and its method."""
+    return _certify_wiedemann(ModPMatrix(dim, p, young.irrep_WT_matrix(lam, p))), "wiedemann"
 
 
-def _check_one(label: str, dim: int, certify, primes):
+def _check_one(label: str, dim: int, certify, primes, subject: str | None = None):
     """Run the certificate at successive primes; one MatrixCheck plus notes.
 
-    certify(p) returns the verdict and method at the prime p.
-    """
+    certify(p) returns the verdict and method at the prime p.  A prime that
+    fails gets a note, "{subject} singular mod p, retrying", subject
+    defaulting to f"{label}:"."""
     notes = []
     for p in primes:
         verdict, method = certify(p)
         if verdict == VERDICT_INVERTIBLE:
             return MatrixCheck(label, dim, p, verdict, method), notes
-        notes.append(f"{label}: singular mod {p}, retrying")
+        notes.append(f"{subject or label + ':'} singular mod {p}, retrying")
     return MatrixCheck(label, dim, primes[-1], VERDICT_SINGULAR, method), notes
 
 
@@ -582,21 +515,17 @@ def _constituents(n: int, mu, primes, use_list: str = "computed", check_limit=in
 
 def _certify_blocks(label: str, dim: int, lams, dims, primes):
     """One MatrixCheck, plus notes, for a coset matrix of dimension dim from
-    its blocks: each W T-hat_lam takes the black-box check at successive
-    primes until one certifies it.  The check is 'invertible' at the last
-    prime, in list order, that any block needed, and 'singular-mod-p' at
-    the last prime once a block is singular at every prime."""
-    notes = []
-    last = 0
+    its blocks, each checked at successive primes (_check_one) on the black
+    box.  It is 'invertible' at the last prime, in list order, that any
+    block needed, or 'singular-mod-p' at the last prime."""
+    notes, last = [], 0
     for lam, f in zip(lams, dims):
-        for k, p in enumerate(primes):
-            block = _seminormal_block(lam, f, p, symmetric=True)
-            if _certify_wiedemann(block, checked=True) == VERDICT_INVERTIBLE:
-                last = max(last, k)
-                break
-            notes.append(f"{label}: T-hat{lam} singular mod {p}, retrying")
-        else:
+        check, more = _check_one(f"T-hat{lam}", f, lambda p: _wiedemann_block(lam, f, p),
+                                 primes, f"{label}: T-hat{lam}")
+        notes += more
+        if check.verdict != VERDICT_INVERTIBLE:
             return MatrixCheck(label, dim, primes[-1], VERDICT_SINGULAR, "wiedemann"), notes
+        last = max(last, primes.index(check.prime))
     return MatrixCheck(label, dim, primes[last], VERDICT_INVERTIBLE, "wiedemann"), notes
 
 
@@ -607,22 +536,21 @@ def _coset_certificate(n: int, shape, primes, action: ActionMatrix | None = None
     shape; above it, the black-box check on the isotypic blocks T-hat_lam,
     lam dominating the shape (_certify_blocks), and M is never built.
 
-    Above DENSE_LIMIT the guards run here, before any block is built: the
-    shape must be a partition of n, every prime must exceed n and the given
-    `action`, if any, must hold the tabloid action of the shape
+    The guards run here: the shape must be a partition of n and, above
+    DENSE_LIMIT and before any block is built, every prime must exceed n,
+    the given `action`, if any, must hold the tabloid action of the shape
     (ValueError), and no block may exceed young.IRREP_DIMENSION_LIMIT
     (DimensionLimitError).  The function returned runs the certificate at
     successive primes and gives one MatrixCheck plus notes.
     """
+    shape = young.check_shape(n, shape)
     label = f"action{shape}"
     dim = young.tabloid_count(shape) if action is None else action.dim
     if dim <= DENSE_LIMIT:
         def certify():
             m = action if action is not None else young.build_action_matrix(n, shape)
-            return _check_one(label, dim, lambda p: _certify(modp_from_action(m, p)), primes)
+            return _check_one(label, dim, lambda p: _dense(modp_from_action(m, p)), primes)
         return certify
-    if young.partition_n(shape) != n:
-        raise ValueError("shape is not a partition of n")
     lams, dims = _constituents(n, shape, primes)
     if action is not None:
         expected = young.build_action_matrix(n, shape).entries
@@ -664,14 +592,13 @@ def obstruction_irreps(n: int, mu, use_list: str = "computed",
     """Irrep route: invertibility of T-hat on every constituent of the
     tabloid module of mu (all partitions dominating mu, by Young's rule).
 
-    Each block is built straight mod p, once per prime tried
-    (_seminormal_block); no exact rational entry is formed.  Every prime
+    Each block is built straight mod p, once per prime tried: T-hat_lam for
+    dense elimination up to DENSE_LIMIT, W T-hat_lam for the black-box check
+    above it (_wiedemann_block); no exact rational entry is formed.  Every prime
     must exceed n, and a prime p <= n anywhere in primes is refused
     (ValueError) before any block is built, as is one at or above
     PRIME_LIMIT."""
-    mu = check_partition(mu)
-    if young.partition_n(mu) != n:
-        raise ValueError("mu is not a partition of n")
+    mu = young.check_shape(n, mu)
     primes = _checked_primes(primes)
     lams, dims = _constituents(n, mu, primes, use_list, check_limit)
     div_ok = divisibility_precondition(n, mu)
@@ -684,10 +611,9 @@ def obstruction_irreps(n: int, mu, use_list: str = "computed",
             checks.append(MatrixCheck(label, dim, None, VERDICT_SKIPPED, "skipped"))
             skipped += 1
             continue
-        big = dim > DENSE_LIMIT  # symmetrised, and so checked, for the black box
-        check, more = _check_one(
-            label, dim, lambda p: _certify(_seminormal_block(lam, dim, p, big), checked=big),
-            primes)
+        certify = ((lambda p: _wiedemann_block(lam, dim, p)) if dim > DENSE_LIMIT else
+                   (lambda p: _dense(ModPMatrix(dim, p, young.irrep_T_matrix(lam, p)))))
+        check, more = _check_one(label, dim, certify, primes)
         checks.append(check)
         notes.extend(more)
     all_inv = all(c.verdict == VERDICT_INVERTIBLE for c in checks)

@@ -20,10 +20,11 @@ at n, n-1, ..., 1.
 
 Irreducible representations are realized in Young's seminormal form (the
 orthogonal form needs square roots, which would break mod-p reduction).  One
-array pass over the standard tableaux gives the axial distance of every
-generator on every tableau and the partner tableau it pairs with; T-hat,
-the identity plus every generator matrix, is read off it either with exact
-rational entries or straight mod p as a CSR of residues.
+array pass over the standard tableaux gives the contents, the axial
+distance of every generator on every tableau and the partner tableau it
+pairs with; T-hat, the identity plus every generator matrix, is read off it
+either with exact rational entries or straight mod p as a CSR of residues,
+and so is the symmetric W T-hat for the invariant form W (irrep_WT_matrix).
 """
 
 from __future__ import annotations
@@ -72,6 +73,15 @@ def check_partition(shape) -> NumberPartition:
 
 def partition_n(shape: NumberPartition) -> int:
     return sum(shape)
+
+
+def check_shape(n: int, shape) -> NumberPartition:
+    """The checked partition (check_partition); ValueError unless it is a
+    partition of n."""
+    shape = check_partition(shape)
+    if partition_n(shape) != n:
+        raise ValueError(f"shape {shape} is not a partition of {n}")
+    return shape
 
 
 def young_subgroup_order(shape) -> int:
@@ -204,9 +214,7 @@ def build_action_matrix(n: int, shape) -> ActionMatrix:
     first) with unit weights, and sum_duplicates sorts and merges them into
     counts.
     """
-    shape = check_partition(shape)
-    if partition_n(shape) != n:
-        raise ValueError(f"shape {shape} is not a partition of {n}")
+    shape = check_shape(n, shape)
     tabloids, keys = _tabloid_keys(shape)
     dim = len(tabloids)
     cols = np.empty((dim, n), dtype=np.intp)
@@ -319,9 +327,7 @@ def double_coset_oracle(n: int, shape, i: int, j: int) -> int:
     """
     if n > 6:
         raise ValueError("double-coset oracle is limited to n <= 6")
-    shape = check_partition(shape)
-    if partition_n(shape) != n:
-        raise ValueError(f"shape {shape} is not a partition of {n}")
+    shape = check_shape(n, shape)
     ref = reference_tabloid(shape)
     tabloids = enumerate_tabloids(shape)
     h_members = []
@@ -476,11 +482,12 @@ def enumerate_syt(shape) -> list[StandardYoungTableau]:
     return [tuple(map(cells.__getitem__, t)) for t in cell_number.tolist()]
 
 
-def _seminormal_structure(shape: NumberPartition) -> tuple[np.ndarray, np.ndarray]:
+def _seminormal_structure(shape: NumberPartition) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Axial distances and partner tableaux of every generator on every
-    standard tableau of a checked shape, as two f x (n-1) arrays.
+    standard tableau of a checked shape, as two f x (n-1) arrays, and the
+    f x n contents: content[k, x-1] = c(x) = col - row of x in tableau k.
 
-    d[k, i-1] = c(i+1) - c(i) on tableau k, for the content c = col - row.
+    d[k, i-1] = c(i+1) - c(i) on tableau k.
     d = 1 when i and i+1 share a row and d = -1 when they share a column;
     then s_i t_k is not standard and partner[k, i-1] = k.  Otherwise
     partner[k, i-1] is the index of s_i t_k, the tableau with i and i+1
@@ -513,7 +520,7 @@ def _seminormal_structure(shape: NumberPartition) -> tuple[np.ndarray, np.ndarra
         # entries i and i+1 are letters n - i and n - i - 1 of the word
         image[:, [n - i - 1, n - i]] = image[:, [n - i, n - i - 1]]
         partner[moved, i - 1] = np.searchsorted(keys, image.view(key).ravel())
-    return d, partner
+    return d, partner, content
 
 
 def _seminormal_entries(d: np.ndarray, partner: np.ndarray, i: int):
@@ -544,7 +551,34 @@ def seminormal_generator(shape, i: int) -> dict[tuple[int, int], Fraction]:
     n = partition_n(shape)
     if not 1 <= i <= n - 1:
         raise ValueError(f"generator index must be in 1..{n - 1}, got {i}")
-    return dict(_seminormal_entries(*_seminormal_structure(shape), i))
+    return dict(_seminormal_entries(*_seminormal_structure(shape)[:2], i))
+
+
+def _t_hat_residues(shape: NumberPartition, p: int):
+    """T-hat mod p of a checked shape as an int64 CSR of residues in [0, p),
+    zeros dropped, with the contents (_seminormal_structure) and the table
+    of (d^2 - 1)/d^2 mod p for d > 1, else 1, indexed by d + n - 1.
+    ValueError for p <= n, where a denominator d may vanish mod p.  Row k
+    holds the diagonal 1 + sum_i 1/d[k, i-1] (1/d = d for d = +1 or -1) and,
+    for each i with |d| > 1, (d^2 - 1)/d^2 at s_i t_k if d > 0, else 1.
+    """
+    n = partition_n(shape)
+    if p <= n:
+        raise ValueError(f"seminormal reduction mod {p} needs p > n = {n}")
+    d, partner, content = _seminormal_structure(shape)
+    inverse = np.array([pow(x, -1, p) if x else 0 for x in range(1 - n, n)], dtype=np.int64)
+    paired = np.array([(x * x - 1) * pow(x, -2, p) % p if x > 1 else 1 for x in range(1 - n, n)],
+                      dtype=np.int64)
+    index = d + (n - 1)
+    k, i = np.nonzero(abs(d) > 1)
+    diagonal = np.arange(len(d))
+    mat = sp.csr_matrix((np.concatenate(((1 + inverse[index].sum(axis=1)) % p,
+                                         paired[index[k, i]])),
+                         (np.concatenate((diagonal, k)),
+                          np.concatenate((diagonal, partner[k, i])))),
+                        shape=(len(d), len(d)))
+    mat.eliminate_zeros()
+    return mat, content, paired
 
 
 def irrep_T_matrix(shape, p: int | None = None
@@ -553,38 +587,42 @@ def irrep_T_matrix(shape, p: int | None = None
 
     Without p: a sparse dict of exact rationals, at most 2(n-1)+1 nonzeros
     per row.  With a prime p > n: the same matrix mod p as an int64 CSR of
-    residues in [0, p), zeros dropped; ValueError for p <= n, where an axial
-    distance, hence a denominator, may vanish mod p.  Both come from one
-    pass over the tableaux (_seminormal_structure).  Row k holds the
-    diagonal 1 + sum_i 1/d[k, i-1] (1/d = d for d = +1 or -1) and, for each
-    i with |d| > 1, (d^2 - 1)/d^2 at s_i t_k if d > 0, else 1; the residues
-    come from a table of 1/d mod p.
+    residues in [0, p), zeros dropped; ValueError for p <= n
+    (_t_hat_residues).  Both come from one pass over the tableaux
+    (_seminormal_structure).
     """
     shape = check_partition(shape)
-    n = partition_n(shape)
-    if p is not None and p <= n:
-        raise ValueError(f"seminormal reduction mod {p} needs p > n = {n}")
-    d, partner = _seminormal_structure(shape)
-    dim = len(d)
-    if p is None:
-        total: dict[tuple[int, int], Fraction] = {(k, k): Fraction(1) for k in range(dim)}
-        for i in range(1, n):
-            for key, value in _seminormal_entries(d, partner, i):
-                total[key] = total.get(key, Fraction(0)) + value
-        return {key: value for key, value in total.items() if value != 0}
-    # residues of 1/d and of the entry at the partner, indexed by d + n - 1
-    inverse = np.array([pow(x, -1, p) if x else 0 for x in range(1 - n, n)], dtype=np.int64)
-    paired = np.array([(x * x - 1) * pow(x, -2, p) % p if x > 1 else 1 for x in range(1 - n, n)],
-                      dtype=np.int64)
-    index = d + (n - 1)
-    k, i = np.nonzero(abs(d) > 1)
-    diagonal = np.arange(dim)
-    mat = sp.csr_matrix((np.concatenate(((1 + inverse[index].sum(axis=1)) % p,
-                                         paired[index[k, i]])),
-                         (np.concatenate((diagonal, k)),
-                          np.concatenate((diagonal, partner[k, i])))),
-                        shape=(dim, dim))
-    mat.eliminate_zeros()
+    if p is not None:
+        return _t_hat_residues(shape, p)[0]
+    d, partner, _ = _seminormal_structure(shape)
+    total: dict[tuple[int, int], Fraction] = {(k, k): Fraction(1) for k in range(len(d))}
+    for i in range(1, partition_n(shape)):
+        for key, value in _seminormal_entries(d, partner, i):
+            total[key] = total.get(key, Fraction(0)) + value
+    return {key: value for key, value in total.items() if value != 0}
+
+
+def irrep_WT_matrix(shape, p: int) -> sp.csr_matrix:
+    """T-hat mod p (irrep_T_matrix; ValueError for p <= n) with row t scaled
+    by W_t, for the diagonal W, W_0 = 1, of Young's seminormal invariant
+    form: W T-hat is symmetric.
+
+    A pair t' = s_i t with axial distance d > 1 on t has T[t, t'] =
+    (d^2 - 1)/d^2 and T[t', t] = 1, so W_t' = W_t (d^2 - 1)/d^2.  On t',
+    i has content d above i + 1, and every other pair keeps its content
+    difference, so W_t is, up to scale, the product of 1 - 1/(c(a) - c(b))^2
+    over the entries a < b of t with c(a) - c(b) >= 2.  No factor vanishes
+    mod p > n.  One entry a at a time keeps the memory O(f n).
+    """
+    mat, content, paired = _t_hat_residues(check_partition(shape), p)
+    dim, n = content.shape
+    w = np.ones(dim, dtype=np.int64)
+    for a in range(n - 1):
+        for factor in paired[content[:, a, None] - content[:, a + 1:] + (n - 1)].T:
+            w *= factor
+            w %= p
+    w = w * pow(int(w[0]), -1, p) % p
+    mat.data = mat.data * w[np.repeat(np.arange(dim), np.diff(mat.indptr))] % p
     return mat
 
 

@@ -87,7 +87,8 @@ def invariant_form(dim: int, t_hat: dict) -> list:
     own 2x2 pairs: W_t' = W_t T[t, t'] / T[t', t], walked breadth-first from
     W_0 = 1 over the off-diagonal entries.  Raises ValueError unless every
     W_t is set and W T-hat is exactly symmetric.  The exact reference for
-    perfect._invariant_form, which computes W mod p.
+    young.irrep_WT_matrix, which computes W T-hat mod p from a closed form
+    of W.
     """
     linked = [[] for _ in range(dim)]
     for i, j in t_hat:

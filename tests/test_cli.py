@@ -257,6 +257,20 @@ def test_ilp_json_below_2_53_is_one_document():
     assert (proc.returncode, status) in [(0, "proven-optimal"), (3, "incumbent-only")]
 
 
+def test_import_loads_no_heavy_scipy_module():
+    # each of these costs import time in every run (scipy.sparse.csgraph
+    # alone about 60 ms); they are imported where they are used, so a fresh
+    # interpreter that imports the package loads none of them
+    src = str(Path(kendall_codes.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    heavy = ("scipy.optimize", "scipy.linalg", "scipy.sparse.csgraph")
+    code = f"import sys, kendall_codes\nprint([m for m in {heavy!r} if m in sys.modules])"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=120, check=True)
+    assert proc.stdout.strip() == "[]"
+
+
 @pytest.mark.parametrize("argv", [
     ("--config", "DIR", "distance", "1,2", "1,2"),
     ("verify", "3", "DIR"),
@@ -320,6 +334,7 @@ def test_config_rejects_prime_above_limit(tmp_path, capsys, monkeypatch):
 
     monkeypatch.setattr(young, "build_action_matrix", no_matrix_work)
     monkeypatch.setattr(young, "irrep_T_matrix", no_matrix_work)
+    monkeypatch.setattr(young, "irrep_WT_matrix", no_matrix_work)
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"primeList": [2147483647]}))
     code, _, err = run(capsys, "--config", str(cfg), "perfect", "coset", "11", "6,3,2")
@@ -334,6 +349,7 @@ def test_coset_above_dense_limit_refuses_before_any_block(tmp_path, capsys, monk
         raise AssertionError("block built")
 
     monkeypatch.setattr(young, "irrep_T_matrix", no_block)
+    monkeypatch.setattr(young, "irrep_WT_matrix", no_block)
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"primeList": [1000003, 11]}))
     code, _, err = run(capsys, "--config", str(cfg), "perfect", "coset", "11", "6,3,2")
@@ -350,6 +366,7 @@ def test_irreps_rejects_prime_at_or_below_n(tmp_path, capsys, monkeypatch):
         raise AssertionError("block built")
 
     monkeypatch.setattr(young, "irrep_T_matrix", no_block)
+    monkeypatch.setattr(young, "irrep_WT_matrix", no_block)
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"primeList": [1000003, 3]}))
     code, _, err = run(capsys, "--config", str(cfg), "perfect", "irreps", "4", "3,1")

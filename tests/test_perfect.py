@@ -28,7 +28,7 @@ from kendall_codes.perfect import (
     perfect_counting_condition,
 )
 
-from exact_sparse import invariant_form
+from exact_sparse import invariant_form, seminormal_reference
 
 
 def test_default_primes_are_prime():
@@ -95,9 +95,15 @@ def _no_block(shape, p=None):
     raise AssertionError(f"block {shape} built")
 
 
+def _refuse_blocks(mp):
+    """Refuse every block build, T-hat_lam and W T-hat_lam alike."""
+    mp.setattr(young, "irrep_T_matrix", _no_block)
+    mp.setattr(young, "irrep_WT_matrix", _no_block)
+
+
 def test_primes_at_or_above_limit_are_rejected(monkeypatch):
     monkeypatch.setattr(young, "build_action_matrix", _no_matrix_work)
-    monkeypatch.setattr(young, "irrep_T_matrix", _no_block)
+    _refuse_blocks(monkeypatch)
     for name in ("modp_from_action", "modp_from_entries", "modp_from_rows"):
         monkeypatch.setattr(perfect, name, _no_matrix_work)
     for p in (1048583, 2147483647):  # the first prime >= 2**20, and 2**31 - 1
@@ -125,13 +131,14 @@ def test_fraction_entries_and_bad_denominator():
 def test_seminormal_prime_gate():
     # an axial distance, hence a denominator, may vanish mod p <= n
     for p in (2, 3):
-        with pytest.raises(ValueError, match="p > n"):
-            young.irrep_T_matrix((2, 1), p)
+        for build in (young.irrep_T_matrix, young.irrep_WT_matrix):
+            with pytest.raises(ValueError, match="p > n"):
+                build((2, 1), p)
     assert young.irrep_T_matrix((2, 1), 5).shape == (2, 2)
 
 
 def test_primes_at_or_below_n_are_refused_before_any_block(monkeypatch):
-    monkeypatch.setattr(young, "irrep_T_matrix", _no_block)
+    _refuse_blocks(monkeypatch)
     for primes in ((DEFAULT_PRIMES[0], 3), (3, DEFAULT_PRIMES[0])):
         with pytest.raises(ValueError, match="p > n = 4"):
             obstruction_irreps(4, (3, 1), primes=primes)
@@ -161,8 +168,7 @@ def test_zero_residue_block_is_singular():
     for p in (3, *DEFAULT_PRIMES):
         block = young.irrep_T_matrix((1, 1), p)
         assert block.shape == (1, 1) and block.nnz == 0
-        assert perfect._certify(ModPMatrix(1, p, block)) == (VERDICT_SINGULAR,
-                                                             "dense-elimination")
+        assert perfect._det_mod_dense(ModPMatrix(1, p, block)) == 0
 
 
 # -- dense engine -----------------------------------------------------------------
@@ -243,7 +249,7 @@ def test_dense_and_wiedemann_verdicts_match_integer_determinant(case):
         mp.setattr(perfect, "_BLOCK", block)
         mp.setattr(perfect, "_SUBPANEL", subpanel)
         assert perfect._det_mod_dense(m) == det
-        assert perfect._certify(m) == (expected, "dense-elimination")
+        assert invertible_mod_p(rows, p) == expected
     if p > 10**6 and rows == [list(col) for col in zip(*rows)]:
         assert perfect._certify_wiedemann(m) == expected
 
@@ -407,7 +413,7 @@ def test_lanczos_is_exact_at_the_largest_residues():
         ts = perfect._lanczos(m, v)
         assert ts == _exact_lanczos(m.entries.toarray().tolist(), v, p)
     # a seminormal block at the largest prime: full length, as exact
-    s = perfect._seminormal_block((4, 2, 1), 35, p, symmetric=True)
+    s = ModPMatrix(35, p, young.irrep_WT_matrix((4, 2, 1), p))
     v = _start_vector(p, 35)
     assert perfect._lanczos(s, v) == _exact_lanczos(s.entries.toarray().tolist(), v, p)
     assert len(perfect._lanczos(s, v)) == 35
@@ -425,8 +431,8 @@ def test_nonsymmetric_matrix_never_takes_the_symmetric_path(monkeypatch):
     with pytest.raises(ValueError, match="symmetric"):
         perfect._certify_wiedemann(perfect.modp_from_rows(tri, p))
     # a coset matrix with its rows scaled, D M, is self-adjoint only under the
-    # D-weighted product, and a seminormal block only after _symmetrised:
-    # both are refused as they are
+    # D-weighted product, and a seminormal block only as W T-hat: both are
+    # refused as they are
     m = young.build_action_matrix(5, (4, 1)).to_dense()
     scaled = sp.csr_matrix(np.arange(1, 6)[:, None] * np.array(m, dtype=np.int64))
     block = ModPMatrix(35, p, young.irrep_T_matrix((4, 2, 1), p))
@@ -447,9 +453,9 @@ def test_invertible_mod_p_eliminates_nonsymmetric_rows_at_any_dimension(monkeypa
         expected = VERDICT_INVERTIBLE if integer_determinant(rows) % p else VERDICT_SINGULAR
         assert invertible_mod_p(rows, p) == expected
     assert len(dense) == 2 and lanczos == []
-    # symmetric rows above the limit take the black-box check
+    # symmetric rows above the limit are eliminated densely too
     assert invertible_mod_p(tri, p) == VERDICT_INVERTIBLE
-    assert len(dense) == 2 and len(lanczos) == 1
+    assert len(dense) == 3 and lanczos == []
 
 
 def test_singular_matrix_takes_exactly_two_lanczos_passes(monkeypatch):
@@ -516,7 +522,7 @@ def test_forced_breakdown_retries_once_and_never_certifies(monkeypatch):
     monkeypatch.setattr(perfect, "_lanczos", lambda matrix, v: real(matrix, v)[:-1])
     lanczos = _record_lanczos(monkeypatch)
     rescaled = _count_calls(monkeypatch, "_rescaled")
-    s = perfect._seminormal_block((4, 2, 1), 35, p, symmetric=True)
+    s = ModPMatrix(35, p, young.irrep_WT_matrix((4, 2, 1), p))
     assert perfect._certify_wiedemann(s) == VERDICT_SINGULAR
     _assert_one_rescaled_pass(lanczos, rescaled)
     # a coset on the block route then moves to the next prime, and no prime
@@ -540,7 +546,7 @@ def test_full_pass_runs_iff_the_block_is_invertible():
         for lam in young.all_partitions(n):
             f = young.hook_length_dimension(lam)
             t_hat = ModPMatrix(f, p, young.irrep_T_matrix(lam, p))
-            s = perfect._symmetrised(t_hat)
+            s = ModPMatrix(f, p, young.irrep_WT_matrix(lam, p))
             ts = perfect._lanczos(s, _start_vector(p, f))
             assert (len(ts) == f) == bool(perfect._det_mod_dense(t_hat)), lam
             if len(ts) == f:
@@ -669,28 +675,39 @@ def test_youngs_rule_gives_the_coset_determinant_from_the_blocks(n):
 
 
 def test_invariant_form_symmetrises_every_seminormal_block():
-    for n in range(1, 9):
-        for lam in young.all_partitions(n):
-            dim = young.hook_length_dimension(lam)
-            t_hat = young.irrep_T_matrix(lam)
-            w = invariant_form(dim, t_hat)
-            assert all(x > 0 for x in w), lam
-            assert all(w[i] * value == w[j] * t_hat[j, i]
-                       for (i, j), value in t_hat.items()), lam
-            # mod p, W is the exact W reduced and W T-hat is symmetric
-            for p in (*DEFAULT_PRIMES, _smallest_prime_above(n)):
-                block = ModPMatrix(dim, p, young.irrep_T_matrix(lam, p))
-                assert (perfect._invariant_form(block).tolist()
-                        == [perfect._residue(x, p) for x in w]), (lam, p)
-                scaled = perfect._symmetrised(block).entries
-                assert not ((scaled - scaled.T).data % p).any(), (lam, p)
-    # a cycle of ratios that does not close, and an unlinked row, have none
-    skew = {(0, 1): 1, (1, 0): 1, (1, 2): 1, (2, 1): 2, (0, 2): 1, (2, 0): 1}
-    for dim, entries in ((3, skew), (2, {(0, 0): 1, (1, 1): 2})):
-        with pytest.raises(ValueError, match="symmetric"):
-            invariant_form(dim, entries)
-        with pytest.raises(ValueError, match="symmetric"):
-            perfect._symmetrised(modp_from_entries(dim, entries, DEFAULT_PRIMES[0]))
+    # for every lam |- n <= 10, young.irrep_WT_matrix, from W's closed form
+    # in the tableau contents, is the exact W times the exact T-hat reduced
+    # mod p, entry by entry, and symmetric
+    for lam in (lam for n in range(1, 11) for lam in young.all_partitions(n)):
+        dim = young.hook_length_dimension(lam)
+        t_hat = seminormal_reference(lam)
+        w = invariant_form(dim, t_hat)
+        assert all(x > 0 for x in w), lam
+        exact = {(i, j): w[i] * value for (i, j), value in t_hat.items()}
+        for p in (*DEFAULT_PRIMES, _smallest_prime_above(sum(lam))):
+            block = young.irrep_WT_matrix(lam, p)
+            reduced = modp_from_entries(dim, exact, p).entries
+            assert block.shape == (dim, dim) and block.nnz == reduced.nnz, (lam, p)
+            assert (block != reduced).nnz == 0, (lam, p)
+            assert not ((block - block.T).data % p).any(), (lam, p)
+
+
+def test_a_wrong_invariant_form_is_refused_by_the_black_box():
+    # W with one factor (d^2 - 1)/d^2 taken at a wrong d, on any one
+    # tableau t: row t of W T-hat is scaled by r_2 / r_3 != 1, so W T-hat is
+    # no longer symmetric and the check refuses it, before any pass
+    p = DEFAULT_PRIMES[0]
+    wrong = 3 * 9 * pow(4 * 8, -1, p) % p  # r_2 / r_3 = (3/4) / (8/9)
+    s = young.irrep_WT_matrix((4, 2, 1), p)
+    assert perfect._certify_wiedemann(ModPMatrix(35, p, s)) == VERDICT_INVERTIBLE
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(perfect, "_lanczos", _refuse_symmetric)
+        for t in range(35):
+            scaled = s.copy()
+            row = slice(s.indptr[t], s.indptr[t + 1])
+            scaled.data[row] = scaled.data[row] * wrong % p
+            with pytest.raises(ValueError, match="symmetric"):
+                perfect._certify_wiedemann(ModPMatrix(35, p, scaled))
 
 
 @pytest.mark.parametrize("n", range(2, 8))
@@ -757,7 +774,7 @@ def test_split_verdict_equals_unsplit_verdict(shape, monkeypatch):
             if p > sum(shape):
                 assert invertible_mod_p(action, p) == dense
             else:
-                mp.setattr(young, "irrep_T_matrix", _no_block)
+                _refuse_blocks(mp)
                 with pytest.raises(ValueError, match="p > n"):
                     invertible_mod_p(action, p)
 
@@ -768,9 +785,12 @@ def test_dense_limit_is_the_largest_dimension_eliminated_densely(shape, monkeypa
     dim = young.tabloid_count(shape)
     dense = _count_calls(monkeypatch, "_det_mod_dense")
     blocks = []
-    real = young.irrep_T_matrix
-    monkeypatch.setattr(young, "irrep_T_matrix",
-                        lambda lam, p=None: blocks.append(lam) or real(lam, p))
+
+    def recorded(real):
+        return lambda lam, p=None: blocks.append(lam) or real(lam, p)
+
+    for name in ("irrep_T_matrix", "irrep_WT_matrix"):
+        monkeypatch.setattr(young, name, recorded(getattr(young, name)))
     checks = {}
     for limit in (dim, dim - 1):
         monkeypatch.setattr(perfect, "DENSE_LIMIT", limit)
@@ -797,7 +817,7 @@ def test_a_block_that_stops_long_before_the_other_still_solves(n, monkeypatch):
 
 
 def test_block_route_guards_come_before_any_block(monkeypatch):
-    monkeypatch.setattr(young, "irrep_T_matrix", _no_block)
+    _refuse_blocks(monkeypatch)
     # a prime p <= n, anywhere in the list
     for primes in ((7,), (DEFAULT_PRIMES[0], 11)):
         with pytest.raises(ValueError, match="p > n = 11"):
@@ -811,7 +831,7 @@ def test_block_route_guards_come_before_any_block(monkeypatch):
     monkeypatch.undo()
     # entries that are not the tabloid action of the shape, such as M + I
     monkeypatch.setattr(perfect, "DENSE_LIMIT", 0)
-    monkeypatch.setattr(young, "irrep_T_matrix", _no_block)
+    _refuse_blocks(monkeypatch)
     action = young.build_action_matrix(5, (4, 1))
     shifted = action.entries + sp.identity(5, dtype=np.int64, format="csr")
     wrong = young.ActionMatrix(n=5, shape=(4, 1), dim=5, entries=shifted)
@@ -907,7 +927,7 @@ def test_irrep_limit_is_checked_before_any_block_is_built(monkeypatch):
     # 50 and the default check limit (4096) some block is too large to build
     monkeypatch.setattr(young, "IRREP_DIMENSION_LIMIT", 50)
 
-    monkeypatch.setattr(young, "irrep_T_matrix", _no_block)
+    _refuse_blocks(monkeypatch)
     with pytest.raises(young.DimensionLimitError):
         obstruction_irreps(8, (2, 2, 2, 2))
 

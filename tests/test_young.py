@@ -42,6 +42,11 @@ def test_check_partition():
         check_partition((1, 3))
     with pytest.raises(ValueError):
         check_partition((3, 0))
+    assert young.check_shape(4, [3, 1]) == (3, 1)
+    with pytest.raises(ValueError, match=r"shape \(3, 1\) is not a partition of 5"):
+        young.check_shape(5, (3, 1))
+    with pytest.raises(ValueError, match="non-increasing"):
+        young.check_shape(4, (1, 3))
 
 
 def test_tabloid_counts():
