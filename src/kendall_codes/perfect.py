@@ -75,13 +75,16 @@ import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, inf
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
 
 from kendall_codes import young
 from kendall_codes.perms import ball_size
 from kendall_codes.young import ActionMatrix, check_partition
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 VERDICT_INVERTIBLE = "invertible"
 VERDICT_SINGULAR = "singular-mod-p"
@@ -159,6 +162,7 @@ def modp_from_entries(dim: int, entries, p: int) -> ModPMatrix:
             ii.append(i)
             jj.append(j)
             vv.append(r)
+    import scipy.sparse as sp
     mat = sp.csr_matrix((np.array(vv, dtype=np.int64),
                          (np.array(ii, dtype=np.intp), np.array(jj, dtype=np.intp))),
                         shape=(dim, dim))

@@ -34,9 +34,9 @@ from fractions import Fraction
 from functools import reduce
 from itertools import permutations, product
 from math import factorial
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
 
 from kendall_codes.perms import (
     Permutation,
@@ -45,6 +45,9 @@ from kendall_codes.perms import (
     identity,
 )
 from kendall_codes.perms import inverse as perm_inverse
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 NumberPartition = tuple[int, ...]
 
@@ -223,6 +226,7 @@ def build_action_matrix(n: int, shape) -> ActionMatrix:
         swap = np.arange(n)
         swap[[x - 1, x]] = x, x - 1
         cols[:, x] = _image_index(tabloids, keys, swap)
+    import scipy.sparse as sp  # local: it loads slower than numpy and this package together
     mat = sp.csr_matrix((np.ones(dim * n, dtype=np.int64), cols.ravel(),
                          np.arange(0, dim * n + 1, n)), shape=(dim, dim))
     mat.sum_duplicates()
@@ -358,6 +362,7 @@ def tridiagonal_reference(n: int) -> ActionMatrix:
         raise ValueError("need n >= 2")
     diag = [n - 2] * n
     diag[0] = diag[-1] = n - 1
+    import scipy.sparse as sp
     mat = sp.diags([np.ones(n - 1), diag, np.ones(n - 1)], [-1, 0, 1],
                    dtype=np.int64).tocsr()
     return ActionMatrix(n=n, shape=(n - 1, 1), dim=n, entries=mat)
@@ -572,6 +577,7 @@ def _t_hat_residues(shape: NumberPartition, p: int):
     index = d + (n - 1)
     k, i = np.nonzero(abs(d) > 1)
     diagonal = np.arange(len(d))
+    import scipy.sparse as sp
     mat = sp.csr_matrix((np.concatenate(((1 + inverse[index].sum(axis=1)) % p,
                                          paired[index[k, i]])),
                          (np.concatenate((diagonal, k)),

@@ -13,6 +13,13 @@ import kendall_codes
 from kendall_codes import cli, ilp, young
 
 
+def fresh_env():
+    """The environment of a fresh interpreter that imports this checkout."""
+    src = str(Path(kendall_codes.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
 def run(capsys, *argv):
     code = cli.main(list(argv))
     out = capsys.readouterr()
@@ -247,28 +254,66 @@ def test_ilp_json_at_huge_rhs_is_one_document(capfd):
 def test_ilp_json_below_2_53_is_one_document():
     # rhs = 17!·2! is shifted to a small rhs' on which HiGHS runs; the report
     # of the lifted result, from a fresh process, is one JSON document
-    src = str(Path(kendall_codes.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, "-m", "kendall_codes.cli", "--format", "json",
                            "--time-limit", "1", "ilp", "solve", "19", "17,2"],
-                          capture_output=True, text=True, env=env, timeout=120)
+                          capture_output=True, text=True, env=fresh_env(), timeout=120)
     status = json.loads(proc.stdout)["status"]
     assert (proc.returncode, status) in [(0, "proven-optimal"), (3, "incumbent-only")]
 
 
 def test_import_loads_no_heavy_scipy_module():
-    # each of these costs import time in every run (scipy.sparse.csgraph
-    # alone about 60 ms); they are imported where they are used, so a fresh
-    # interpreter that imports the package loads none of them
-    src = str(Path(kendall_codes.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
-    heavy = ("scipy.optimize", "scipy.linalg", "scipy.sparse.csgraph")
-    code = f"import sys, kendall_codes\nprint([m for m in {heavy!r} if m in sys.modules])"
+    # scipy.sparse alone costs about 150-170 ms of import time on a 2-vCPU
+    # host, against about 90 ms for numpy and the package together; scipy is
+    # imported where a matrix is built or a model solved, so a fresh
+    # interpreter that imports the package loads no scipy module
+    code = ("import sys, kendall_codes\n"
+            "print([m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')])")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env=env, timeout=120, check=True)
+                          env=fresh_env(), timeout=120, check=True)
     assert proc.stdout.strip() == "[]"
+
+
+#: runs the CLI on its arguments in a fresh interpreter, then writes to
+#: stderr, as JSON, the scipy modules loaded at exit
+FRESH_CLI = """
+import json, sys
+from kendall_codes import cli
+
+status = cli.main(sys.argv[1:])
+print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")),
+      file=sys.stderr)
+sys.exit(status)
+"""
+
+
+def fresh_cli(*argv):
+    proc = subprocess.run([sys.executable, "-c", FRESH_CLI, *argv], capture_output=True,
+                          text=True, env=fresh_env(), timeout=120)
+    return proc.returncode, proc.stdout, json.loads(proc.stderr.splitlines()[-1])
+
+
+@pytest.mark.parametrize("argv", [
+    ("distance", "1,2,3", "3,2,1"),
+    ("ball", "5", "1"),
+    ("verify", "3", "FILE"),
+    ("oracle", "4", "3"),
+    ("bound", "11"),
+], ids=["distance", "ball", "verify", "oracle", "bound"])
+def test_commands_without_a_matrix_load_no_scipy(tmp_path, argv):
+    f = tmp_path / "code.txt"
+    f.write_text("1,2,3\n3,2,1\n")
+    code, _, scipy = fresh_cli(*(str(f) if a == "FILE" else a for a in argv))
+    assert (code, scipy) == (0, [])
+
+
+@pytest.mark.parametrize("argv", [
+    ("matrix", "5", "3,2"),
+    ("perfect", "coset", "13", "10,2,1"),
+], ids=["matrix", "coset-blocks"])
+def test_first_matrix_of_a_fresh_interpreter_loads_scipy_sparse(capsys, argv):
+    code, out, scipy = fresh_cli(*argv)
+    assert "scipy.sparse" in scipy
+    assert (code, out) == run(capsys, *argv)[:2]
 
 
 @pytest.mark.parametrize("argv", [
