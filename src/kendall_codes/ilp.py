@@ -10,9 +10,10 @@ Everything in the certified path is arbitrary-precision integer / rational
 arithmetic (ilp_solve): the right-hand side is reduced first (_shift), an
 exact root LP on the orbit fold of the shape's symmetry group and one HiGHS
 solve on a fixed subspace seed the search, and a deterministic depth-first
-tree takes float box-LP duals (:mod:`kendall_codes.boxlp`) only as a guide:
-their weak-duality bound is evaluated exactly, so no pruning decision ever
-rests on floating point.
+tree, which branches on whole orbits of the same group, takes float box-LP
+duals (:mod:`kendall_codes.boxlp`) only as a guide: their weak-duality
+bound is evaluated exactly, so no pruning decision ever rests on floating
+point.
 """
 
 from __future__ import annotations
@@ -80,7 +81,9 @@ _HEURISTIC_TIME_SHARE = 0.5
 #: the int64 model matrix, BoxSimplex's float G = [M | I] (two), the B^-1
 #: that the top two stack entries share (one), a solve's own B^-1 with its
 #: rank-one update (two) and _propagate's products mat * (u - l) (one, and
-#: a boolean mask), about 57 bytes per entry.  The heuristic runs before
+#: a boolean mask), about 57 bytes per entry, besides the symmetry group as
+#: one |G| x dim index array (at most 1440 x 720, for the shape (1^6), with
+#: a boolean mask of that size per node).  The heuristic runs before
 #: the tree and holds less: the model's rows at one tabloid per orbit and
 #: the folded k x k matrix that HiGHS copies, k <= dim orbits.  2500
 #: tabloids keep them under 512 MiB (340 MiB); the shape is refused before
@@ -138,28 +141,37 @@ def _fold(matrix: np.ndarray, orbit: np.ndarray):
     return folded, np.bincount(orbit), reps
 
 
-def lp_relax(model: IlpModel, deadline: float | None = None) -> LpSolution:
-    """Exact rational optimum of the LP relaxation, solved on its G-orbit
-    fold.
-
-    G = <w0> x prod_k S_(m_k) (young.symmetry_generators) permutes the
-    tabloids with P M P^-1 = M, so it maps the polytope onto itself and fixes
-    the objective 1.x; averaging an optimum over G gives an optimum that is
-    constant on every G-orbit (Bodi, Herr & Joswig, Math. Program. 137,
-    2013).  The exact simplex therefore runs on one variable per orbit,
-    weighed by the orbit's size, and one row per orbit (_fold).  The point
-    returned is that optimum lifted back to one value per tabloid: optimal
-    and G-invariant, though not in general a vertex of the unfolded LP.
-    Raises ValueError, before any simplex is built, unless
-    M[g][:, g] == M exactly for every generator g.  The simplex stops with
-    status TIME_LIMIT once deadline (a time.monotonic() value) has passed.
-    """
+def _symmetry_group(model: IlpModel) -> np.ndarray:
+    """G = <w0> x prod_k S_(m_k) (young.symmetry_generators) as one |G| x dim
+    array of tabloid images (young.group_elements).  Raises ValueError
+    unless M[g][:, g] == M exactly for every generator g, and so for every
+    element of G."""
     generators = young.symmetry_generators(model.shape)
     for g in generators:
         if not np.array_equal(model.matrix[g][:, g], model.matrix):
             raise ValueError(f"the model matrix is not invariant under the "
                              f"symmetries of the shape {model.shape}")
-    orbit = young.orbit_labels(generators)
+    return young.group_elements(generators)
+
+
+def lp_relax(model: IlpModel, deadline: float | None = None,
+             group: np.ndarray | None = None) -> LpSolution:
+    """Exact rational optimum of the LP relaxation, solved on its G-orbit
+    fold.
+
+    G = <w0> x prod_k S_(m_k) permutes the tabloids with P M P^-1 = M, so it
+    maps the polytope onto itself and fixes the objective 1.x; averaging an
+    optimum over G gives an optimum that is constant on every G-orbit (Bodi,
+    Herr & Joswig, Math. Program. 137, 2013).  The exact simplex therefore
+    runs on one variable per orbit, weighed by the orbit's size, and one row
+    per orbit (_fold).  The point returned is that optimum lifted back to
+    one value per tabloid: optimal and G-invariant, though not in general a
+    vertex of the unfolded LP.  group is G as _symmetry_group returns it,
+    built here when None, which raises ValueError before any simplex is
+    built unless M commutes with G.  The simplex stops with status
+    TIME_LIMIT once deadline (a time.monotonic() value) has passed.
+    """
+    orbit = young.orbit_labels(_symmetry_group(model) if group is None else group)
     folded, sizes, _ = _fold(model.matrix, orbit)
     sx = ExactSimplex(folded.tolist(), [model.rhs] * len(sizes), sizes.tolist())
     status = sx.solve(deadline)
@@ -224,7 +236,7 @@ def _certified_bound(y, mat: np.ndarray, rhs: int, l, u):
     others are clipped to [0, _DUAL_CAP].  Returns (scaled bound, coef
     list).
     """
-    y = np.clip(np.nan_to_num(y, nan=0.0), 0.0, _DUAL_CAP)
+    y = np.minimum(np.fmax(y, 0.0), _DUAL_CAP)  # fmax maps NaN to 0
     Y = np.rint(y * _DUAL_SCALE).astype(np.int64)
     coef = (_DUAL_SCALE - Y @ mat).tolist()
     bound = int(Y.sum()) * rhs
@@ -258,7 +270,7 @@ def _milp_heuristic(model: IlpModel, u0, time_limit: float | None):
     everything = np.arange(model.dim)
     g = max(young.involution_classes(model.shape),
             key=lambda g: int((g == everything).sum()), default=everything)
-    orbit = young.orbit_labels([g])
+    orbit = young.orbit_labels([everything, g])
     folded, sizes, reps = _fold(model.matrix, orbit)
     # HiGHS writes some diagnostics straight to file descriptor 1; point it
     # at stderr for the solve, so that stdout carries only the result
@@ -282,8 +294,8 @@ def _milp_heuristic(model: IlpModel, u0, time_limit: float | None):
     return cand if feasible(model, cand) else None
 
 
-def _bb_float(model: IlpModel, u0, root_bound: int, best_value: int,
-              best_point, deadline: float | None):
+def _bb_float(model: IlpModel, group: np.ndarray, u0, root_bound: int,
+              best_value: int, best_point, deadline: float | None):
     """Depth-first branch and bound: float LPs for guidance, exact integer
     arithmetic for every pruning decision.
 
@@ -292,6 +304,15 @@ def _bb_float(model: IlpModel, u0, root_bound: int, best_value: int,
     fixing against the incumbent, branch by reliability pseudocosts (the
     first evaluations of a variable are strong-branch probes, later ones
     use the learned per-unit objective degradation; lowest index on ties).
+    Branching is orbital (Ostrowski, Linderoth, Rossi & Smriglio, Math.
+    Program. 126, 2011): group is G from _symmetry_group, every element of
+    which commutes with M, and H is the stabiliser in G of the node's final
+    box, {g : l[g] = l, u[g] = u}.  A split of x_j at s gives the down
+    child u_k = s for every k in j's H-orbit {g[j] : g in H}, and the up
+    child l_j = s + 1.  No value is lost: a point of the box with
+    x_k >= s + 1, k = g[j], maps to x[g], a point of the up child with the
+    same value, as H keeps the box, M x <= b and 1.x.  The strong-branch
+    probes price these same children.
     Both children carry the parent's certified bound and are dropped
     unopened once the incumbent reaches it.  A node whose box LP fails, or
     stops at the deadline, is certified with its parent's duals and split
@@ -397,13 +418,14 @@ def _bb_float(model: IlpModel, u0, root_bound: int, best_value: int,
                     continue  # a single point, feasible, recorded above
                 frac[j] = 0.5
         cands = np.flatnonzero(frac > 1e-7)
+        stab = group[((l[group] == l) & (u[group] == u)).all(axis=1)]
 
         def children(j):
-            """The down and up boxes of a split of x_j at its LP value, and
-            the fractional part of that value."""
+            """The down and up boxes of an orbital split of x_j at its LP
+            value, and the fractional part of that value."""
             sp = min(max(int(np.floor(xc[j])), int(l[j])), int(u[j]) - 1)
             ud = u.copy()
-            ud[j] = sp
+            ud[stab[:, j]] = sp  # H keeps the box: the orbit shares l_j, u_j
             lu = l.copy()
             lu[j] = sp + 1
             return ud, lu, min(max(float(xc[j]) - sp, 1e-6), 1.0 - 1e-6)
@@ -495,8 +517,10 @@ def ilp_solve(model: IlpModel, *, time_limit: float | None = None) -> IlpResult:
     update.  So the result is a proof at any rhs that fits the tree's int64
     bounds (larger models raise ``young.DimensionLimitError`` before any
     solve).  Depth-first, branching by reliability pseudocosts (lowest index
-    on ties); the box LP never meets an rhs near 10**12, whose float noise
-    makes node counts depend on the BLAS thread count.  ``time_limit`` (a
+    on ties), with each down branch bounding the variable's whole orbit
+    under the box's stabiliser in G (orbital branching, _bb_float); the
+    box LP never meets an rhs near 10**12, whose float noise makes node
+    counts depend on the BLAS thread count.  ``time_limit`` (a
     number of seconds above 0, else ValueError) counts from the call and
     holds in every phase: a root stopped at the deadline gives status
     ``incumbent-only`` with the ascent from 0 and the dual bound
@@ -529,7 +553,8 @@ def _solve_tree(model: IlpModel, deadline: float | None) -> IlpResult:
             f"the coset ILP of {model.shape} at n={model.n} needs integers "
             f"up to {peak}, beyond int64")
 
-    root = lp_relax(model, deadline)
+    group = _symmetry_group(model)
+    root = lp_relax(model, deadline, group)
     if root.status == TIME_LIMIT:
         # no root point and no tree: the ascent from 0, and the duals
         # 1/min column sum, feasible since the positive diagonal makes every
@@ -549,7 +574,7 @@ def _solve_tree(model: IlpModel, deadline: float | None) -> IlpResult:
     best_point = max([rounded, cand or []], key=sum)  # rounded on a tie
 
     best_value, best_point, nodes, open_bound = _bb_float(
-        model, u0, root_bound, sum(best_point), best_point, deadline)
+        model, group, u0, root_bound, sum(best_point), best_point, deadline)
     status, dual = PROVEN_OPTIMAL, Fraction(best_value)
     if open_bound is not None:
         status, dual = INCUMBENT_ONLY, min(root.value, max(open_bound, dual))

@@ -301,25 +301,31 @@ def symmetry_generators(shape) -> list[np.ndarray]:
         if shape[b - 1] == shape[b]]
 
 
-def orbit_labels(generators) -> np.ndarray:
-    """Orbit of every tabloid under the group that the involutions in
-    generators (index arrays of one length) generate, numbered 0, 1, ... in
-    order of each orbit's least tabloid.
+def group_elements(generators) -> np.ndarray:
+    """Every element of the group that the index arrays in generators (of
+    one length) generate, as one |G| x dim index array, the identity first.
 
-    Labels start as the tabloids' own indices, and each pass lowers every
-    label to the least across one generator.  A label only takes values
-    from its orbit and never rises, so the orbit's least tabloid keeps its
-    own; at the fixpoint every label equals its images' (each generator is
-    an involution), so the whole orbit carries that least index.
+    Breadth-first closure under h -> h[g] for each generator g, with each
+    element keyed by its bytes.
     """
-    label = np.arange(len(generators[0]))
-    while True:
-        new = label
+    everything = np.arange(len(generators[0]))
+    out, seen = [everything], {everything.tobytes()}
+    for h in out:  # out grows while it is walked
         for g in generators:
-            new = np.minimum(new, new[g])
-        if np.array_equal(new, label):
-            return np.unique(label, return_inverse=True)[1]
-        label = new
+            k = h[g]
+            key = k.tobytes()
+            if key not in seen:
+                seen.add(key)
+                out.append(k)
+    return np.array(out)
+
+
+def orbit_labels(group) -> np.ndarray:
+    """Orbit of every tabloid under group, an array of index arrays holding
+    every element of a group (group_elements), numbered 0, 1, ... in order
+    of each orbit's least tabloid: column t's minimum over the group is the
+    least tabloid of t's orbit."""
+    return np.unique(np.asarray(group).min(axis=0), return_inverse=True)[1]
 
 
 def double_coset_oracle(n: int, shape, i: int, j: int) -> int:

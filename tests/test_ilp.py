@@ -129,8 +129,10 @@ def test_ilp_small_values(n, shape, want):
     assert r.dual_bound == want
 
 
-_PINNED_TREES = [(7, (5, 2), 718, 10), (5, (2, 2, 1), 22, 31), (5, (3, 1, 1), 22, 40),
-                 (7, (4, 3), 717, 115)]
+_PINNED_TREES = [(7, (5, 2), 718, 8), (5, (2, 2, 1), 22, 29), (5, (3, 1, 1), 22, 16),
+                 (7, (4, 3), 717, 99)]
+#: the paper's headline trees, 116 and 716, solved only in fresh processes
+_HEADLINE_TREES = [(7, (5, 1, 1), 716, 1768), (6, (2, 2, 2), 116, 1612)]
 
 
 @pytest.mark.parametrize("n,shape,want,nodes", _PINNED_TREES)
@@ -141,13 +143,15 @@ def test_tree_node_counts_are_pinned(n, shape, want, nodes):
 
 def test_node_counts_do_not_depend_on_the_blas_thread_count():
     # the box LP's float noise, and so its tie-breaks, could follow the
-    # order of OpenBLAS's sums; the pinned trees are solved in fresh
-    # processes with one and with two BLAS threads
+    # order of OpenBLAS's sums; the pinned and headline trees are solved in
+    # fresh processes with one and with two BLAS threads
+    trees = _PINNED_TREES + _HEADLINE_TREES
     code = ("import ast, sys\n"
             "from kendall_codes.ilp import build_coset_ilp, ilp_solve\n"
             "for n, shape in ast.literal_eval(sys.argv[1]):\n"
-            "    print(ilp_solve(build_coset_ilp(n, shape)).nodes_explored)\n")
-    shapes = repr([(n, shape) for n, shape, _want, _nodes in _PINNED_TREES])
+            "    r = ilp_solve(build_coset_ilp(n, shape))\n"
+            "    print(r.optimum, r.nodes_explored)\n")
+    shapes = repr([(n, shape) for n, shape, _want, _nodes in trees])
     src = str(Path(ilp.__file__).resolve().parents[1])
     counts = {}
     for threads in ("1", "2"):
@@ -155,8 +159,100 @@ def test_node_counts_do_not_depend_on_the_blas_thread_count():
                    PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
         proc = subprocess.run([sys.executable, "-c", code, shapes], capture_output=True,
                               text=True, env=env, timeout=120, check=True)
-        counts[threads] = [int(v) for v in proc.stdout.split()]
-    assert counts["1"] == counts["2"] == [nodes for *_rest, nodes in _PINNED_TREES]
+        counts[threads] = [tuple(map(int, line.split())) for line in proc.stdout.splitlines()]
+    assert counts["1"] == counts["2"] == [(want, nodes) for *_rest, want, nodes in trees]
+
+
+@pytest.mark.parametrize("n,shape,full_nodes", [
+    (7, (5, 2), 10), (5, (2, 2, 1), 31), (5, (3, 1, 1), 40), (7, (4, 3), 115),
+    (11, (9, 2), 991), (13, (11, 2), 1103)])
+def test_orbital_branching_keeps_the_answer_of_the_full_tree(n, shape, full_nodes,
+                                                           monkeypatch):
+    # with G = {id} the root LP runs unfolded and every down branch bounds
+    # one variable: the tree is the one that branched on single variables,
+    # node for node
+    m = build_coset_ilp(n, shape)
+    reduced = ilp_solve(m)
+    monkeypatch.setattr(young, "group_elements",
+                        lambda generators: np.arange(len(generators[0]))[None])
+    full = ilp_solve(m)
+    assert (full.status, full.optimum) == (reduced.status, reduced.optimum)
+    assert full.nodes_explored == full_nodes
+    assert feasible(m, full.argmax) and feasible(m, reduced.argmax)
+
+
+def _brute_force_optimum(model, u=None) -> int:
+    """max 1.x over the integer points of M x <= rhs, 0 <= x <= u (no upper
+    bound when u is None): a depth-first walk that sets the coordinates in
+    order, each from its cap down to 0, and leaves a branch once the caps
+    left cannot beat the best sum found."""
+    cols = model.matrix.T.tolist()
+    u = [model.rhs] * model.dim if u is None else u
+    best = 0
+
+    def walk(j, slack, total):
+        nonlocal best
+        caps = [min([s // c for s, c in zip(slack, col) if c] + [cap])
+                for col, cap in zip(cols[j:], u[j:])]
+        if total + sum(caps) <= best:
+            return
+        if j == len(cols):
+            best = total
+            return
+        for v in range(caps[0], -1, -1):
+            walk(j + 1, [s - c * v for s, c in zip(slack, cols[j])], total + v)
+
+    walk(0, [model.rhs] * model.dim, 0)
+    return best
+
+
+@pytest.mark.parametrize("n,shape,rhs", [
+    (4, (3, 1), 6), (4, (2, 2), 4), (4, (2, 1, 1), 2), (5, (4, 1), 24), (5, (3, 2), 12),
+    # right-hand sides where the tree branches, some on orbits of two or more
+    (4, (2, 1, 1), 3), (4, (2, 1, 1), 7), (5, (4, 1), 12), (5, (3, 2), 8),
+    (5, (3, 2), 9), (6, (5, 1), 9), (6, (5, 1), 10)])
+def test_ilp_solve_matches_a_brute_force_walk(n, shape, rhs, monkeypatch):
+    # without HiGHS the tree has to find the optimum itself
+    _no_milp_heuristic(monkeypatch)
+    m = ilp.model_from_action(young.build_action_matrix(n, shape), rhs)
+    assert m.dim <= 12
+    r = ilp_solve(m)
+    assert (r.status, r.optimum) == (PROVEN_OPTIMAL, _brute_force_optimum(m))
+    assert feasible(m, r.argmax)
+
+
+@pytest.mark.parametrize("n,shape,rhs,j", [(4, (3, 1), 6, 0), (6, (5, 1), 9, 2)])
+def test_a_box_that_g_does_not_keep_splits_single_variables(n, shape, rhs, j):
+    # a lower cap on x_j breaks the symmetry of the root box, though l = 0
+    # stays invariant; a down branch on a whole G-orbit there loses points
+    m = ilp.model_from_action(young.build_action_matrix(n, shape), rhs)
+    u = m.rhs // m.matrix.diagonal()
+    u[j] -= 2
+    best, point, _nodes, open_bound = ilp._bb_float(
+        m, ilp._symmetry_group(m), u, m.dim * m.rhs, 0, [0] * m.dim, None)
+    assert open_bound is None
+    assert best == _brute_force_optimum(m, u.tolist())
+    assert feasible(m, point) and (np.array(point) <= u).all()
+
+
+def test_a_generator_off_the_symmetries_of_m_is_refused_before_any_solve(monkeypatch):
+    # swapping tabloids 0 and 1 of (4,3)@7 does not commute with M; with it
+    # among the generators no LP may be built and no node opened
+    real = young.symmetry_generators
+
+    def with_a_bad_one(shape):
+        bad = np.arange(young.tabloid_count(shape))
+        bad[[0, 1]] = [1, 0]
+        return real(shape) + [bad]
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("an unchecked group reached a solve")
+
+    monkeypatch.setattr(young, "symmetry_generators", with_a_bad_one)
+    for name in ("ExactSimplex", "_milp_heuristic", "_bb_float"):
+        monkeypatch.setattr(ilp, name, forbidden)
+    with pytest.raises(ValueError, match="not invariant"):
+        ilp_solve(build_coset_ilp(7, (4, 3)))
 
 
 @pytest.mark.parametrize("n,shape,want", [(7, (4, 3), 717), (7, (5, 2), 718),
@@ -248,11 +344,11 @@ def _clocked_milp(monkeypatch, root_seconds: float):
         calls.append((clock[0], dict(options)))
         return real_milp(c, options=options, **kwargs)
 
-    def slow_root(model, deadline):
+    def slow_root(model, deadline, group):
         # the root finishes, root_seconds later on ilp's clock; the exact
         # simplex reads the real clock, so it gets no deadline from this one
         clock[0] += root_seconds
-        return real_root(model)
+        return real_root(model, group=group)
 
     monkeypatch.setattr(optimize, "milp", timed)
     monkeypatch.setattr(ilp, "lp_relax", slow_root)
@@ -283,7 +379,7 @@ def test_the_orbit_solve_gets_the_time_left(monkeypatch):
     assert 0 < options["time_limit"] <= (1.5 - start) / 2
     assert options["node_limit"] == ilp._HEURISTIC_NODE_LIMIT
     # the clock stands still, so the tree runs to the end
-    assert (r.status, r.optimum, r.nodes_explored) == (PROVEN_OPTIMAL, 717, 115)
+    assert (r.status, r.optimum, r.nodes_explored) == (PROVEN_OPTIMAL, 717, 99)
 
 
 def test_the_orbit_solve_leaves_the_tree_time():
@@ -562,6 +658,20 @@ def test_nan_duals_still_give_a_sound_bound():
     bound, _coef = ilp._certified_bound(np.full(model.dim, np.nan), model.matrix,
                                         model.rhs, l, u)
     assert bound >= ilp._DUAL_SCALE * _box_lp_value(model.matrix.tolist(), model.rhs, l, u)
+
+
+def test_duals_are_clipped_to_zero_and_the_cap():
+    # NaN and -inf count as 0, +inf and every dual above the cap as the cap
+    model = build_coset_ilp(5, (3, 2))
+    cap = ilp._DUAL_CAP
+    y = np.array([np.nan, np.inf, -np.inf, -1.0, -0.0, 0.3, cap, cap + 1e-9, 1e300, 7.5])
+    want = np.array([0.0, cap, 0.0, 0.0, 0.0, 0.3, cap, cap, cap, 7.5])
+    given = y.copy()
+    l = np.zeros(model.dim, dtype=np.int64)
+    u = model.rhs // model.matrix.diagonal()
+    assert ilp._certified_bound(y, model.matrix, model.rhs, l, u) == \
+        ilp._certified_bound(want, model.matrix, model.rhs, l, u)
+    np.testing.assert_array_equal(y, given)  # the caller's duals stay as they are
 
 
 def test_exhaustive_oracle_below_ilp_bound():

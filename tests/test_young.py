@@ -260,7 +260,7 @@ def test_involution_classes_are_symmetries_of_the_action(shape):
                                    if tabloid_count(shape) <= ILP_DIMENSION_LIMIT], ids=str)
 def test_orbit_labels_are_the_orbits_of_the_symmetry_group(shape):
     generators = young.symmetry_generators(shape)
-    labels = young.orbit_labels(generators)
+    labels = young.orbit_labels(young.group_elements(generators))
     action = build_action_matrix(sum(shape), shape).entries.toarray()
     everything = np.arange(len(action))
     for g in generators:
@@ -282,6 +282,22 @@ def test_orbit_labels_are_the_orbits_of_the_symmetry_group(shape):
     # w0 with the blocks relabelled generates every involution class
     for g in young.involution_classes(shape):
         assert np.array_equal(labels[g], labels)
+
+
+@pytest.mark.parametrize("shape,order", [
+    ((3,), 1),  # w0 fixes the one tabloid
+    ((1, 1), 2),  # w0 and the swap of both blocks act alike
+    ((4, 3), 2), ((5, 1, 1), 4), ((2, 2, 2), 12), ((1,) * 6, 1440)], ids=str)
+def test_group_elements_are_the_closure_of_the_generators(shape, order):
+    generators = young.symmetry_generators(shape)
+    group = young.group_elements(generators)
+    assert group.shape == (order, tabloid_count(shape))
+    assert np.array_equal(group[0], np.arange(group.shape[1]))
+    members = {h.tobytes() for h in group}
+    assert len(members) == order
+    for h in group:
+        assert np.array_equal(np.sort(h), group[0])
+        assert all(h[g].tobytes() in members for g in generators)
 
 
 def test_action_matrix_limit_is_checked_before_enumeration(monkeypatch):
