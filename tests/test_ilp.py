@@ -2,6 +2,7 @@ import os
 import subprocess
 import sys
 import time
+import warnings
 from dataclasses import replace
 from pathlib import Path
 from fractions import Fraction
@@ -378,6 +379,7 @@ def test_the_orbit_solve_gets_the_time_left(monkeypatch):
     assert start == 0.5
     assert 0 < options["time_limit"] <= (1.5 - start) / 2
     assert options["node_limit"] == ilp._HEURISTIC_NODE_LIMIT
+    assert options["mip_heuristic_run_feasibility_jump"] is False
     # the clock stands still, so the tree runs to the end
     assert (r.status, r.optimum, r.nodes_explored) == (PROVEN_OPTIMAL, 717, 99)
 
@@ -444,7 +446,35 @@ def test_a_failing_orbit_solve_is_not_swallowed(monkeypatch):
         ilp_solve(build_coset_ilp(7, (4, 3)))
 
 
-@pytest.mark.parametrize("limit", [float("nan"), 0, -1.0, float("-inf"), True, "3"],
+@pytest.mark.parametrize("message, silenced", [
+    ("Unrecognized options detected: {'mip_heuristic_run_feasibility_jump'}. "
+     "These will be passed to HiGHS verbatim.", True),
+    ("overflow encountered in multiply", False),
+], ids=["unrecognized-options", "other"])
+def test_only_the_verbatim_options_warning_is_silenced(message, silenced, monkeypatch):
+    # the feasibility-jump switch is not among milp's documented options, so
+    # milp warns before it passes the switch on; no other warning is hidden
+    from scipy import optimize
+    real_milp = optimize.milp
+
+    def warning_milp(*args, **kwargs):
+        warnings.warn(message, RuntimeWarning, stacklevel=2)
+        return real_milp(*args, **kwargs)
+
+    monkeypatch.setattr(optimize, "milp", warning_milp)
+    m = build_coset_ilp(5, (3, 1, 1))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if silenced:
+            r = ilp_solve(m)
+            assert (r.status, r.optimum) == (PROVEN_OPTIMAL, 22)
+        else:
+            with pytest.raises(RuntimeWarning, match="overflow"):
+                ilp_solve(m)
+
+
+@pytest.mark.parametrize("limit", [float("nan"), 0, -1.0, float("-inf"), True, "3",
+                                   np.int64(0), np.bool_(True)],
                          ids=repr)
 def test_time_limit_must_be_a_positive_number(limit, monkeypatch):
     # NaN once skipped the heuristic and never reached its deadline
@@ -456,6 +486,19 @@ def test_time_limit_must_be_a_positive_number(limit, monkeypatch):
         ilp_solve(build_coset_ilp(7, (4, 3)), time_limit=limit)
     with pytest.raises(ValueError, match="time limit must be a positive number"):
         bound_report(7, [(4, 3)], time_limit=limit)
+
+
+@pytest.mark.parametrize("limit", [np.int64(5), np.float32(2.0), np.float64(2.0)],
+                         ids=repr)
+def test_numpy_time_limits_are_accepted(limit, monkeypatch):
+    # numpy's scalars are numbers.Real without being int or float; HiGHS
+    # gets its share of the time left as a Python float
+    calls = _clocked_milp(monkeypatch, 0.0)
+    r = ilp_solve(build_coset_ilp(5, (3, 1, 1)), time_limit=limit)
+    assert (r.status, r.optimum) == (PROVEN_OPTIMAL, 22)
+    (_, options), = calls
+    assert type(options["time_limit"]) is float
+    assert options["time_limit"] == float(limit) * ilp._HEURISTIC_TIME_SHARE
 
 
 def test_node_whose_box_lp_fails_is_still_certified(monkeypatch):
