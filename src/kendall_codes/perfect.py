@@ -63,6 +63,21 @@ symmetric S of order f, from a seeded random v, of at most f products:
   takes exactly two passes, and an invertible one whose passes both break
   down is retried at the next prime.
 
+The black-box blocks of one certificate (every block of a coset matrix
+above DENSE_LIMIT, and the blocks above it in the irreps route) are checked
+on every usable CPU (_check_blocks).  They are split over k = min(CPUs in
+the process's affinity mask, blocks, rows // WORKER_ROWS) workers, largest
+dimension first onto the least-loaded worker.  The caller checks one share
+itself, and each other share runs in a child made by os.fork, which sends
+its results back through a pipe; the report is the same as with one
+worker.  Memory peaks at about k times the largest block
+(young.IRREP_DIMENSION_LIMIT holds per block).  Workers are POSIX forks:
+without os.fork, on one usable CPU, with one block or with fewer than
+2 WORKER_ROWS rows in all, every block is checked in the caller, and dense
+blocks always are.  Python 3.12 and later warn (DeprecationWarning) on a
+fork from a multi-threaded process, which a test run that turns warnings
+into errors reports as a failure.
+
 Every certificate records the prime, the method that produced it and the
 kind of evidence, deterministic for both engines.  Primes must lie below
 PRIME_LIMIT, so that the Lanczos sums stay exact in int64 and the dense
@@ -72,6 +87,8 @@ engine's sums stay exact in float64.
 from __future__ import annotations
 
 import numbers
+import os
+import pickle
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, inf
@@ -121,6 +138,12 @@ _SUBPANEL = 16
 DEFAULT_PRIMES = (1000003, 1000033, 1000037)
 #: seed of the black-box engine's start vector and diagonal, with p and f
 WIEDEMANN_SEED = 0x5eed
+#: fewest rows of black-box blocks per worker: below it a fork, a pipe and
+#: the copy-on-write faults of both processes cost about what the worker
+#: saves.  On 2 vCPUs, (10,2,1)@13 (six blocks, 781 rows) took 24.4 ms on
+#: one worker and on two, while the two blocks of (6,4,1)@11 (1243 rows)
+#: went from 60 to 54 ms and (6,3,2)@11 (3356 rows) from 80 to 65 ms
+WORKER_ROWS = 512
 
 
 # ---------------------------------------------------------------------------
@@ -488,6 +511,106 @@ def _check_one(label: str, dim: int, certify, primes, subject: str | None = None
     return MatrixCheck(label, dim, primes[-1], VERDICT_SINGULAR, method), notes
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on (its affinity mask), or 1 without
+    os.fork: the most workers _check_blocks spreads blocks over."""
+    if not hasattr(os, "fork"):
+        return 1
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _shares(dims, k: int) -> list[list[int]]:
+    """The indices of dims split into k shares, each in list order: largest
+    dimension first, each onto the share of least total dimension so far (the
+    lowest on a tie)."""
+    loads, shares = [0] * k, [[] for _ in range(k)]
+    for i in sorted(range(len(dims)), key=lambda i: -dims[i]):
+        least = loads.index(min(loads))
+        shares[least].append(i)
+        loads[least] += dims[i]
+    return [sorted(share) for share in shares]
+
+
+def _check_blocks(lams, dims, primes, owner: str | None = None) -> list:
+    """(MatrixCheck, notes) of the black-box check on every block lam of
+    dimension f, in list order, each at successive primes (_check_one); a
+    retry note names f"{owner}: T-hat{lam}", or the block's label without
+    an owner.
+
+    The blocks are split over k = min(_usable_cpus(), blocks, rows //
+    WORKER_ROWS) workers, at least one (_shares).  The caller checks the
+    first share itself; each other share runs in a child made by os.fork
+    (_run_share).  A child's exception is raised in the caller, and a child
+    that ends without a result raises RuntimeError.  Every child is waited
+    for, and killed first when the call raises, so none outlives the call.
+    """
+    def check(i):
+        lam, f = lams[i], dims[i]
+        return _check_one(f"T-hat{lam}", f, lambda p: _wiedemann_block(lam, f, p), primes,
+                          owner and f"{owner}: T-hat{lam}")
+
+    shares = _shares(dims, max(1, min(_usable_cpus(), len(dims), sum(dims) // WORKER_ROWS)))
+    if len(shares) > 1:
+        import signal  # here, not at import time: only a call that forks kills
+        import scipy.sparse  # noqa: F401 - once here, not once in every child
+    children, results, done = [], {}, False
+    try:
+        for share in shares[1:]:
+            read, write = os.pipe()
+            try:
+                pid = os.fork()
+                if not pid:
+                    _run_share(share, check, read, write)  # never returns
+            except OSError:
+                os.close(read)
+                raise
+            finally:
+                os.close(write)
+            children.append((pid, os.fdopen(read, "rb")))
+        results.update((i, check(i)) for i in shares[0])
+        for pid, pipe in children:
+            data = pipe.read()
+            if not data:
+                raise RuntimeError(f"block worker {pid} ended without a result")
+            ok, payload = pickle.loads(data)
+            if not ok:
+                raise payload
+            results.update(payload)
+        done = True
+    finally:
+        for pid, pipe in children:
+            if not done:
+                os.kill(pid, signal.SIGKILL)
+            pipe.close()
+            os.waitpid(pid, 0)
+    return [results[i] for i in range(len(dims))]
+
+
+def _run_share(share, check, read: int, write: int):
+    """In a forked worker: check(i) for every i of the share, then write the
+    pickled (True, [(i, result)]), or (False, the exception raised), to the
+    pipe end `write` and leave by os._exit, running no exit handler of the
+    caller's process."""
+    code = 1
+    try:
+        os.close(read)
+        try:
+            payload = True, [(i, check(i)) for i in share]
+        except BaseException as exc:  # the caller raises it
+            payload = False, exc
+        try:
+            data = pickle.dumps(payload)
+        except Exception:  # an exception that does not pickle
+            data = pickle.dumps((False, RuntimeError(f"block worker raised {payload[1]!r}")))
+        with os.fdopen(write, "wb") as pipe:
+            pipe.write(data)
+        code = 0
+    finally:
+        os._exit(code)
+
+
 def _constituents(n: int, mu, primes, use_list: str = "computed", check_limit=inf):
     """The partitions lam whose T-hat_lam are checked for mu, and their
     dimensions f^lam: every lam dominating mu (Young's rule), or, for the
@@ -519,13 +642,12 @@ def _constituents(n: int, mu, primes, use_list: str = "computed", check_limit=in
 
 def _certify_blocks(label: str, dim: int, lams, dims, primes):
     """One MatrixCheck, plus notes, for a coset matrix of dimension dim from
-    its blocks, each checked at successive primes (_check_one) on the black
-    box.  It is 'invertible' at the last prime, in list order, that any
-    block needed, or 'singular-mod-p' at the last prime."""
+    its blocks, each checked at successive primes on the black box
+    (_check_blocks).  It is 'invertible' at the last prime, in list order,
+    that any block needed, or 'singular-mod-p' at the last prime, with the
+    notes of the blocks up to the first that no prime certified."""
     notes, last = [], 0
-    for lam, f in zip(lams, dims):
-        check, more = _check_one(f"T-hat{lam}", f, lambda p: _wiedemann_block(lam, f, p),
-                                 primes, f"{label}: T-hat{lam}")
+    for check, more in _check_blocks(lams, dims, primes, label):
         notes += more
         if check.verdict != VERDICT_INVERTIBLE:
             return MatrixCheck(label, dim, primes[-1], VERDICT_SINGULAR, "wiedemann"), notes
@@ -598,7 +720,8 @@ def obstruction_irreps(n: int, mu, use_list: str = "computed",
 
     Each block is built straight mod p, once per prime tried: T-hat_lam for
     dense elimination up to DENSE_LIMIT, W T-hat_lam for the black-box check
-    above it (_wiedemann_block); no exact rational entry is formed.  Every prime
+    above it (_wiedemann_block, spread over the usable CPUs by
+    _check_blocks); no exact rational entry is formed.  Every prime
     must exceed n, and a prime p <= n anywhere in primes is refused
     (ValueError) before any block is built, as is one at or above
     PRIME_LIMIT."""
@@ -606,22 +729,25 @@ def obstruction_irreps(n: int, mu, use_list: str = "computed",
     primes = _checked_primes(primes)
     lams, dims = _constituents(n, mu, primes, use_list, check_limit)
     div_ok = divisibility_precondition(n, mu)
+    black_box = [i for i, dim in enumerate(dims) if DENSE_LIMIT < dim <= check_limit]
+    checked = dict(zip(black_box, _check_blocks([lams[i] for i in black_box],
+                                                [dims[i] for i in black_box], primes)))
     checks = []
     notes = []
     skipped = 0
-    for lam, dim in zip(lams, dims):
+    for i, (lam, dim) in enumerate(zip(lams, dims)):
         label = f"T-hat{lam}"
         if dim > check_limit:
             checks.append(MatrixCheck(label, dim, None, VERDICT_SKIPPED, "skipped"))
             skipped += 1
             continue
-        certify = ((lambda p: _wiedemann_block(lam, dim, p)) if dim > DENSE_LIMIT else
-                   (lambda p: _dense(ModPMatrix(dim, p, young.irrep_T_matrix(lam, p)))))
-        check, more = _check_one(label, dim, certify, primes)
+        check, more = checked[i] if i in checked else _check_one(
+            label, dim, lambda p: _dense(ModPMatrix(dim, p, young.irrep_T_matrix(lam, p))), primes)
         checks.append(check)
         notes.extend(more)
     all_inv = all(c.verdict == VERDICT_INVERTIBLE for c in checks)
-    complete = set(lams) >= set(young.constituents_dominating(mu))
+    # the computed list is the dominance set itself
+    complete = use_list == "computed" or set(lams) >= set(young.constituents_dominating(mu))
     if skipped:
         notes.append(f"{skipped} constituents above dimension {check_limit} skipped")
     if use_list == "published" and not complete:

@@ -1,5 +1,8 @@
+import errno
 import functools
 import math
+import os
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -302,6 +305,12 @@ def _record_lanczos(mp):
     return calls
 
 
+def _one_worker(mp):
+    """Check every block in the caller, where a wrapper installed by a test
+    sees each call (a forked worker's calls never reach it)."""
+    mp.setattr(perfect, "_usable_cpus", lambda: 1)
+
+
 def _count_calls(monkeypatch, name):
     calls = []
     real = getattr(perfect, name)
@@ -358,6 +367,7 @@ def test_lanczos_takes_at_most_bound_plus_one_products(monkeypatch):
     ts = perfect._lanczos(m, _start_vector(m.p, m.dim))
     assert len(ts) < m.dim and _products(ts, m.dim) <= bound + 1
     lanczos = _record_lanczos(monkeypatch)
+    _one_worker(monkeypatch)
     monkeypatch.setattr(perfect, "DENSE_LIMIT", 0)
     assert invertible_mod_p(young.build_action_matrix(6, shape), m.p) == VERDICT_INVERTIBLE
     assert [len(c[2]) for c in lanczos] == [c[0].dim for c in lanczos]
@@ -469,6 +479,7 @@ def test_singular_matrix_takes_exactly_two_lanczos_passes(monkeypatch):
     shape = (2, 2, 2)
     assert _action_determinant(shape) == 0
     lanczos.clear()
+    _one_worker(monkeypatch)
     monkeypatch.setattr(perfect, "DENSE_LIMIT", 0)
     assert invertible_mod_p(young.build_action_matrix(6, shape), p) == VERDICT_SINGULAR
     assert [(c[0].dim, len(c[2]) == c[0].dim) for c in lanczos] == [
@@ -811,6 +822,7 @@ def test_a_block_that_stops_long_before_the_other_still_solves(n, monkeypatch):
     action = young.build_action_matrix(n, (n - 1, 1))
     assert perfect._det_mod_dense(perfect.modp_from_action(action, p))
     lanczos = _record_lanczos(monkeypatch)
+    _one_worker(monkeypatch)
     monkeypatch.setattr(perfect, "DENSE_LIMIT", 0)
     assert invertible_mod_p(action, p) == VERDICT_INVERTIBLE
     assert [(c[0].dim, len(c[2])) for c in lanczos] == [(1, 1), (n - 1, n - 1)]
@@ -837,6 +849,185 @@ def test_block_route_guards_come_before_any_block(monkeypatch):
     wrong = young.ActionMatrix(n=5, shape=(4, 1), dim=5, entries=shifted)
     with pytest.raises(ValueError, match="tabloid action"):
         invertible_mod_p(wrong, DEFAULT_PRIMES[0])
+
+
+# -- blocks on every usable CPU ------------------------------------------------------
+
+def _no_child_left():
+    """No child of this process remains, not even one waiting to be reaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _workers(mp, k):
+    """Spread the black-box blocks over k workers, whatever the CPUs and
+    however few the rows; the list returned grows by one at each fork."""
+    mp.setattr(perfect, "_usable_cpus", lambda: k)
+    mp.setattr(perfect, "WORKER_ROWS", 1)
+    forks, real = [], os.fork
+    mp.setattr(os, "fork", lambda: forks.append(k) or real())
+    return forks
+
+
+def _split(in_caller, in_workers):
+    """A function that runs in_caller in this process and in_workers in a
+    forked worker."""
+    caller = os.getpid()
+    return lambda *args: (in_caller if os.getpid() == caller else in_workers)(*args)
+
+
+#: the cert-mid and cert-large cases of the benchmark, and two shapes that
+#: stop at the divisibility check, with the forks each makes on two workers
+SPREAD_CASES = [
+    ("irreps", 11, (6, 4, 1), 1),
+    ("coset", 13, (10, 2, 1), 1),
+    ("coset", 11, (6, 3, 2), 1),
+    ("coset", 13, (9, 2, 2), 1),
+    ("coset", 12, (5, 5, 2), 0),
+    ("coset", 8, (3, 3, 2), 0),
+]
+
+
+@pytest.mark.parametrize("route, n, shape, forks", SPREAD_CASES, ids=str)
+def test_reports_are_the_same_on_one_worker_and_on_two(route, n, shape, forks, monkeypatch):
+    run = obstruction_coset if route == "coset" else obstruction_irreps
+    reports = {}
+    for k in (1, 2):
+        with monkeypatch.context() as mp:
+            made = _workers(mp, k)
+            reports[k] = run(n, shape).to_json_dict()
+        assert len(made) == (k - 1) * forks
+    assert reports[1] == reports[2]
+    _no_child_left()
+
+
+def test_retry_notes_are_the_same_on_one_worker_and_on_two(monkeypatch):
+    # on the block route: the singular (2,2,2)@6, whose last block fails at
+    # every prime, and (4,2,1)@7 with every pass broken down one step short
+    monkeypatch.setattr(perfect, "DENSE_LIMIT", 0)
+    real = perfect._lanczos
+    singular, broken = {}, {}
+    for k in (1, 2):
+        with monkeypatch.context() as mp:
+            made = _workers(mp, k)
+            singular[k] = obstruction_coset(6, (2, 2, 2)).to_json_dict()
+            mp.setattr(perfect, "_lanczos", lambda matrix, v: real(matrix, v)[:-1])
+            broken[k] = obstruction_coset(7, (4, 2, 1)).to_json_dict()
+        assert len(made) == 2 * (k - 1)
+    assert singular[1] == singular[2] and broken[1] == broken[2]
+    assert singular[2]["notes"] == [f"action(2, 2, 2): T-hat(2, 2, 2) singular mod {p}, retrying"
+                                    for p in DEFAULT_PRIMES]
+    assert broken[2]["notes"] == [f"action(4, 2, 1): T-hat(7,) singular mod {p}, retrying"
+                                  for p in DEFAULT_PRIMES]
+    _no_child_left()
+
+
+def test_a_workers_error_reaches_the_caller(monkeypatch):
+    # T-hat_lam in place of W T-hat_lam in the worker: it is not symmetric,
+    # and the worker's refusal is raised in the caller with its message
+    _workers(monkeypatch, 2)
+    monkeypatch.setattr(young, "irrep_WT_matrix",
+                        _split(young.irrep_WT_matrix, young.irrep_T_matrix))
+    with pytest.raises(ValueError, match="the black-box check needs a symmetric matrix"):
+        obstruction_coset(11, (6, 3, 2))
+    _no_child_left()
+
+
+def test_a_worker_error_that_does_not_pickle_still_reaches_the_caller(monkeypatch):
+    class Local(Exception):
+        pass
+
+    def refuse(*args):
+        raise Local("a local class")
+
+    _workers(monkeypatch, 2)
+    monkeypatch.setattr(perfect, "_wiedemann_block", _split(perfect._wiedemann_block, refuse))
+    with pytest.raises(RuntimeError, match="block worker raised .*a local class"):
+        obstruction_coset(13, (10, 2, 1))
+    _no_child_left()
+
+
+def test_a_worker_that_ends_without_a_result_fails_the_call(monkeypatch):
+    _workers(monkeypatch, 2)
+    monkeypatch.setattr(perfect, "_wiedemann_block",
+                        _split(perfect._wiedemann_block, lambda *args: os._exit(0)))
+    with pytest.raises(RuntimeError, match="ended without a result"):
+        obstruction_coset(11, (6, 3, 2))
+    _no_child_left()
+
+
+def test_an_error_in_the_callers_share_kills_the_workers(monkeypatch):
+    # the worker would sleep for a minute a block: it is killed, not waited for
+    def refuse(*args):
+        raise ArithmeticError("the caller's block")
+
+    _workers(monkeypatch, 2)
+    monkeypatch.setattr(perfect, "_wiedemann_block",
+                        _split(refuse, lambda *args: time.sleep(60)))
+    start = time.perf_counter()
+    with pytest.raises(ArithmeticError, match="the caller's block"):
+        obstruction_irreps(11, (6, 4, 1))
+    assert time.perf_counter() - start < 30
+    _no_child_left()
+
+
+def test_a_fork_that_fails_leaves_no_worker_and_no_open_pipe(monkeypatch):
+    # three workers, and the second fork fails: its error reaches the
+    # caller, the first worker is killed and reaped, and no pipe end stays
+    # open
+    forks, real = [], os.fork
+
+    def fork():
+        forks.append(1)
+        if len(forks) == 2:
+            raise BlockingIOError(errno.EAGAIN, "no more processes")
+        return real()
+
+    monkeypatch.setattr(perfect, "_usable_cpus", lambda: 3)
+    monkeypatch.setattr(os, "fork", fork)
+    open_fds = len(os.listdir("/proc/self/fd"))
+    with pytest.raises(BlockingIOError, match="no more processes"):
+        obstruction_coset(11, (6, 3, 2))
+    assert len(forks) == 2 and len(os.listdir("/proc/self/fd")) == open_fds
+    _no_child_left()
+
+
+def test_without_fork_every_block_is_checked_in_the_caller(monkeypatch):
+    assert perfect._usable_cpus() == len(os.sched_getaffinity(0))
+    expected = obstruction_coset(13, (10, 2, 1))
+    monkeypatch.delattr(os, "fork")
+    assert perfect._usable_cpus() == 1
+    assert obstruction_coset(13, (10, 2, 1)) == expected
+
+
+def test_a_worker_is_forked_only_for_enough_rows(monkeypatch):
+    # on two CPUs: the six blocks of (10,2,1)@13 have 781 rows in all, fewer
+    # than two workers' WORKER_ROWS, and stay in the caller; the two
+    # black-box blocks of (6,4,1)@11 have 1243 and (6,3,2)@11 has 3356
+    monkeypatch.setattr(perfect, "_usable_cpus", lambda: 2)
+    forks, real = [], os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or real())
+    for run, n, shape, made in ((obstruction_coset, 13, (10, 2, 1), 0),
+                                (obstruction_irreps, 11, (6, 4, 1), 1),
+                                (obstruction_coset, 11, (6, 3, 2), 1)):
+        forks.clear()
+        assert run(n, shape).conclusion == CONCLUSION_NO_CODE
+        assert len(forks) == made, shape
+    _no_child_left()
+
+
+def test_blocks_go_largest_first_onto_the_least_loaded_worker():
+    dims = [1, 12, 65, 66, 208, 429]  # the blocks of (10,2,1)@13
+    assert perfect._shares(dims, 1) == [[0, 1, 2, 3, 4, 5]]
+    assert perfect._shares(dims, 2) == [[5], [0, 1, 2, 3, 4]]
+    assert perfect._shares([5, 9, 5, 5, 5], 3) == [[1], [0, 3], [2, 4]]
+
+
+def test_irreps_route_computes_the_dominance_set_once(monkeypatch):
+    calls, real = [], young.constituents_dominating
+    monkeypatch.setattr(young, "constituents_dominating", lambda mu: calls.append(mu) or real(mu))
+    assert obstruction_irreps(7, (4, 2, 1)).conclusion == CONCLUSION_NO_CODE
+    assert calls == [(4, 2, 1)]
 
 
 # -- preconditions ----------------------------------------------------------------
