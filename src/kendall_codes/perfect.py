@@ -8,10 +8,10 @@ proof of rational invertibility, while singularity mod p says nothing and is
 retried with the next prime from the configured list.
 
 An irreducible block T-hat_lam, or the W T-hat_lam of the black-box check,
-is built straight mod p from the integer structure of the standard tableaux
-(young.irrep_T_matrix and young.irrep_WT_matrix, no rational entry), at
-dimension f^lam (hook length formula), so that an all-zero block is a
-singular f^lam x f^lam matrix, never an empty one.
+is built mod p from the integer structure of the standard tableaux
+(young.irrep_T_matrix and young.irrep_WT_matrix), at dimension f^lam (hook
+length formula), so that an all-zero block is a singular f^lam x f^lam
+matrix, never an empty one.
 
 A coset matrix M of shape mu is certified in one of two ways, chosen by
 its dimension:
@@ -90,7 +90,6 @@ import numbers
 import os
 import pickle
 from dataclasses import dataclass
-from fractions import Fraction
 from math import factorial, inf
 from typing import TYPE_CHECKING
 
@@ -155,17 +154,7 @@ class ModPMatrix:
 
     dim: int
     p: int
-    entries: sp.csr_matrix  # int64 residues r, |r| < p (dense engine: any |r| < 2^52)
-
-
-def _residue(value, p: int) -> int:
-    if isinstance(value, Fraction):
-        if value.denominator % p == 0:
-            raise ValueError(f"denominator {value.denominator} divisible by {p}")
-        return value.numerator * pow(value.denominator, -1, p) % p
-    if not isinstance(value, numbers.Integral):
-        raise ValueError(f"entry {value!r} is neither an integer nor a Fraction")
-    return int(value) % p
+    entries: sp.csr_matrix  # int64 residues in [0, p); the dense engine also takes |r| < 2^52
 
 
 def modp_from_action(action: ActionMatrix, p: int) -> ModPMatrix:
@@ -176,31 +165,19 @@ def modp_from_action(action: ActionMatrix, p: int) -> ModPMatrix:
     return ModPMatrix(dim=action.dim, p=p, entries=ent)
 
 
-def modp_from_entries(dim: int, entries, p: int) -> ModPMatrix:
-    """Sparse dict {(i,j): value} -> ModPMatrix; values may be Fractions."""
-    ii, jj, vv = [], [], []
-    for (i, j), value in entries.items():
-        r = _residue(value, p)
-        if r:
-            ii.append(i)
-            jj.append(j)
-            vv.append(r)
-    import scipy.sparse as sp
-    mat = sp.csr_matrix((np.array(vv, dtype=np.int64),
-                         (np.array(ii, dtype=np.intp), np.array(jj, dtype=np.intp))),
-                        shape=(dim, dim))
-    return ModPMatrix(dim=dim, p=p, entries=mat)
-
-
 def modp_from_rows(rows, p: int) -> ModPMatrix:
+    """Dense square rows of integers -> ModPMatrix; ValueError for a ragged
+    matrix or any other entry (a float, a Fraction, a string)."""
     dim = len(rows)
-    entries = {}
-    for i, row in enumerate(rows):
-        if len(row) != dim:
-            raise ValueError("matrix is not square")
-        for j, v in enumerate(row):
-            entries[(i, j)] = v
-    return modp_from_entries(dim, entries, p)
+    if any(len(row) != dim for row in rows):
+        raise ValueError("matrix is not square")
+    for row in rows:
+        for v in row:
+            if not isinstance(v, numbers.Integral):
+                raise ValueError(f"entry {v!r} is not an integer")
+    import scipy.sparse as sp
+    dense = np.array([[int(v) % p for v in row] for row in rows], dtype=np.int64)
+    return ModPMatrix(dim=dim, p=p, entries=sp.csr_matrix(dense.reshape(dim, dim)))
 
 
 # ---------------------------------------------------------------------------
@@ -422,9 +399,9 @@ def invertible_mod_p(matrix, p: int) -> str:
     """'invertible' proves rational invertibility; 'singular-mod-p' proves
     nothing and should be retried at another prime.
 
-    Accepts dense square rows (integers or Fractions; any other entry is
-    refused with ValueError), eliminated densely at any dimension, or an
-    ActionMatrix, whose certificate _coset_certificate chooses.
+    Accepts dense square rows of integers (any other entry is refused with
+    ValueError), eliminated densely at any dimension, or an ActionMatrix,
+    whose certificate _coset_certificate chooses.
     """
     _check_prime(p)
     if not isinstance(matrix, ActionMatrix):
@@ -496,18 +473,17 @@ def _wiedemann_block(lam, dim: int, p: int) -> tuple[str, str]:
     return _certify_wiedemann(ModPMatrix(dim, p, young.irrep_WT_matrix(lam, p))), "wiedemann"
 
 
-def _check_one(label: str, dim: int, certify, primes, subject: str | None = None):
+def _check_one(label: str, dim: int, certify, primes):
     """Run the certificate at successive primes; one MatrixCheck plus notes.
 
     certify(p) returns the verdict and method at the prime p.  A prime that
-    fails gets a note, "{subject} singular mod p, retrying", subject
-    defaulting to f"{label}:"."""
+    fails gets a note, "{label}: singular mod p, retrying"."""
     notes = []
     for p in primes:
         verdict, method = certify(p)
         if verdict == VERDICT_INVERTIBLE:
             return MatrixCheck(label, dim, p, verdict, method), notes
-        notes.append(f"{subject or label + ':'} singular mod {p}, retrying")
+        notes.append(f"{label}: singular mod {p}, retrying")
     return MatrixCheck(label, dim, primes[-1], VERDICT_SINGULAR, method), notes
 
 
@@ -535,9 +511,8 @@ def _shares(dims, k: int) -> list[list[int]]:
 
 def _check_blocks(lams, dims, primes, owner: str | None = None) -> list:
     """(MatrixCheck, notes) of the black-box check on every block lam of
-    dimension f, in list order, each at successive primes (_check_one); a
-    retry note names f"{owner}: T-hat{lam}", or the block's label without
-    an owner.
+    dimension f, in list order, each at successive primes (_check_one),
+    labelled f"{owner}: T-hat{lam}", or f"T-hat{lam}" without an owner.
 
     The blocks are split over k = min(_usable_cpus(), blocks, rows //
     WORKER_ROWS) workers, at least one (_shares).  The caller checks the
@@ -548,8 +523,8 @@ def _check_blocks(lams, dims, primes, owner: str | None = None) -> list:
     """
     def check(i):
         lam, f = lams[i], dims[i]
-        return _check_one(f"T-hat{lam}", f, lambda p: _wiedemann_block(lam, f, p), primes,
-                          owner and f"{owner}: T-hat{lam}")
+        label = f"{owner}: T-hat{lam}" if owner else f"T-hat{lam}"
+        return _check_one(label, f, lambda p: _wiedemann_block(lam, f, p), primes)
 
     shares = _shares(dims, max(1, min(_usable_cpus(), len(dims), sum(dims) // WORKER_ROWS)))
     if len(shares) > 1:
@@ -721,10 +696,9 @@ def obstruction_irreps(n: int, mu, use_list: str = "computed",
     Each block is built straight mod p, once per prime tried: T-hat_lam for
     dense elimination up to DENSE_LIMIT, W T-hat_lam for the black-box check
     above it (_wiedemann_block, spread over the usable CPUs by
-    _check_blocks); no exact rational entry is formed.  Every prime
-    must exceed n, and a prime p <= n anywhere in primes is refused
-    (ValueError) before any block is built, as is one at or above
-    PRIME_LIMIT."""
+    _check_blocks).  Every prime must exceed n, and a prime p <= n
+    anywhere in primes is refused (ValueError) before any block is built,
+    as is one at or above PRIME_LIMIT."""
     mu = young.check_shape(n, mu)
     primes = _checked_primes(primes)
     lams, dims = _constituents(n, mu, primes, use_list, check_limit)

@@ -23,14 +23,13 @@ orthogonal form needs square roots, which would break mod-p reduction).  One
 array pass over the standard tableaux gives the contents, the axial
 distance of every generator on every tableau and the partner tableau it
 pairs with; T-hat, the identity plus every generator matrix, is read off it
-either with exact rational entries or straight mod p as a CSR of residues,
-and so is the symmetric W T-hat for the invariant form W (irrep_WT_matrix).
+mod a prime p > n as a CSR of residues, and so is the symmetric W T-hat for
+the invariant form W (irrep_WT_matrix).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import reduce
 from itertools import permutations, product
 from math import factorial
@@ -177,12 +176,6 @@ class ActionMatrix:
 
     def to_dense(self) -> list[list[int]]:
         return [[int(v) for v in row] for row in self.entries.toarray()]
-
-    def row_sums(self) -> list[int]:
-        return [int(v) for v in np.asarray(self.entries.sum(axis=1)).ravel()]
-
-    def is_symmetric(self) -> bool:
-        return (self.entries != self.entries.T).nnz == 0
 
 
 def _image_index(tabloids: np.ndarray, keys: np.ndarray, columns,
@@ -534,37 +527,6 @@ def _seminormal_structure(shape: NumberPartition) -> tuple[np.ndarray, np.ndarra
     return d, partner, content
 
 
-def _seminormal_entries(d: np.ndarray, partner: np.ndarray, i: int):
-    """Yield ((row, col), value) for Young's seminormal matrix of (i, i+1),
-    from the arrays of _seminormal_structure.
-
-    On a basis tableau t with axial distance d: d = +1 or -1 gives the
-    diagonal d; otherwise t pairs with t' = s_i t, whose distance is -d, and
-    the 2x2 block (taking d > 0 on t) is M[t][t] = 1/d, M[t][t'] = 1 - 1/d^2,
-    M[t'][t] = 1, M[t'][t'] = -1/d.  Each tableau yields its own row, so
-    every position is yielded once.
-    """
-    for k, (dk, kp) in enumerate(zip(d[:, i - 1].tolist(), partner[:, i - 1].tolist())):
-        if abs(dk) == 1:
-            yield (k, k), Fraction(dk)
-        else:
-            yield (k, k), Fraction(1, dk)
-            yield (k, kp), 1 - Fraction(1, dk * dk) if dk > 0 else Fraction(1)
-
-
-def seminormal_generator(shape, i: int) -> dict[tuple[int, int], Fraction]:
-    """Young's seminormal matrix for the generator (i, i+1) on shape.
-
-    Sparse dict of exact rationals on the SYT basis in last-letter order; at
-    most two nonzeros per row; the matrix squares to the identity.
-    """
-    shape = check_partition(shape)
-    n = partition_n(shape)
-    if not 1 <= i <= n - 1:
-        raise ValueError(f"generator index must be in 1..{n - 1}, got {i}")
-    return dict(_seminormal_entries(*_seminormal_structure(shape)[:2], i))
-
-
 def _t_hat_residues(shape: NumberPartition, p: int):
     """T-hat mod p of a checked shape as an int64 CSR of residues in [0, p),
     zeros dropped, with the contents (_seminormal_structure) and the table
@@ -593,25 +555,11 @@ def _t_hat_residues(shape: NumberPartition, p: int):
     return mat, content, paired
 
 
-def irrep_T_matrix(shape, p: int | None = None
-                   ) -> dict[tuple[int, int], Fraction] | sp.csr_matrix:
-    """Identity plus the sum of all seminormal generator matrices.
-
-    Without p: a sparse dict of exact rationals, at most 2(n-1)+1 nonzeros
-    per row.  With a prime p > n: the same matrix mod p as an int64 CSR of
-    residues in [0, p), zeros dropped; ValueError for p <= n
-    (_t_hat_residues).  Both come from one pass over the tableaux
-    (_seminormal_structure).
-    """
-    shape = check_partition(shape)
-    if p is not None:
-        return _t_hat_residues(shape, p)[0]
-    d, partner, _ = _seminormal_structure(shape)
-    total: dict[tuple[int, int], Fraction] = {(k, k): Fraction(1) for k in range(len(d))}
-    for i in range(1, partition_n(shape)):
-        for key, value in _seminormal_entries(d, partner, i):
-            total[key] = total.get(key, Fraction(0)) + value
-    return {key: value for key, value in total.items() if value != 0}
+def irrep_T_matrix(shape, p: int) -> sp.csr_matrix:
+    """Identity plus the sum of all seminormal generator matrices, mod a
+    prime p > n, as an int64 CSR of residues in [0, p), zeros dropped;
+    ValueError for p <= n (_t_hat_residues)."""
+    return _t_hat_residues(check_partition(shape), p)[0]
 
 
 def irrep_WT_matrix(shape, p: int) -> sp.csr_matrix:

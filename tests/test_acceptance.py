@@ -14,7 +14,7 @@ import pytest
 
 from kendall_codes import ilp, perfect, perms, young
 
-from exact_sparse import identity, matmul, sparse
+from exact_sparse import identity, matmul, seminormal_generators, sparse
 
 extended = pytest.mark.extended
 needs_extended = pytest.mark.skipif(
@@ -188,8 +188,7 @@ def test_criterion_07_representation_suite():
             dim = young.hook_length_dimension(lam)
             assert dim == len(young.enumerate_syt(lam))
             total += dim * dim
-            gens = [sparse(young.seminormal_generator(lam, i))
-                    for i in range(1, n)]
+            gens = [sparse(g) for g in seminormal_generators(lam)]
             ident = identity(dim)
             for g in gens:
                 assert matmul(g, g) == ident

@@ -390,7 +390,7 @@ def test_config_rejects_prime_above_limit(tmp_path, capsys, monkeypatch):
 def test_coset_above_dense_limit_refuses_before_any_block(tmp_path, capsys, monkeypatch):
     # (6,3,2)@11 has 4620 tabloids: its blocks need p > 11, each at most
     # IRREP_DIMENSION_LIMIT
-    def no_block(shape, p=None):
+    def no_block(shape, p):
         raise AssertionError("block built")
 
     monkeypatch.setattr(young, "irrep_T_matrix", no_block)
@@ -407,7 +407,7 @@ def test_coset_above_dense_limit_refuses_before_any_block(tmp_path, capsys, monk
 
 
 def test_irreps_rejects_prime_at_or_below_n(tmp_path, capsys, monkeypatch):
-    def no_block(shape, p=None):
+    def no_block(shape, p):
         raise AssertionError("block built")
 
     monkeypatch.setattr(young, "irrep_T_matrix", no_block)

@@ -25,13 +25,12 @@ from kendall_codes.perfect import (
     divisibility_precondition,
     integer_determinant,
     invertible_mod_p,
-    modp_from_entries,
     obstruction_coset,
     obstruction_irreps,
     perfect_counting_condition,
 )
 
-from exact_sparse import invariant_form, seminormal_reference
+from exact_sparse import invariant_form, reduced, seminormal_reference
 
 
 def test_default_primes_are_prime():
@@ -78,10 +77,9 @@ def test_invertible_mod_p_simple_cases():
 def test_invertible_mod_p_refuses_entries_that_are_not_integers():
     # int() would truncate 0.5 to 0 and certify the singular [[0.5, 1], [1, 2]]
     p = DEFAULT_PRIMES[0]
-    for rows in ([[0.5, 1], [1, 2]], [[1, "2"], [3, 4]]):
-        with pytest.raises(ValueError, match="neither an integer nor a Fraction"):
+    for rows in ([[0.5, 1], [1, 2]], [[1, "2"], [3, 4]], [[Fraction(1, 2), 1], [1, 2]]):
+        with pytest.raises(ValueError, match="is not an integer"):
             invertible_mod_p(rows, p)
-    assert invertible_mod_p([[Fraction(1, 2), 1], [1, 2]], p) == VERDICT_SINGULAR
     assert invertible_mod_p([[np.int64(1), 1], [1, 2]], p) == VERDICT_INVERTIBLE
 
 
@@ -94,7 +92,7 @@ def _no_matrix_work(*args, **kwargs):
     raise AssertionError("matrix work started")
 
 
-def _no_block(shape, p=None):
+def _no_block(shape, p):
     raise AssertionError(f"block {shape} built")
 
 
@@ -107,7 +105,7 @@ def _refuse_blocks(mp):
 def test_primes_at_or_above_limit_are_rejected(monkeypatch):
     monkeypatch.setattr(young, "build_action_matrix", _no_matrix_work)
     _refuse_blocks(monkeypatch)
-    for name in ("modp_from_action", "modp_from_entries", "modp_from_rows"):
+    for name in ("modp_from_action", "modp_from_rows"):
         monkeypatch.setattr(perfect, name, _no_matrix_work)
     for p in (1048583, 2147483647):  # the first prime >= 2**20, and 2**31 - 1
         assert p >= PRIME_LIMIT and perfect._is_prime(p)
@@ -123,12 +121,6 @@ def test_primes_at_or_above_limit_are_rejected(monkeypatch):
 
 def test_largest_prime_below_limit_is_accepted():
     assert invertible_mod_p([[2, 1], [7, 4]], 1048573) == VERDICT_INVERTIBLE
-
-
-def test_fraction_entries_and_bad_denominator():
-    assert invertible_mod_p([[Fraction(1, 2)]], 101) == VERDICT_INVERTIBLE
-    with pytest.raises(ValueError):
-        modp_from_entries(1, {(0, 0): Fraction(1, 101)}, 101)
 
 
 def test_seminormal_prime_gate():
@@ -157,12 +149,12 @@ def _smallest_prime_above(n):
 def test_residue_block_equals_exact_block_reduced(n):
     for lam in young.all_partitions(n):
         dim = young.hook_length_dimension(lam)
-        exact = young.irrep_T_matrix(lam)
+        exact = seminormal_reference(lam)
         for p in (*DEFAULT_PRIMES, _smallest_prime_above(n)):
             block = young.irrep_T_matrix(lam, p)
-            reduced = modp_from_entries(dim, exact, p).entries
+            expected = reduced(dim, exact, p)
             assert block.dtype == np.int64 and block.shape == (dim, dim), (lam, p)
-            assert block.nnz == reduced.nnz and (block != reduced).nnz == 0, (lam, p)
+            assert block.nnz == expected.nnz and (block != expected).nnz == 0, (lam, p)
             assert ((0 <= block.data) & (block.data < p)).all(), (lam, p)
 
 
@@ -543,7 +535,7 @@ def test_forced_breakdown_retries_once_and_never_certifies(monkeypatch):
     assert report.matrices[0].verdict == VERDICT_SINGULAR
     assert report.matrices[0].prime == DEFAULT_PRIMES[-1]
     assert report.conclusion == CONCLUSION_INCONCLUSIVE
-    assert report.notes == tuple(f"action(4, 2, 1): T-hat(7,) singular mod {p}, retrying"
+    assert report.notes == tuple(f"action(4, 2, 1): T-hat(7,): singular mod {p}, retrying"
                                  for p in DEFAULT_PRIMES)
 
 
@@ -697,9 +689,9 @@ def test_invariant_form_symmetrises_every_seminormal_block():
         exact = {(i, j): w[i] * value for (i, j), value in t_hat.items()}
         for p in (*DEFAULT_PRIMES, _smallest_prime_above(sum(lam))):
             block = young.irrep_WT_matrix(lam, p)
-            reduced = modp_from_entries(dim, exact, p).entries
-            assert block.shape == (dim, dim) and block.nnz == reduced.nnz, (lam, p)
-            assert (block != reduced).nnz == 0, (lam, p)
+            expected = reduced(dim, exact, p)
+            assert block.shape == (dim, dim) and block.nnz == expected.nnz, (lam, p)
+            assert (block != expected).nnz == 0, (lam, p)
             assert not ((block - block.T).data % p).any(), (lam, p)
 
 
@@ -738,7 +730,7 @@ def test_irreps_route_on_the_black_box_matches_the_dense_route(n, monkeypatch):
 def _exact_block_determinant(lam) -> Fraction:
     """det T-hat_lam over Q, from the exact entries scaled to integers."""
     f = young.hook_length_dimension(lam)
-    entries = young.irrep_T_matrix(lam)
+    entries = seminormal_reference(lam)
     scale = math.lcm(*(Fraction(v).denominator for v in entries.values()))
     rows = [[0] * f for _ in range(f)]
     for (i, j), value in entries.items():
@@ -915,9 +907,9 @@ def test_retry_notes_are_the_same_on_one_worker_and_on_two(monkeypatch):
             broken[k] = obstruction_coset(7, (4, 2, 1)).to_json_dict()
         assert len(made) == 2 * (k - 1)
     assert singular[1] == singular[2] and broken[1] == broken[2]
-    assert singular[2]["notes"] == [f"action(2, 2, 2): T-hat(2, 2, 2) singular mod {p}, retrying"
+    assert singular[2]["notes"] == [f"action(2, 2, 2): T-hat(2, 2, 2): singular mod {p}, retrying"
                                     for p in DEFAULT_PRIMES]
-    assert broken[2]["notes"] == [f"action(4, 2, 1): T-hat(7,) singular mod {p}, retrying"
+    assert broken[2]["notes"] == [f"action(4, 2, 1): T-hat(7,): singular mod {p}, retrying"
                                   for p in DEFAULT_PRIMES]
     _no_child_left()
 
@@ -1087,9 +1079,9 @@ def test_obstruction_irreps_small():
 
 
 def test_zero_irrep_block_is_a_singular_matrix():
-    # T-hat on the sign irrep of S_2 is the 1 x 1 zero matrix, stored as {};
+    # T-hat on the sign irrep of S_2 is the 1 x 1 zero matrix over Q;
     # {12} is a 1-perfect code of S_2, so the route must stay inconclusive
-    assert young.irrep_T_matrix((1, 1)) == {}
+    assert seminormal_reference((1, 1)) == {}
     r = obstruction_irreps(2, (1, 1))
     checks = {c.label: (c.dim, c.verdict) for c in r.matrices}
     assert checks["T-hat(1, 1)"] == (1, VERDICT_SINGULAR)
@@ -1125,7 +1117,7 @@ def test_irrep_limit_is_checked_before_any_block_is_built(monkeypatch):
 
 def test_irreps_route_builds_no_fraction(monkeypatch):
     # every block is built straight mod p, as T-hat or, above DENSE_LIMIT,
-    # as W T-hat: no Fraction and no reduction of an entry dict
+    # as W T-hat: no Fraction
     primes = (11, *DEFAULT_PRIMES)
     expected = {}
     for dense in (DENSE_LIMIT, 0):
@@ -1136,12 +1128,11 @@ def test_irreps_route_builds_no_fraction(monkeypatch):
         raise AssertionError("Fraction built on the certificate path")
 
     monkeypatch.setattr(Fraction, "__new__", no_fraction)
-    monkeypatch.setattr(perfect, "modp_from_entries", _no_matrix_work)
     for dense, report in expected.items():
         monkeypatch.setattr(perfect, "DENSE_LIMIT", dense)
         assert obstruction_irreps(7, (3, 2, 2), primes=primes) == report
     with pytest.raises(AssertionError, match="Fraction built"):
-        young.irrep_T_matrix((3, 2, 2))
+        seminormal_reference((3, 2, 2))
 
 
 def test_obstruction_irreps_skip_reporting():

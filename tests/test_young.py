@@ -1,6 +1,5 @@
 import gc
 from collections import Counter
-from fractions import Fraction
 from itertools import permutations
 from math import factorial, prod
 
@@ -10,6 +9,7 @@ import scipy.sparse as sp
 
 from kendall_codes import perms, young
 from kendall_codes.ilp import ILP_DIMENSION_LIMIT
+from kendall_codes.perfect import DEFAULT_PRIMES
 from kendall_codes.young import (
     ActionMatrix,
     DimensionLimitError,
@@ -25,13 +25,20 @@ from kendall_codes.young import (
     irrep_T_matrix,
     published_s15_list,
     reference_tabloid,
-    seminormal_generator,
     tabloid_count,
     tridiagonal_reference,
     young_subgroup_order,
 )
 
-from exact_sparse import add, identity, matmul, seminormal_reference, sparse
+from exact_sparse import (
+    add,
+    identity,
+    matmul,
+    reduced,
+    seminormal_generators,
+    seminormal_reference,
+    sparse,
+)
 
 
 # -- partitions and tabloids -------------------------------------------------
@@ -82,7 +89,7 @@ def test_enumerate_tabloids_leaves_no_reference_cycle():
 
 @pytest.mark.parametrize("call", [
     lambda: enumerate_syt((4, 2, 1)),
-    lambda: irrep_T_matrix((4, 2, 1)),
+    lambda: irrep_T_matrix((4, 2, 1), DEFAULT_PRIMES[0]),
     lambda: build_action_matrix(7, (4, 2, 1)),
     lambda: all_partitions(7),
 ], ids=["syt", "irrep_T", "action_matrix", "partitions"])
@@ -154,8 +161,8 @@ def test_act_is_a_right_action():
                                      (5, (3, 1, 1)), (6, (2, 2, 2))])
 def test_action_matrix_structure(n, shape):
     a = build_action_matrix(n, shape)
-    assert a.row_sums() == [n] * a.dim
-    assert a.is_symmetric()
+    assert (np.asarray(a.entries.sum(axis=1)).ravel() == n).all()
+    assert (a.entries != a.entries.T).nnz == 0
     d = a.to_dense()
     assert all(d[i][i] >= 1 for i in range(a.dim))
 
@@ -402,8 +409,7 @@ def test_syt_enumeration_matches_hooks():
 def test_seminormal_relations(n):
     for lam in all_partitions(n):
         dim = hook_length_dimension(lam)
-        gens = [sparse(seminormal_generator(lam, i))
-                for i in range(1, n)]
+        gens = [sparse(g) for g in seminormal_generators(lam)]
         ident = identity(dim)
         for g in gens:
             assert matmul(g, g) == ident  # involutions
@@ -417,13 +423,17 @@ def test_seminormal_relations(n):
 
 @pytest.mark.parametrize("n", range(1, 8))
 def test_irrep_T_matrix_is_identity_plus_generators(n):
+    # the reference generators summed by exact_sparse.add, on their own and
+    # reduced mod p against the residues of the array pass
     for lam in all_partitions(n):
-        expected = identity(hook_length_dimension(lam))
-        for i in range(1, n):
-            expected = add(expected, sparse(seminormal_generator(lam, i)))
-        t_hat = irrep_T_matrix(lam)
-        assert all(isinstance(v, Fraction) and v != 0 for v in t_hat.values())
-        assert sparse(t_hat) == expected
+        dim = hook_length_dimension(lam)
+        expected = identity(dim)
+        for g in seminormal_generators(lam):
+            expected = add(expected, sparse(g))
+        assert sparse(seminormal_reference(lam)) == expected
+        entries = {(i, j): v for i, row in expected.items() for j, v in row.items()}
+        for p in DEFAULT_PRIMES:
+            assert (irrep_T_matrix(lam, p) != reduced(dim, entries, p)).nnz == 0, (lam, p)
 
 
 @pytest.mark.parametrize("shape", [*SHAPES_TO_8, pytest.param((2,) + (1,) * 255, id="(2, 1^255)")],
@@ -431,14 +441,18 @@ def test_irrep_T_matrix_is_identity_plus_generators(n):
 def test_irrep_T_matrix_matches_the_tableau_loop(shape):
     # the array pass against a loop over the tableau tuples; (2, 1^255) has
     # 256 rows, so its words take two-byte letters
-    assert irrep_T_matrix(shape) == seminormal_reference(shape)
+    p = DEFAULT_PRIMES[0]
+    block = irrep_T_matrix(shape, p)
+    expected = reduced(hook_length_dimension(shape), seminormal_reference(shape), p)
+    assert block.nnz == expected.nnz and (block != expected).nnz == 0
 
 
 def test_trivial_and_sign_t_matrices():
+    p = DEFAULT_PRIMES[0]
     for n in range(2, 9):
-        assert irrep_T_matrix((n,)) == {(0, 0): Fraction(n)}
-        sign = irrep_T_matrix((1,) * n)  # zero entries stay implicit
-        assert sign.get((0, 0), Fraction(0)) == Fraction(2 - n)
+        assert irrep_T_matrix((n,), p).toarray().tolist() == [[n]]
+        sign = irrep_T_matrix((1,) * n, p)  # zero entries stay implicit
+        assert sign.nnz == (n != 2) and sign.toarray().tolist() == [[(2 - n) % p]]
 
 
 def test_irrep_dimension_limit(monkeypatch):
