@@ -311,10 +311,9 @@ def main(argv=None) -> int:
         return args.func(args, cfg)
     except (ValueError, FileNotFoundError, IsADirectoryError,
             NotADirectoryError, PermissionError) as exc:
-        if isinstance(exc, (perms.EnumerationLimitError, young.DimensionLimitError)):
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_RESOURCE
         print(f"error: {exc}", file=sys.stderr)
+        if isinstance(exc, (perms.EnumerationLimitError, young.DimensionLimitError)):
+            return EXIT_RESOURCE
         return EXIT_BAD_INPUT
 
 

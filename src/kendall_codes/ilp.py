@@ -246,11 +246,20 @@ def _certified_bound(y, mat: np.ndarray, rhs: int, l, u):
     return bound, coef
 
 
-def _milp_heuristic(model: IlpModel, u0, time_limit: float | None):
+def _heuristic_involution(group: np.ndarray) -> np.ndarray:
+    """The involution g of group (_symmetry_group) with the most orbits
+    {t, g(t)}, (dim + #fixed tabloids) / 2: the first such row other than
+    the identity, or the identity (row 0) when group has no other."""
+    fixed = np.where((np.take_along_axis(group, group, axis=1) == group[0]).all(axis=1),
+                     (group == group[0]).sum(axis=1), -1)
+    fixed[0] = -1
+    return group[fixed.argmax()]
+
+
+def _milp_heuristic(model: IlpModel, group: np.ndarray, u0, time_limit: float | None):
     """Incumbent from the shape's symmetries: one small HiGHS model over the
-    points with x = x o g, for the involution g in young.involution_classes
-    with the most orbits, (dim + #fixed tabloids) / 2, the first on a tie
-    (the identity when every class fixes every tabloid).
+    points with x = x o g, for the involution g of G (group, from
+    _symmetry_group) with the most orbits (_heuristic_involution).
 
     The model is the fold of M over the orbits {i, g(i)} (_fold): one
     variable z per orbit, weighed by the orbit's size and bounded by u0 at
@@ -272,10 +281,7 @@ def _milp_heuristic(model: IlpModel, u0, time_limit: float | None):
         if time_limit <= 0:
             return None
         options["time_limit"] = time_limit
-    everything = np.arange(model.dim)
-    g = max(young.involution_classes(model.shape),
-            key=lambda g: int((g == everything).sum()), default=everything)
-    orbit = young.orbit_labels([everything, g])
+    orbit = young.orbit_labels([group[0], _heuristic_involution(group)])
     folded, sizes, reps = _fold(model.matrix, orbit)
     # HiGHS writes some diagnostics straight to file descriptor 1; point it
     # at stderr for the solve, so that stdout carries only the result
@@ -580,7 +586,7 @@ def _solve_tree(model: IlpModel, deadline: float | None) -> IlpResult:
 
     # incumbents: exact rounding ascent, then HiGHS on one fixed subspace
     rounded = _heuristic_incumbent(model, root.point)
-    cand = _milp_heuristic(model, u0, None if deadline is None else
+    cand = _milp_heuristic(model, group, u0, None if deadline is None else
                            _HEURISTIC_TIME_SHARE * (deadline - time.monotonic()))
     best_point = max([rounded, cand or []], key=sum)  # rounded on a tie
 

@@ -399,14 +399,16 @@ def invertible_mod_p(matrix, p: int) -> str:
     """'invertible' proves rational invertibility; 'singular-mod-p' proves
     nothing and should be retried at another prime.
 
-    Accepts dense square rows of integers (any other entry is refused with
-    ValueError), eliminated densely at any dimension, or an ActionMatrix,
-    whose certificate _coset_certificate chooses.
+    Accepts dense square rows of integers, eliminated densely at any
+    dimension; any other entry, and an ActionMatrix, is refused with
+    ValueError.  A coset matrix is certified from its shape by
+    obstruction_coset.
     """
     _check_prime(p)
-    if not isinstance(matrix, ActionMatrix):
-        return _dense(modp_from_rows(matrix, p))[0]
-    return _coset_certificate(matrix.n, matrix.shape, (p,), matrix)()[0].verdict
+    if isinstance(matrix, ActionMatrix):
+        raise ValueError("an ActionMatrix is not dense rows: pass its .to_dense(), "
+                         "or certify its shape with obstruction_coset")
+    return _dense(modp_from_rows(matrix, p))[0]
 
 
 def _dense(matrix: ModPMatrix) -> tuple[str, str]:
@@ -630,33 +632,27 @@ def _certify_blocks(label: str, dim: int, lams, dims, primes):
     return MatrixCheck(label, dim, primes[last], VERDICT_INVERTIBLE, "wiedemann"), notes
 
 
-def _coset_certificate(n: int, shape, primes, action: ActionMatrix | None = None):
+def _coset_certificate(n: int, shape, primes):
     """The certificate of the coset matrix M of a shape, chosen by its
-    dimension: up to DENSE_LIMIT, dense elimination of M as it stands, on
-    `action` (whose entries are certified as given) or on M built from the
+    dimension: up to DENSE_LIMIT, dense elimination of M built from the
     shape; above it, the black-box check on the isotypic blocks T-hat_lam,
     lam dominating the shape (_certify_blocks), and M is never built.
 
     The guards run here: the shape must be a partition of n and, above
-    DENSE_LIMIT and before any block is built, every prime must exceed n,
-    the given `action`, if any, must hold the tabloid action of the shape
-    (ValueError), and no block may exceed young.IRREP_DIMENSION_LIMIT
+    DENSE_LIMIT and before any block is built, every prime must exceed n
+    (ValueError) and no block may exceed young.IRREP_DIMENSION_LIMIT
     (DimensionLimitError).  The function returned runs the certificate at
     successive primes and gives one MatrixCheck plus notes.
     """
     shape = young.check_shape(n, shape)
     label = f"action{shape}"
-    dim = young.tabloid_count(shape) if action is None else action.dim
+    dim = young.tabloid_count(shape)
     if dim <= DENSE_LIMIT:
         def certify():
-            m = action if action is not None else young.build_action_matrix(n, shape)
+            m = young.build_action_matrix(n, shape)
             return _check_one(label, dim, lambda p: _dense(modp_from_action(m, p)), primes)
         return certify
     lams, dims = _constituents(n, shape, primes)
-    if action is not None:
-        expected = young.build_action_matrix(n, shape).entries
-        if action.entries.shape != expected.shape or (action.entries != expected).nnz:
-            raise ValueError(f"entries are not the tabloid action of {shape}")
     return lambda: _certify_blocks(label, dim, lams, dims, primes)
 
 

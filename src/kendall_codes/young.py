@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
-from itertools import permutations, product
+from itertools import permutations
 from math import factorial
 from typing import TYPE_CHECKING
 
@@ -254,44 +254,16 @@ def image_index(shape, reverse: bool = False, swaps=()) -> np.ndarray:
     return _image_index(tabloids, keys, columns, labels)
 
 
-def involution_classes(shape) -> list[np.ndarray]:
-    """One involution per conjugacy class of G = <w0> x prod_k S_(m_k), as
-    the index of its image of every tabloid (image_index).
-
-    m_k is the multiplicity of the k-th distinct part size, and S_(m_k)
-    relabels the blocks of that size.  An involution of G is w0^r times
-    t_k disjoint transpositions in each S_(m_k), and (r, t_1, t_2, ...)
-    with 0 <= t_k <= m_k // 2 fixes its class, so there are
-    2 prod_k (m_k // 2 + 1) - 1 classes besides the identity; each is
-    represented by the swaps (b, b + 1), (b + 2, b + 3), ... at the first
-    block b of its run.  A class that fixes every tabloid is left out: w0
-    for the shape (n), and w0 with the swap of both blocks for (1, 1).
-    """
-    shape = check_partition(shape)
-    runs = []  # [first block, multiplicity] of each part size
-    for b, part in enumerate(shape, start=1):
-        if b > 1 and part == shape[b - 2]:
-            runs[-1][1] += 1
-        else:
-            runs.append([b, 1])
-    out = []
-    for reverse, *counts in product((False, True), *(range(m // 2 + 1) for _, m in runs)):
-        swaps = [first + 2 * i for (first, _), t in zip(runs, counts) for i in range(t)]
-        index = image_index(shape, reverse, swaps)
-        if (index != np.arange(len(index))).any():
-            out.append(index)
-    return out
-
-
 def symmetry_generators(shape) -> list[np.ndarray]:
     """Generators of G = <w0> x prod_k S_(m_k) as tabloid images
-    (image_index): the reversal w0, and the swap of blocks b and b + 1 for
-    every b with shape[b - 1] == shape[b], whose transpositions generate
-    each S_(m_k).  Every generator is an involution."""
+    (image_index): the swap of blocks b and b + 1 for every b with
+    shape[b - 1] == shape[b], whose transpositions generate each S_(m_k),
+    then the reversal w0, so that group_elements lists each swap before w0
+    times it (ilp._heuristic_involution breaks ties in that order).  Every
+    generator is an involution."""
     shape = check_partition(shape)
-    return [image_index(shape, reverse=True)] + [
-        image_index(shape, swaps=(b,)) for b in range(1, len(shape))
-        if shape[b - 1] == shape[b]]
+    return [image_index(shape, swaps=(b,)) for b in range(1, len(shape))
+            if shape[b - 1] == shape[b]] + [image_index(shape, reverse=True)]
 
 
 def group_elements(generators) -> np.ndarray:

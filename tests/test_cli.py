@@ -132,6 +132,13 @@ def test_bound_text_and_csv(capsys):
     assert out.splitlines()[0] == "method,shape,value,provenance"
 
 
+def test_bound_json_with_a_shape(capsys):
+    code, out, _ = run(capsys, "--format", "json", "bound", "5", "--shape", "3,2")
+    assert code == 0
+    assert '"value": "23"' in out
+    assert json.loads(out)["minimum"] == "23"
+
+
 @pytest.mark.parametrize("argv", [("bound", "6"), ("perfect", "coset", "5", "4,1"),
                                   ("perfect", "irreps", "4", "3,1"),
                                   ("ilp", "solve", "5", "3,2")], ids=" ".join)

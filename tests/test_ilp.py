@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from kendall_codes import boxlp, ilp, young
+from kendall_codes import boxlp, exactlp, ilp, young
 from kendall_codes.boxlp import BoxSimplex
 from kendall_codes.exactlp import ExactSimplex, OPTIMAL
 from kendall_codes.ilp import (
@@ -102,6 +102,21 @@ def test_lp_relax_on_the_orbit_fold_equals_the_unfolded_lp(n, shape):
         assert sum(a * v for a, v in zip(row, sol.point)) <= m.rhs
     for g in young.symmetry_generators(shape):
         assert [sol.point[i] for i in g] == list(sol.point)
+
+
+def test_blands_rule_reaches_the_optimum_of_dantzigs_rule(monkeypatch):
+    # with STALL_LIMIT = 1 the first pivot that does not raise the value
+    # switches the simplex to Bland's rule for good
+    m = build_coset_ilp(6, (2, 2, 2))
+    dantzig = ExactSimplex(m.matrix.tolist(), [m.rhs] * m.dim, [1] * m.dim)
+    assert dantzig.solve() == OPTIMAL
+    folds = [lp_relax(build_coset_ilp(n, shape)).value for n, shape in _FOLD_SHAPES]
+    monkeypatch.setattr(exactlp, "STALL_LIMIT", 1)
+    bland = ExactSimplex(m.matrix.tolist(), [m.rhs] * m.dim, [1] * m.dim)
+    assert bland.solve() == OPTIMAL
+    assert bland.value() == dantzig.value() == 120
+    assert bland.pivots != dantzig.pivots
+    assert [lp_relax(build_coset_ilp(n, shape)).value for n, shape in _FOLD_SHAPES] == folds
 
 
 def test_lp_relax_refuses_a_matrix_off_the_tabloid_action(monkeypatch):
@@ -271,12 +286,39 @@ def test_milp_heuristic_reaches_the_optimum_on_fixed_subspaces(n, shape, want,
 
     monkeypatch.setattr(optimize, "milp", counted)
     m = build_coset_ilp(n, shape)
-    x = ilp._milp_heuristic(m, (m.rhs // m.matrix.diagonal()).tolist(), None)
+    group = ilp._symmetry_group(m)
+    x = ilp._milp_heuristic(m, group, (m.rhs // m.matrix.diagonal()).tolist(), None)
     assert feasible(m, x)
     assert sum(x) == want
-    # one solve, on the orbits of the class with the most of them
-    fixed = [int((g == np.arange(m.dim)).sum()) for g in young.involution_classes(shape)]
+    # one solve, on the orbits of the involution of G with the most of them
+    fixed = [int((g == group[0]).sum()) for g in group[1:]
+             if np.array_equal(g[g], group[0])]
     assert sizes == [(m.dim + max(fixed)) // 2]
+
+
+#: shapes on which w0 times a block relabelling fixes as many tabloids as
+#: the relabelling alone
+_TIE_SHAPES = [(3, 1, 1, 1), (3, 2, 2, 1)]
+
+
+@pytest.mark.parametrize("shape", [shape for n in range(1, 8) for shape in young.all_partitions(n)
+                                   if young.tabloid_count(shape) <= ilp.ILP_DIMENSION_LIMIT]
+                         + [s for s in _TIE_SHAPES if sum(s) > 7], ids=str)
+def test_heuristic_involution_fixes_the_most_tabloids_in_g(shape):
+    group = young.group_elements(young.symmetry_generators(shape))
+    g = ilp._heuristic_involution(group)
+    everything = group[0]
+    assert any(np.array_equal(g, h) for h in group)
+    assert np.array_equal(g[g], everything)
+    action = young.build_action_matrix(sum(shape), shape).entries.toarray()
+    assert np.array_equal(action[g][:, g], action)
+    involutions = [h for h in group[1:] if np.array_equal(h[h], everything)]
+    assert np.array_equal(g, everything) == (not involutions)
+    assert all((h == everything).sum() <= (g == everything).sum() for h in involutions)
+    # a tie goes to the block relabelling, not to w0 times it:
+    # symmetry_generators lists the swaps before w0
+    if shape in _TIE_SHAPES:
+        assert np.array_equal(g, young.image_index(shape, swaps=(2,)))
 
 
 def test_ilp_determinism():
@@ -812,6 +854,25 @@ def test_bound_report_sphere_packing():
     rep = bound_report(5)
     assert any(e.method == "sphere-packing" and e.value == 24
                for e in rep.entries)
+
+
+def test_bound_report_ilp_entry_is_the_proven_optimum():
+    rep = bound_report(5, [(3, 2)])
+    entry, = (e for e in rep.entries if e.method == "ilp")
+    assert (entry.shape, entry.value) == ((3, 2), 23)
+    assert entry.provenance == "coset integer program, proven optimal"
+    assert rep.minimum().value == 23
+
+
+def test_bound_report_ilp_entry_floors_the_dual_bound_of_a_stopped_solve(monkeypatch):
+    def stopped(model, time_limit=None):
+        return ilp.IlpResult(22, (0,) * model.dim, 5, INCUMBENT_ONLY, Fraction(47, 2))
+
+    monkeypatch.setattr(ilp, "ilp_solve", stopped)
+    entry, = (e for e in bound_report(5, [(3, 2)], time_limit=1.0).entries
+              if e.method == "ilp")
+    assert entry.value == 23
+    assert entry.provenance == "coset integer program, dual bound (time limit)"
 
 
 def test_bound_report_literature_entries():

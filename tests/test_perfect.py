@@ -81,6 +81,12 @@ def test_invertible_mod_p_refuses_entries_that_are_not_integers():
         with pytest.raises(ValueError, match="is not an integer"):
             invertible_mod_p(rows, p)
     assert invertible_mod_p([[np.int64(1), 1], [1, 2]], p) == VERDICT_INVERTIBLE
+    # an action matrix is certified from its shape (obstruction_coset), or
+    # eliminated from its dense rows
+    action = young.build_action_matrix(5, (4, 1))
+    with pytest.raises(ValueError, match=r"\.to_dense\(\).*obstruction_coset"):
+        invertible_mod_p(action, p)
+    assert invertible_mod_p(action.to_dense(), p) == VERDICT_INVERTIBLE
 
 
 def test_invertible_mod_p_rejects_composite():
@@ -100,6 +106,12 @@ def _refuse_blocks(mp):
     """Refuse every block build, T-hat_lam and W T-hat_lam alike."""
     mp.setattr(young, "irrep_T_matrix", _no_block)
     mp.setattr(young, "irrep_WT_matrix", _no_block)
+
+
+def _coset_verdict(shape, p: int) -> str:
+    """The coset certificate's verdict on the action matrix of shape at p,
+    by the route DENSE_LIMIT chooses."""
+    return perfect._coset_certificate(sum(shape), shape, (p,))()[0].verdict
 
 
 def test_primes_at_or_above_limit_are_rejected(monkeypatch):
@@ -361,7 +373,7 @@ def test_lanczos_takes_at_most_bound_plus_one_products(monkeypatch):
     lanczos = _record_lanczos(monkeypatch)
     _one_worker(monkeypatch)
     monkeypatch.setattr(perfect, "DENSE_LIMIT", 0)
-    assert invertible_mod_p(young.build_action_matrix(6, shape), m.p) == VERDICT_INVERTIBLE
+    assert _coset_verdict(shape, m.p) == VERDICT_INVERTIBLE
     assert [len(c[2]) for c in lanczos] == [c[0].dim for c in lanczos]
     assert sum(_products(c[2], c[0].dim) for c in lanczos) == bound
 
@@ -473,7 +485,7 @@ def test_singular_matrix_takes_exactly_two_lanczos_passes(monkeypatch):
     lanczos.clear()
     _one_worker(monkeypatch)
     monkeypatch.setattr(perfect, "DENSE_LIMIT", 0)
-    assert invertible_mod_p(young.build_action_matrix(6, shape), p) == VERDICT_SINGULAR
+    assert _coset_verdict(shape, p) == VERDICT_SINGULAR
     assert [(c[0].dim, len(c[2]) == c[0].dim) for c in lanczos] == [
         (1, True), (5, True), (9, True), (10, True), (5, True), (16, True), (5, False),
         (5, False)]
@@ -567,7 +579,7 @@ def test_singular_matrix_is_never_certified_at_a_small_prime(monkeypatch):
         monkeypatch.setattr(perfect, "WIEDEMANN_SEED", seed)
         assert perfect._certify_wiedemann(m) == VERDICT_SINGULAR
     monkeypatch.setattr(perfect, "DENSE_LIMIT", 0)
-    assert invertible_mod_p(young.build_action_matrix(2, (1, 1)), 3) == VERDICT_SINGULAR
+    assert _coset_verdict((1, 1), 3) == VERDICT_SINGULAR
 
 
 SMALL_COSET_SHAPES = [shape for n in range(2, 8) for shape in young.all_partitions(n)]
@@ -605,10 +617,9 @@ def test_wiedemann_matches_integer_determinant_on_action_matrices(shape, monkeyp
     # forced onto the block route, the black box certifies M exactly when
     # its integer determinant is nonzero mod p
     p = DEFAULT_PRIMES[0]
-    action = young.build_action_matrix(sum(shape), shape)
     expected = VERDICT_INVERTIBLE if _action_determinant(shape) % p else VERDICT_SINGULAR
     monkeypatch.setattr(perfect, "DENSE_LIMIT", 0)
-    assert invertible_mod_p(action, p) == expected
+    assert _coset_verdict(shape, p) == expected
 
 
 @pytest.mark.parametrize("shape", SMALL_COSET_SHAPES, ids=str)
@@ -763,23 +774,23 @@ SPLIT_SHAPES = [shape for n in range(2, 9) for shape in young.all_partitions(n)
 
 @pytest.mark.parametrize("shape", SPLIT_SHAPES, ids=str)
 def test_split_verdict_equals_unsplit_verdict(shape, monkeypatch):
-    # invertible_mod_p on M split into its isotypic blocks gives the verdict
-    # of dense elimination of M as it stands, at every p > n; a prime p <= n
-    # is refused before any block
+    # the coset certificate on M split into its isotypic blocks gives the
+    # verdict of dense elimination of M as it stands, at every p > n; a
+    # prime p <= n is refused before any block
     action = young.build_action_matrix(sum(shape), shape)
     for p in DEFAULT_PRIMES + (2, 3):
         det = perfect._det_mod_dense(perfect.modp_from_action(action, p))
         dense = VERDICT_INVERTIBLE if det else VERDICT_SINGULAR
         if p == DEFAULT_PRIMES[0]:
-            assert invertible_mod_p(action, p) == dense
+            assert _coset_verdict(shape, p) == dense
         with monkeypatch.context() as mp:
             mp.setattr(perfect, "DENSE_LIMIT", 0)
             if p > sum(shape):
-                assert invertible_mod_p(action, p) == dense
+                assert _coset_verdict(shape, p) == dense
             else:
                 _refuse_blocks(mp)
                 with pytest.raises(ValueError, match="p > n"):
-                    invertible_mod_p(action, p)
+                    _coset_verdict(shape, p)
 
 
 @pytest.mark.parametrize("shape", [(4, 2, 1), (3, 3, 1)], ids=str)
@@ -816,7 +827,7 @@ def test_a_block_that_stops_long_before_the_other_still_solves(n, monkeypatch):
     lanczos = _record_lanczos(monkeypatch)
     _one_worker(monkeypatch)
     monkeypatch.setattr(perfect, "DENSE_LIMIT", 0)
-    assert invertible_mod_p(action, p) == VERDICT_INVERTIBLE
+    assert _coset_verdict((n - 1, 1), p) == VERDICT_INVERTIBLE
     assert [(c[0].dim, len(c[2])) for c in lanczos] == [(1, 1), (n - 1, n - 1)]
 
 
@@ -827,20 +838,11 @@ def test_block_route_guards_come_before_any_block(monkeypatch):
         with pytest.raises(ValueError, match="p > n = 11"):
             obstruction_coset(11, (6, 3, 2), primes=primes)
     with pytest.raises(ValueError, match="p > n = 11"):
-        invertible_mod_p(young.build_action_matrix(11, (6, 3, 2)), 7)
+        _coset_verdict((6, 3, 2), 7)
     # a constituent too large to build
     monkeypatch.setattr(young, "IRREP_DIMENSION_LIMIT", 500)
     with pytest.raises(young.DimensionLimitError, match="990"):
         obstruction_coset(11, (6, 3, 2))
-    monkeypatch.undo()
-    # entries that are not the tabloid action of the shape, such as M + I
-    monkeypatch.setattr(perfect, "DENSE_LIMIT", 0)
-    _refuse_blocks(monkeypatch)
-    action = young.build_action_matrix(5, (4, 1))
-    shifted = action.entries + sp.identity(5, dtype=np.int64, format="csr")
-    wrong = young.ActionMatrix(n=5, shape=(4, 1), dim=5, entries=shifted)
-    with pytest.raises(ValueError, match="tabloid action"):
-        invertible_mod_p(wrong, DEFAULT_PRIMES[0])
 
 
 # -- blocks on every usable CPU ------------------------------------------------------
